@@ -261,19 +261,6 @@ class QuantumState:
             if lam < -1e-8:
                 raise PositivityError(f"min eigenvalue {lam:.3e} below -1e-8 floor")
 
-    def clipped_to_positive(self) -> "QuantumState":
-        """Project away slightly negative eigenvalues (roundoff repair).
-
-        Only legitimate for defects above the -1e-8 floor; larger
-        negativity means the integrator failed and must abort instead.
-        """
-        lam, vec = np.linalg.eigh(self.rho * self.grid.dx)
-        if lam[0] < -1e-8:
-            raise PositivityError(f"min eigenvalue {lam[0]:.3e} below repair floor")
-        lam = np.clip(lam, 0.0, None)
-        rho = (vec * lam) @ vec.conj().T / self.grid.dx
-        return QuantumState(self.grid, rho, self.hbar).normalized()
-
 
 def gaussian_wavefunction(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0):
     """Normalised minimum-uncertainty wave packet on the grid."""

@@ -67,21 +67,29 @@ class FeedbackPolicy:
         return float(np.clip(u, -self.u_max, self.u_max))
 
 
+def _direct_update(policy: FeedbackPolicy, dt):
+    """Direct controller as a step function dy -> u = clamp(-gain * EMA of dy/dt)."""
+    if policy.smoothing_time < 5.0 * dt:
+        raise ValueError("smoothing_time must be at least 5*dt")
+    alpha = dt / policy.smoothing_time
+    smoothed = 0.0
+
+    def update(dy):
+        nonlocal smoothed
+        smoothed += alpha * (dy / dt - smoothed)
+        return policy.clamp(-policy.gain * smoothed)
+
+    return update
+
+
 def direct_control(record_increments, policy: FeedbackPolicy, dt) -> np.ndarray:
     """Offline form of the direct controller: u series for a record tail.
 
     u_n is computed from increments through n (inclusive); the closed
     loop applies it during step n+1.
     """
-    if policy.smoothing_time < 5.0 * dt:
-        raise ValueError("smoothing_time must be at least 5*dt")
-    alpha = dt / policy.smoothing_time
-    u = np.empty(len(record_increments))
-    smoothed = 0.0
-    for i, dy in enumerate(record_increments):
-        smoothed += alpha * (dy / dt - smoothed)
-        u[i] = policy.clamp(-policy.gain * smoothed)
-    return u
+    update = _direct_update(policy, dt)
+    return np.array([update(dy) for dy in record_increments], dtype=float)
 
 
 def estimator_control(belief: GaussianBelief, policy: FeedbackPolicy) -> float:
@@ -109,8 +117,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
     grid, x0, p0, sigma_x = state0_params
     hbar = system.hbar
     dt = noise.dt
-    if policy.kind == "direct" and policy.smoothing_time < 5.0 * dt:
-        raise ValueError("smoothing_time must be at least 5*dt")
+    direct = _direct_update(policy, dt) if policy.kind == "direct" else None
 
     psi = gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)
     stepper = PureStepper(grid, system, meas, dt)
@@ -128,8 +135,6 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
     times = dt * sample_stride * (1 + np.arange(n_samples))
     energy = np.empty(n_samples)
 
-    alpha = dt / policy.smoothing_time if policy.kind == "direct" else 0.0
-    smoothed_current = 0.0
     u_apply = 0.0     # one-step actuation delay: nothing known at t=0
     t = 0.0
     isample = 0
@@ -139,8 +144,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
         t = (i + 1) * dt
 
         if policy.kind == "direct":
-            smoothed_current += alpha * (dy / dt - smoothed_current)
-            u_apply = policy.clamp(-policy.gain * smoothed_current)
+            u_apply = direct(dy)
         elif policy.kind == "estimator":
             dw_b = sqrt8k * (dy - belief.x_mean * dt)
             belief = centroid_step(belief, system.with_control(u_apply), meas,

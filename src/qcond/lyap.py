@@ -20,12 +20,11 @@ would otherwise saturate at the attractor size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
 from .core import PositionGrid, SystemSpec, gaussian_wavefunction
-from .noise import generate
+from .noise import generate, parallel_map
 from .qdyn import MeasurementSpec, PureStepper
 from . import cdyn
 
@@ -208,8 +207,8 @@ def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> Pai
     return PairedRunResult(times, delta, lam, merged, n_renorm)
 
 
-def _one_realization(args):
-    (state0_params, system, meas, cfg, master_seed, index) = args
+def _one_realization(item):
+    index, (state0_params, system, meas, cfg, master_seed) = item
     noise = generate(master_seed, index, cfg.n_steps, cfg.dt)
     res = paired_run(state0_params, system, meas, cfg, noise)
     return index, res
@@ -224,17 +223,8 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     """
     if cfg.n_realizations < 2:
         raise ValueError("need at least 2 realizations for ensemble statistics")
-    jobs = [(state0_params, system, meas, cfg, master_seed, r)
-            for r in range(cfg.n_realizations)]
-    results = [None] * cfg.n_realizations
-    if workers and workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            for index, res in pool.imap_unordered(_one_realization, jobs):
-                results[index] = res
-    else:
-        for job in jobs:
-            index, res = _one_realization(job)
-            results[index] = res
+    jobs = [(state0_params, system, meas, cfg, master_seed)] * cfg.n_realizations
+    results = parallel_map(_one_realization, jobs, workers)
 
     times = results[0].times
     delta = np.stack([r.delta for r in results])

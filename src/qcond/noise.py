@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from multiprocessing import get_context
 
 import numpy as np
 
-__all__ = ["NoisePath", "generate", "substream_rng"]
+__all__ = ["NoisePath", "generate", "parallel_map", "substream_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,7 +38,8 @@ class NoisePath:
 
 
 def _keyed_generator(master_seed: int, stream_index: int) -> np.random.Generator:
-    key = np.array([master_seed & _MASK64, stream_index & _MASK64], dtype=np.uint64)
+    # int(): a numpy integer key would overflow int64 under the mask.
+    key = np.array([int(master_seed) & _MASK64, int(stream_index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -66,7 +68,21 @@ def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.rando
     """
     tag = int.from_bytes(hashlib.blake2s(purpose.encode()).digest()[:8], "little")
     key = np.array(
-        [(master_seed ^ tag) & _MASK64, (stream_index + 0x9E3779B97F4A7C15) & _MASK64],
+        [(int(master_seed) ^ tag) & _MASK64, (int(stream_index) + 0x9E3779B97F4A7C15) & _MASK64],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def parallel_map(fn, jobs, workers):
+    """Order-preserving parallel map (results slotted by job index)."""
+    results = [None] * len(jobs)
+    if workers and workers > 1 and len(jobs) > 1:
+        with get_context("fork").Pool(workers) as pool:
+            for idx, value in pool.imap_unordered(fn, list(enumerate(jobs))):
+                results[idx] = value
+    else:
+        for item in enumerate(jobs):
+            idx, value = fn(item)
+            results[idx] = value
+    return results

@@ -41,7 +41,7 @@ the wavefunction path is the cheap one for large conditioned ensembles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,20 +158,16 @@ def _check_support(mass_outside: float, t: float):
 class DensityStepper:
     """Evolves a density matrix; owns no state besides precomputed phases.
 
-    ``check_interval`` > 0 enables the eigenvalue hygiene check every
-    that many conditioned/unconditional steps: eigenvalues in
-    (-1e-8, 0) are clipped and renormalized, below -1e-8 the run aborts.
+    The congruence form of the measurement update keeps the state
+    positive for any dt, so no eigenvalue repair is needed.
     """
 
-    def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3,
-                 check_interval: int = 0):
+    def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
         self.pieces = _SpectralPieces(grid, system, dt)
         self.grid = grid
         self.system = system
         self.meas = meas
         self.dt = float(dt)
-        self.check_interval = int(check_interval)
-        self._steps_done = 0
         k = 0.0 if meas is None else meas.strength
         self.sqrt8k = np.sqrt(8.0 * k)
         self.k = k
@@ -199,15 +195,9 @@ class DensityStepper:
         tr = np.sum(rho.diagonal().real) * self.grid.dx
         return rho / tr
 
-    def _mean_x(self, rho: np.ndarray) -> float:
-        dens = rho.diagonal().real
+    def mean_x(self, state: QuantumState) -> float:
+        dens = state.rho.diagonal().real
         return float(np.sum(self.pieces.x * dens) / np.sum(dens))
-
-    def _hygiene(self, state: QuantumState) -> QuantumState:
-        self._steps_done += 1
-        if self.check_interval and self._steps_done % self.check_interval == 0:
-            state = state.clipped_to_positive()
-        return state
 
     # -- public steps ----------------------------------------------------------
 
@@ -231,7 +221,7 @@ class DensityStepper:
         rho = self._renormalize(rho)
         out = QuantumState(self.grid, rho, state.hbar)
         _check_support(out.outer_support_mass(), t)
-        return self._hygiene(out)
+        return out
 
     def conditioned(self, state: QuantumState, t: float, dw: float):
         """One measurement-conditioned step; returns (state', dy)."""
@@ -240,7 +230,7 @@ class DensityStepper:
                 "conditioned step with k = 0 has no record; use isolated()"
             )
         x = self.pieces.x
-        x_mean = self._mean_x(state.rho)
+        x_mean = self.mean_x(state)
         dy = x_mean * self.dt + dw / self.sqrt8k
 
         u = x - x_mean
@@ -250,7 +240,7 @@ class DensityStepper:
         rho = self._unitary(rho, t)
         out = QuantumState(self.grid, rho, state.hbar)
         _check_support(out.outer_support_mass(), t)
-        return self._hygiene(out), dy
+        return out, dy
 
 
 class PureStepper:
@@ -348,79 +338,67 @@ class ConditionedTrajectory:
         return np.stack([self.x_mean, self.p_mean, self.c_xx, self.c_xp, self.c_pp], axis=1)
 
 
-def _collect(samples, times, record=None):
+def _drive(state0, system, meas, dt, n_steps, step, sample_every, t0):
+    """The one trajectory loop: step, and sample moments every sample_every steps.
+
+    state0 is a QuantumState (density path) or a wavefunction packaged as
+    (grid, psi); the stepper and the moment function follow from it.
+    step(stepper, state, i, t) -> (state', dy) advances step i from time t.
+    Returns the sampled trajectory (no record) and the dy of every step.
+    """
+    # The moment functions are looked up when called, so a rebinding of
+    # the module attribute (as span tracing does) takes effect here too.
+    if isinstance(state0, tuple):
+        grid, state = state0
+        stepper = PureStepper(grid, system, meas, dt)
+
+        def sample(psi, t):
+            return wavefunction_moments(grid, psi, system.hbar, system, t)
+    else:
+        state = state0
+        stepper = DensityStepper(state0.grid, system, meas, dt)
+
+        def sample(qstate, t):
+            return quantum_moments(qstate, system, t)
+
+    samples = [sample(state, t0)]
+    times = [t0]
+    dys = np.empty(n_steps)
+    t = t0
+    for i in range(n_steps):
+        state, dys[i] = step(stepper, state, i, t)
+        t = t0 + (i + 1) * dt
+        if (i + 1) % sample_every == 0:
+            samples.append(sample(state, t))
+            times.append(t)
     arr = {key: np.array([getattr(m, key) for m in samples]) for key in
            ("x_mean", "p_mean", "c_xx", "c_xp", "c_pp", "purity", "energy")}
-    return ConditionedTrajectory(times=np.asarray(times), record=record, **arr)
+    return ConditionedTrajectory(times=np.asarray(times), **arr), dys
 
 
 def run_conditioned(state0, system, meas, noise: NoisePath, sample_every=1,
-                    t0=0.0, pure=None) -> ConditionedTrajectory:
+                    t0=0.0) -> ConditionedTrajectory:
     """Integrate the conditioned evolution over a full noise path.
 
     state0 may be a QuantumState (density path) or a wavefunction array
-    packaged as (grid, psi).  ``pure=True`` asks for the wavefunction
-    fast path and requires a pure input state.
+    packaged as (grid, psi) (wavefunction path).
     """
-    dt = noise.dt
-    n = noise.n_steps
-    use_pure = bool(pure)
-    if isinstance(state0, tuple):
-        grid, psi = state0
-        use_pure = True
-    else:
-        grid = state0.grid
-        if pure:
-            if abs(state0.purity() - 1.0) > 1e-9:
-                raise ValueError("pure fast path requires a pure initial state")
-            lam, vec = np.linalg.eigh(state0.rho * grid.dx)
-            psi = vec[:, -1] / np.sqrt(grid.dx)
-
-    times = [t0]
-    if use_pure:
-        stepper = PureStepper(grid, system, meas, dt)
-        samples = [wavefunction_moments(grid, psi, system.hbar, system, t0)]
-        dys = np.empty(n)
-        t = t0
-        for i in range(n):
-            psi, dys[i] = stepper.conditioned(psi, t, noise.increments[i])
-            t = t0 + (i + 1) * dt
-            if (i + 1) % sample_every == 0:
-                samples.append(wavefunction_moments(grid, psi, system.hbar, system, t))
-                times.append(t)
-    else:
-        stepper = DensityStepper(grid, system, meas, dt)
-        state = state0
-        samples = [quantum_moments(state, system, t0)]
-        dys = np.empty(n)
-        t = t0
-        for i in range(n):
-            state, dys[i] = stepper.conditioned(state, t, noise.increments[i])
-            t = t0 + (i + 1) * dt
-            if (i + 1) % sample_every == 0:
-                samples.append(quantum_moments(state, system, t))
-                times.append(t)
-    record = MeasurementRecord(dt, dys)
-    return _collect(samples, times, record)
+    traj, dys = _drive(
+        state0, system, meas, noise.dt, noise.n_steps,
+        lambda stepper, state, i, t: stepper.conditioned(state, t, noise.increments[i]),
+        sample_every, t0)
+    return replace(traj, record=MeasurementRecord(noise.dt, dys))
 
 
-def run_isolated(state0: QuantumState, system, dt, n_steps, sample_every=1, t0=0.0) -> ConditionedTrajectory:
-    stepper = DensityStepper(state0.grid, system, None, dt)
-    state = state0
-    samples = [quantum_moments(state, system, t0)]
-    times = [t0]
-    t = t0
-    for i in range(n_steps):
-        state = stepper.isolated(state, t)
-        t = t0 + (i + 1) * dt
-        if (i + 1) % sample_every == 0:
-            samples.append(quantum_moments(state, system, t))
-            times.append(t)
-    return _collect(samples, times)
+def run_isolated(state0, system, dt, n_steps, sample_every=1, t0=0.0) -> ConditionedTrajectory:
+    """Unitary evolution of a QuantumState or (grid, psi), no measurement."""
+    return _drive(state0, system, None, dt, n_steps,
+                  lambda stepper, state, i, t: (stepper.isolated(state, t), 0.0),
+                  sample_every, t0)[0]
 
 
 def filter_with_record(state0, system, meas, record: MeasurementRecord,
-                       sample_every=1, t0=0.0, pure=None) -> ConditionedTrajectory:
+                       sample_every=1, t0=0.0) -> ConditionedTrajectory:
     """Re-integrate the conditioned evolution from a known record.
 
     The innovation is reconstructed step by step from the filter's own
@@ -432,41 +410,12 @@ def filter_with_record(state0, system, meas, record: MeasurementRecord,
         raise MeasurementError("a k = 0 record carries no information; nothing to filter")
     dt = record.dt
     sqrt8k = np.sqrt(8.0 * meas.strength)
-    use_pure = bool(pure) or isinstance(state0, tuple)
-    if isinstance(state0, tuple):
-        grid, psi = state0
-    else:
-        grid = state0.grid
-        if use_pure:
-            lam, vec = np.linalg.eigh(state0.rho * grid.dx)
-            psi = vec[:, -1] / np.sqrt(grid.dx)
 
-    times = [t0]
-    t = t0
-    if use_pure:
-        stepper = PureStepper(grid, system, meas, dt)
-        samples = [wavefunction_moments(grid, psi, system.hbar, system, t0)]
-        for i in range(record.n_steps):
-            x_mean = stepper.mean_x(psi)
-            dw = sqrt8k * (record.increments[i] - x_mean * dt)
-            psi, _ = stepper.conditioned(psi, t, dw)
-            t = t0 + (i + 1) * dt
-            if (i + 1) % sample_every == 0:
-                samples.append(wavefunction_moments(grid, psi, system.hbar, system, t))
-                times.append(t)
-    else:
-        stepper = DensityStepper(grid, system, meas, dt)
-        state = state0
-        samples = [quantum_moments(state, system, t0)]
-        for i in range(record.n_steps):
-            x_mean = stepper._mean_x(state.rho)
-            dw = sqrt8k * (record.increments[i] - x_mean * dt)
-            state, _ = stepper.conditioned(state, t, dw)
-            t = t0 + (i + 1) * dt
-            if (i + 1) % sample_every == 0:
-                samples.append(quantum_moments(state, system, t))
-                times.append(t)
-    return _collect(samples, times)
+    def step(stepper, state, i, t):
+        dw = sqrt8k * (record.increments[i] - stepper.mean_x(state) * dt)
+        return stepper.conditioned(state, t, dw)
+
+    return _drive(state0, system, meas, dt, record.n_steps, step, sample_every, t0)[0]
 
 
 # ---------------------------------------------------------------------------

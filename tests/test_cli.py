@@ -63,6 +63,33 @@ x0 = 0.5
 sigma_x = 0.9
 """
 
+PASSIVITY = """
+[experiment]
+name = passivity
+
+[system]
+mass = 1.0
+hbar = 0.0
+potential_coeffs = 0, 0, 0.5
+
+[measurement]
+k = 1.0
+
+[run]
+dt = 1e-3
+horizon = 0.2
+n_realizations = 8
+master_seed = 5
+sample_stride = 50
+
+[passivity]
+n_particles = 100
+x0 = 1.0
+p0 = 0.0
+sigma_x = 0.7
+sigma_p = 0.7
+"""
+
 
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -171,3 +198,17 @@ def test_numerical_abort_exit_code(tmp_path):
     bad = ISOLATED.replace("x0 = 0.5", "x0 = 6.5")
     cfg = _write(tmp_path, bad)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_passivity_max_z_skips_roundoff_rows(tmp_path):
+    # Every realization starts from one ensemble, so the t = 0 row has a
+    # standard error at roundoff level and its z-score is a ratio of
+    # roundoffs.  max_z and max_z_time must come from the sampled rows.
+    out = str(tmp_path / "o")
+    assert main(["--config", _write(tmp_path, PASSIVITY), "--out", out]) == EXIT_OK
+    table = np.loadtxt(os.path.join(out, "passivity_moments.csv"), delimiter=",", skiprows=1)
+    times, z = table[:, 0], table[:, 11:16]
+    result = json.load(open(os.path.join(out, "metadata.json")))["result"]
+    assert times[0] == 0.0 and times.size == 5
+    assert result["max_z"] == np.max(z[1:])
+    assert result["max_z_time"] == times[1 + np.argmax(np.max(z[1:], axis=1))] > 0.0

@@ -1,8 +1,7 @@
-"""Gaussian-closure centroid stepper against full-state and root-finder oracles."""
+"""Gaussian-closure centroid stepper against full-state and closed-form oracles."""
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from qcond.core import PositionGrid, SystemSpec, gaussian_wavefunction, wavefunction_moments
 from qcond.cumulant import ClosureBreakdownError, GaussianBelief, belief_vs_full_compare, centroid_step
@@ -18,19 +17,21 @@ def harmonic():
 
 
 def _riccati_fixed_point(m, omega2, k, hbar):
-    """Stationary covariances by an independent root-finder (oracle)."""
+    """Stationary covariances in closed form (oracle).
 
-    def eqs(c):
-        cxx, cxp, cpp = c
-        return [
-            2 * cxp / m - 8 * k * cxx**2,
-            cpp / m - omega2 * cxx - 8 * k * cxx * cxp,
-            -2 * omega2 * cxp + 2 * hbar**2 * k - 8 * k * cxp**2,
-        ]
-
-    guess = [hbar / (2 * np.sqrt(omega2)), 0.0, hbar * np.sqrt(omega2) / 2]
-    sol = optimize.fsolve(eqs, guess, full_output=False, xtol=1e-14)
-    return sol
+    The third equation is a quadratic in cxp alone; its positive root
+    fixes cxx through the first and cpp through the second.
+    """
+    cxp = (-omega2 + np.sqrt(omega2**2 + 16 * hbar**2 * k**2)) / (8 * k)
+    cxx = np.sqrt(cxp / (4 * m * k))
+    cpp = m * (omega2 * cxx + 8 * k * cxx * cxp)
+    residuals = [
+        2 * cxp / m - 8 * k * cxx**2,
+        cpp / m - omega2 * cxx - 8 * k * cxx * cxp,
+        -2 * omega2 * cxp + 2 * hbar**2 * k - 8 * k * cxp**2,
+    ]
+    assert np.max(np.abs(residuals)) < 1e-14
+    return cxx, cxp, cpp
 
 
 def test_riccati_fixed_point_reached(harmonic):

@@ -57,3 +57,16 @@ def test_substream_decoupled_from_main_stream():
     # and deterministic
     aux2 = substream_rng(9, 4, "resample").standard_normal(1000) * np.sqrt(1e-3)
     assert np.array_equal(aux, aux2)
+
+
+
+def test_numpy_integer_keys_match_plain_int_keys():
+    # Stream indices come back as numpy integers (CoolingResult.stream_indices),
+    # and a stream must be regenerable from them bit for bit.
+    for seed, index, as_np in [(2024, 3, np.int64), (-7, 12, np.int32),
+                               (2**63 + 5, 2**64 - 1, np.uint64)]:
+        np_seed, np_index = as_np(seed), as_np(index)
+        assert np.array_equal(generate(np_seed, np_index, 64, 1e-3).increments,
+                              generate(seed, index, 64, 1e-3).increments)
+        assert np.array_equal(substream_rng(np_seed, np_index, "resample").standard_normal(8),
+                              substream_rng(seed, index, "resample").standard_normal(8))
