@@ -34,7 +34,6 @@ __all__ = [
     "ks_filter_step",
     "resample",
     "newton_trajectory",
-    "newton_step",
     "run_conditioned_classical",
     "WeightClipCounter",
 ]
@@ -122,11 +121,6 @@ def resample(ens: ClassicalEnsemble, rng: np.random.Generator = None) -> Classic
     idx = np.searchsorted(np.cumsum(w), positions)
     idx = np.clip(idx, 0, n - 1)
     return ClassicalEnsemble(ens.x[idx], ens.p[idx], np.full(n, 1.0 / n))
-
-
-def newton_step(x, p, system: SystemSpec, dt, t=0.0):
-    """Single-trajectory symplectic step (the delta-function limit)."""
-    return _leapfrog(x, p, system, dt, t)
 
 
 def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps, t0=0.0):

@@ -331,18 +331,9 @@ class ClassicalEnsemble:
     def n_particles(self) -> int:
         return self.x.size
 
-    def renormalized(self) -> "ClassicalEnsemble":
-        total = float(np.sum(self.w))
-        if total <= 0:
-            raise DegenerateEnsembleError("total weight vanished")
-        return ClassicalEnsemble(self.x, self.p, self.w / total)
-
     def ess(self) -> float:
         """Effective sample size 1 / sum w_i^2 (weights assumed normalised)."""
         return float(1.0 / np.sum(self.w**2))
-
-    def mean_x(self) -> float:
-        return float(np.dot(self.w, self.x))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, ensemble_lyapunov
 from .noise import generate, parallel_map, substream_rng
 from .qct import evaluate_along_trajectory, action_scale, NonRecurrentOrbitError
-from .qdyn import MeasurementSpec, PureStepper, run_conditioned, run_isolated
+from .qdyn import MeasurementSpec, run_conditioned, run_isolated
 from .cdyn import newton_trajectory
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
@@ -225,29 +225,24 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
     hbar = system.hbar
     x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
     include_curv = bool(exp["include_force_curvature"])
-    psi = gaussian_wavefunction(grid, x0, p0, sx, hbar)
-    stepper = PureStepper(grid, system, meas, dt)
+    noise = generate(seed, 0, n_steps, dt)
+    psi0 = gaussian_wavefunction(grid, x0, p0, sx, hbar)
+    traj = run_conditioned((grid, psi0), system, meas, noise, sample_every=stride)
+
     belief = GaussianBelief(x0, p0, sx**2, 0.0, hbar**2 / (4 * sx**2),
                             quantum=True, hbar=hbar)
-    noise = generate(seed, 0, n_steps, dt)
-
-    from .core import wavefunction_moments
-
-    rows = []
-    full_rows, bel_rows = [], []
+    bel_rows = []
     t = 0.0
     for i in range(n_steps):
-        psi, _ = stepper.conditioned(psi, t, noise.increments[i])
         belief = centroid_step(belief, system, meas, dt, noise.increments[i], t,
                                include_force_curvature=include_curv)
         t = (i + 1) * dt
         if (i + 1) % stride == 0:
-            m = wavefunction_moments(grid, psi, hbar, system, t)
-            brow = [belief.x_mean, belief.p_mean, belief.c_xx, belief.c_xp, belief.c_pp]
-            full_rows.append(m.as_array())
-            bel_rows.append(brow)
-            rows.append([t, *m.as_array(), *brow])
-    report = belief_vs_full_compare(np.array(full_rows), np.array(bel_rows))
+            bel_rows.append([belief.x_mean, belief.p_mean, belief.c_xx, belief.c_xp, belief.c_pp])
+    # Drop the full state's t0 sample: the belief series starts one stride in.
+    full_rows, bel_rows = traj.moment_matrix()[1:], np.array(bel_rows)
+    rows = np.column_stack([traj.times[1:], full_rows, bel_rows])
+    report = belief_vs_full_compare(full_rows, bel_rows)
     cols = ("t [time]",
             "x_full [length]", "p_full [momentum]", "cxx_full [length^2]",
             "cxp_full [length*momentum]", "cpp_full [momentum^2]",
@@ -258,7 +253,7 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
         "rms_deviation": report.rms.tolist(),
         "max_relative_deviation": float(report.worst_relative()),
     }
-    return ExperimentResult([CsvSeries("cumulant_compare", cols, np.array(rows))], meta)
+    return ExperimentResult([CsvSeries("cumulant_compare", cols, rows)], meta)
 
 
 # --- qct-scan -------------------------------------------------------------------
@@ -332,6 +327,7 @@ def run_lyapunov_experiment(cfg, seed, workers):
         ))
     meta = {
         "merged_realizations": [int(i) for i in np.nonzero(series_out.merged_flags)[0]],
+        "renormalizations": series_out.renormalizations.tolist(),
         "band_definition": "stddev over per-realization lambda(t), merged excluded",
     }
     return ExperimentResult(out, meta)
@@ -381,7 +377,9 @@ def run_cooling_experiment(cfg, seed, workers):
         ("policy_index [1]", "steady_energy_mean [energy]", "steady_energy_se [energy]"),
         np.array(summary_rows),
     ))
-    meta = {"policies": names}
+    first = results[names[0]]
+    meta = {"policies": names, "stream_indices": first.stream_indices.tolist(),
+            "retried_streams": list(first.retried_streams)}
     for a in names:
         for b in names:
             if a < b:

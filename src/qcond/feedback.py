@@ -68,16 +68,33 @@ class FeedbackPolicy:
 
 
 def _direct_update(policy: FeedbackPolicy, dt):
-    """Direct controller as a step function dy -> u = clamp(-gain * EMA of dy/dt)."""
+    """Direct controller as a step function (dy, ...) -> u = clamp(-gain * EMA of dy/dt)."""
     if policy.smoothing_time < 5.0 * dt:
         raise ValueError("smoothing_time must be at least 5*dt")
     alpha = dt / policy.smoothing_time
     smoothed = 0.0
 
-    def update(dy):
+    def update(dy, *_):
         nonlocal smoothed
         smoothed += alpha * (dy / dt - smoothed)
         return policy.clamp(-policy.gain * smoothed)
+
+    return update
+
+
+def _estimator_update(policy: FeedbackPolicy, system, meas, dt, belief, grid_span):
+    """Estimator controller as a step function (dy, u applied over the step, t) -> u."""
+    sqrt8k = np.sqrt(8.0 * meas.strength)
+
+    def update(dy, u, t):
+        nonlocal belief
+        dw_b = sqrt8k * (dy - belief.x_mean * dt)
+        belief = centroid_step(belief, system.with_control(u), meas, dt, dw_b, t - dt)
+        if belief.c_xx > grid_span**2:
+            raise FilterDivergenceError(
+                f"belief position variance {belief.c_xx:.3e} exceeds grid scale"
+            )
+        return estimator_control(belief, policy)
 
     return update
 
@@ -107,59 +124,50 @@ class ClosedLoopRun:
 
 
 def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
-                    policy: FeedbackPolicy, noise, sample_stride=10,
-                    belief0: GaussianBelief = None) -> ClosedLoopRun:
-    """Plant-measure-control loop over one noise path.
+                    policies, noise, sample_stride=10,
+                    belief0: GaussianBelief = None) -> list:
+    """Plant-measure-control loops over one noise path, one batch row per policy.
 
-    state0_params = (grid, x_mean, p_mean, sigma_x).  The energy score
-    uses the control-free Hamiltonian at each sample time.
+    state0_params = (grid, x_mean, p_mean, sigma_x).  Every policy drives
+    its own copy of that state under the same noise; returns one
+    ClosedLoopRun per policy, in order.  The energy score uses the
+    control-free Hamiltonian at each sample time.
     """
     grid, x0, p0, sigma_x = state0_params
     hbar = system.hbar
     dt = noise.dt
-    direct = _direct_update(policy, dt) if policy.kind == "direct" else None
+    if belief0 is None:
+        belief0 = GaussianBelief(x0, p0, sigma_x**2, 0.0, hbar**2 / (4 * sigma_x**2),
+                                 quantum=True, hbar=hbar)
+    grid_span = grid.x_max - grid.x_min
 
-    psi = gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)
+    def policy_update(pol):
+        if pol.kind == "direct":
+            return _direct_update(pol, dt)
+        if pol.kind == "estimator":
+            return _estimator_update(pol, system, meas, dt, belief0, grid_span)
+        return lambda *_: 0.0
+
+    updates = [policy_update(pol) for pol in policies]
+
+    psi = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)] * len(updates))
     stepper = PureStepper(grid, system, meas, dt)
     scoring_system = system.with_control(0.0)
 
-    belief = belief0
-    if policy.kind == "estimator" and belief is None:
-        belief = GaussianBelief(x0, p0, sigma_x**2, 0.0, hbar**2 / (4 * sigma_x**2),
-                                quantum=True, hbar=hbar)
-    sqrt8k = np.sqrt(8.0 * meas.strength)
-    grid_span = grid.x_max - grid.x_min
-
-    n = noise.n_steps
-    n_samples = n // sample_stride
+    n_samples = noise.n_steps // sample_stride
     times = dt * sample_stride * (1 + np.arange(n_samples))
-    energy = np.empty(n_samples)
+    energy = np.empty((len(updates), n_samples))
 
-    u_apply = 0.0     # one-step actuation delay: nothing known at t=0
-    t = 0.0
-    isample = 0
-    for i in range(n):
-        stepper.control = u_apply
-        psi, dy = stepper.conditioned(psi, t, noise.increments[i])
+    u_apply = [0.0] * len(updates)     # one-step actuation delay: nothing known at t=0
+    for i in range(noise.n_steps):
+        stepper.control = np.array(u_apply)[:, None]
+        psi, dy = stepper.conditioned(psi, i * dt, noise.increments[i])
         t = (i + 1) * dt
-
-        if policy.kind == "direct":
-            u_apply = direct(dy)
-        elif policy.kind == "estimator":
-            dw_b = sqrt8k * (dy - belief.x_mean * dt)
-            belief = centroid_step(belief, system.with_control(u_apply), meas,
-                                   dt, dw_b, t - dt)
-            if belief.c_xx > grid_span**2:
-                raise FilterDivergenceError(
-                    f"belief position variance {belief.c_xx:.3e} exceeds grid scale"
-                )
-            u_apply = estimator_control(belief, policy)
-
+        u_apply = [update(dy_row, u, t) for update, dy_row, u in zip(updates, dy, u_apply)]
         if (i + 1) % sample_stride == 0:
-            m = wavefunction_moments(grid, psi, hbar, scoring_system, t)
-            energy[isample] = m.energy
-            isample += 1
-    return ClosedLoopRun(times, energy, u_apply)
+            energy[:, (i + 1) // sample_stride - 1] = [
+                wavefunction_moments(grid, row, hbar, scoring_system, t).energy for row in psi]
+    return [ClosedLoopRun(times, e, u) for e, u in zip(energy, u_apply)]
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,7 @@ class CoolingResult:
     steady_mean: float
     steady_se: float
     stream_indices: np.ndarray
+    retried_streams: tuple
 
 
 def _steady_window(n_samples: int) -> slice:
@@ -194,6 +203,7 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
     n_steps = int(round(horizon / dt))
     runs = {name: [] for name in policies}
     indices = []
+    retried = []
     next_index = 0
     accepted = 0
     while accepted < n_realizations:
@@ -203,13 +213,13 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
             raise QcondError("too many aborted closed-loop realizations")
         noise = generate(master_seed, index, n_steps, dt)
         try:
-            batch = {name: run_closed_loop(state0_params, system, meas, pol,
-                                           noise, sample_stride)
-                     for name, pol in policies.items()}
+            batch = run_closed_loop(state0_params, system, meas, list(policies.values()),
+                                    noise, sample_stride)
         except QcondError as err:
             warnings.warn(f"realization {index} aborted ({err}); retrying with fresh stream")
+            retried.append(index)
             continue
-        for name, run in batch.items():
+        for name, run in zip(policies, batch):
             runs[name].append(run)
         indices.append(index)
         accepted += 1
@@ -229,6 +239,7 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
             steady_mean=float(steady.mean()),
             steady_se=float(steady.std(ddof=1) / np.sqrt(accepted)),
             stream_indices=np.array(indices),
+            retried_streams=tuple(retried),
         )
     return out
 

@@ -92,6 +92,7 @@ class LyapunovSeries:
     lam_sd: np.ndarray
     merged_flags: np.ndarray
     config: LyapunovConfig
+    renormalizations: np.ndarray    # Benettin resets per realization
 
 
 def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
@@ -100,31 +101,18 @@ def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
     return np.fft.ifft(np.exp(-1j * p * delta / hbar) * np.fft.fft(psi))
 
 
-def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
-               cfg: LyapunovConfig, noise) -> PairedRunResult:
-    """Fiducial/perturbed conditioned pair driven by one noise path.
+def _divergence_loop(cfg: LyapunovConfig, step, centroids, reset) -> PairedRunResult:
+    """Sample Delta and lambda of one fiducial/perturbed pair, with renormalization.
 
-    state0_params = (grid, x_mean, p_mean, sigma_x) of the fiducial
-    Gaussian; the perturbed twin starts at x_mean + initial_separation.
-    k = 0 degenerates to isolated evolution of both members (no record).
+    step(i, t) advances both members over step i from time t;
+    centroids() returns their (fiducial, perturbed) position means;
+    reset(sign, d) puts the perturbed member back at separation d0 along
+    sign, from the current separation d.
     """
-    grid, x0, p0, sigma_x = state0_params
-    if cfg.initial_separation > sigma_x / 10.0:
-        raise ValueError("initial_separation must not exceed sigma_x / 10")
-    hbar = system.hbar
     d0 = cfg.initial_separation
-
-    psi_f = gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)
-    psi_p = gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)
-
-    conditioned = meas is not None and meas.strength > 0.0
-    stepper_f = PureStepper(grid, system, meas if conditioned else None, cfg.dt)
-    stepper_p = PureStepper(grid, system, meas if conditioned else None, cfg.dt)
-
-    n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.sample_stride
-    n_samples = n // stride
+    n_samples = cfg.n_steps // stride
     times = dt * stride * (1 + np.arange(n_samples))
     delta = np.full(n_samples, np.nan)
     lam = np.full(n_samples, np.nan)
@@ -132,65 +120,16 @@ def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
     log_growth = 0.0
     n_renorm = 0
     merged = False
-    t = 0.0
     isample = 0
-    for i in range(n):
-        dw = noise.increments[i] if conditioned else 0.0
-        if conditioned:
-            psi_f, _ = stepper_f.conditioned(psi_f, t, dw)
-            psi_p, _ = stepper_p.conditioned(psi_p, t, dw)
-        else:
-            psi_f = stepper_f.isolated(psi_f, t)
-            psi_p = stepper_p.isolated(psi_p, t)
+    for i in range(cfg.n_steps):
+        step(i, i * dt)
         t = (i + 1) * dt
-
         need_sample = (i + 1) % stride == 0
-        need_check = cfg.renormalize or need_sample
-        if not need_check:
+        if not (cfg.renormalize or need_sample):
             continue
-        xf = stepper_f.mean_x(psi_f)
-        xp = stepper_p.mean_x(psi_p)
+        xf, xp = centroids()
         d = abs(xp - xf)
         if need_sample:
-            delta[isample] = d
-            if d < MERGE_FLOOR_FACTOR * d0:
-                merged = True
-                isample += 1
-                continue
-            lam[isample] = (log_growth + np.log(d / d0)) / t
-            isample += 1
-        if cfg.renormalize and d > cfg.renorm_threshold:
-            log_growth += np.log(d / d0)
-            sign = 1.0 if xp >= xf else -1.0
-            psi_p = _shift_wavefunction(grid, psi_f, sign * d0, hbar)
-            n_renorm += 1
-    return PairedRunResult(times, delta, lam, merged, n_renorm)
-
-
-def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> PairedRunResult:
-    """Newtonian twin of paired_run (the deterministic strong-QCT limit)."""
-    d0 = cfg.initial_separation
-    dt = cfg.dt
-    n = cfg.n_steps
-    stride = cfg.sample_stride
-    n_samples = n // stride
-    times = dt * stride * (1 + np.arange(n_samples))
-    delta = np.full(n_samples, np.nan)
-    lam = np.full(n_samples, np.nan)
-
-    xf, pf = float(x0), float(p0)
-    xp, pp = float(x0 + d0), float(p0)
-    log_growth = 0.0
-    n_renorm = 0
-    merged = False
-    isample = 0
-    t = 0.0
-    for i in range(n):
-        xf, pf = cdyn.newton_step(xf, pf, system, dt, t)
-        xp, pp = cdyn.newton_step(xp, pp, system, dt, t)
-        t = (i + 1) * dt
-        d = abs(xp - xf)
-        if (i + 1) % stride == 0:
             delta[isample] = d
             if d < MERGE_FLOOR_FACTOR * d0:
                 merged = True
@@ -199,12 +138,59 @@ def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> Pai
             isample += 1
         if cfg.renormalize and d > cfg.renorm_threshold:
             log_growth += np.log(d / d0)
-            sign = 1.0 if xp >= xf else -1.0
-            # Reset full phase-space offset along the current separation.
-            xp = xf + sign * d0
-            pp = pf + (pp - pf) * (d0 / d)
+            reset(1.0 if xp >= xf else -1.0, d)
             n_renorm += 1
     return PairedRunResult(times, delta, lam, merged, n_renorm)
+
+
+def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
+               cfg: LyapunovConfig, noise) -> PairedRunResult:
+    """Fiducial/perturbed conditioned pair driven by one noise path.
+
+    state0_params = (grid, x_mean, p_mean, sigma_x) of the fiducial
+    Gaussian; the perturbed twin starts at x_mean + initial_separation.
+    The pair is one (2, n) batch of a single stepper.  k = 0 degenerates
+    to isolated evolution of both members (no record).
+    """
+    grid, x0, p0, sigma_x = state0_params
+    if cfg.initial_separation > sigma_x / 10.0:
+        raise ValueError("initial_separation must not exceed sigma_x / 10")
+    hbar = system.hbar
+    d0 = cfg.initial_separation
+    psi = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
+                    gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)])
+    conditioned = meas is not None and meas.strength > 0.0
+    stepper = PureStepper(grid, system, meas if conditioned else None, cfg.dt)
+
+    def step(i, t):
+        nonlocal psi
+        if conditioned:
+            psi, _ = stepper.conditioned(psi, t, noise.increments[i])
+        else:
+            psi = stepper.isolated(psi, t)
+
+    def reset(sign, d):
+        psi[1] = _shift_wavefunction(grid, psi[0], sign * d0, hbar)
+
+    return _divergence_loop(cfg, step, lambda: stepper.mean_x(psi), reset)
+
+
+def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> PairedRunResult:
+    """Newtonian twin of paired_run (the deterministic strong-QCT limit)."""
+    d0 = cfg.initial_separation
+    x = np.array([x0, x0 + d0], dtype=float)
+    p = np.array([p0, p0], dtype=float)
+
+    def step(i, t):
+        nonlocal x, p
+        x, p = cdyn._leapfrog(x, p, system, cfg.dt, t)
+
+    def reset(sign, d):
+        # Reset full phase-space offset along the current separation.
+        x[1] = x[0] + sign * d0
+        p[1] = p[0] + (p[1] - p[0]) * (d0 / d)
+
+    return _divergence_loop(cfg, step, lambda: x, reset)
 
 
 def _one_realization(item):
@@ -234,7 +220,8 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     lam_ok = lam[ok]
     lam_mean = np.nanmean(lam_ok, axis=0)
     lam_sd = np.nanstd(lam_ok, axis=0, ddof=1)
-    return LyapunovSeries(times, delta, lam, lam_mean, lam_sd, merged, cfg)
+    renorms = np.array([r.n_renormalizations for r in results])
+    return LyapunovSeries(times, delta, lam, lam_mean, lam_sd, merged, cfg, renorms)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def quantum_window(system: SystemSpec, x_mean, k, s, hbar) -> tuple:
     return float(hk * s / (2.0 * df)), float(df * s / (4.0 * hk))
 
 
-def action_scale(xs, ps, return_period_index=False):
+def action_scale(xs, ps):
     """Phase-space loop area of one quasi-period of a reference orbit.
 
     The first return of (x, p) to the neighbourhood of its starting
@@ -123,8 +123,6 @@ def action_scale(xs, ps, return_period_index=False):
     area = 0.5 * abs(
         float(np.sum(x_loop * np.roll(p_loop, -1) - np.roll(x_loop, -1) * p_loop))
     )
-    if return_period_index:
-        return area, iend
     return area
 
 

@@ -63,6 +63,35 @@ x0 = 0.5
 sigma_x = 0.9
 """
 
+COOLING = """
+[experiment]
+name = cooling
+
+[system]
+mass = 1.0
+hbar = 1.0
+potential_coeffs = 0, 0, 0.25, 0, 0.25
+
+[grid]
+x_min = -10
+x_max = 10
+n_points = 128
+
+[measurement]
+k = 0.5
+
+[run]
+dt = 1e-3
+horizon = 0.2
+n_realizations = 2
+master_seed = 9
+sample_stride = 50
+
+[cooling]
+x0 = 1.5
+sigma_x = 0.5
+"""
+
 PASSIVITY = """
 [experiment]
 name = passivity
@@ -120,6 +149,51 @@ def test_lyapunov_run_produces_expected_files(tmp_path):
     assert meta["seed"] == 77
     assert meta["resolved_config"]["system"]["mass"] == 1.0
     assert meta["version"]
+    # Benettin resets per realization (renormalization is off here)
+    assert meta["result"]["renormalizations"] == [0, 0, 0]
+
+
+def test_cooling_metadata_names_streams(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["--config", _write(tmp_path, COOLING), "--out", out, "--workers", "1"]) == EXIT_OK
+    result = json.load(open(os.path.join(out, "metadata.json")))["result"]
+    assert result["policies"] == ["none", "direct", "estimator"]
+    assert result["stream_indices"] == [0, 1]
+    assert result["retried_streams"] == []
+
+
+def _ini_from_resolved(resolved) -> str:
+    """INI text that loads back to ``resolved`` (floats by repr, lists comma-joined)."""
+    lines = []
+    for section, values in resolved.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, list):
+                value = ", ".join(repr(v) for v in value)
+            elif isinstance(value, (bool, float)):
+                value = repr(value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [HARMONIC_LYAP, COOLING])
+def test_metadata_reruns_bit_identically(tmp_path, text):
+    """metadata.json alone (resolved config and seed) reproduces every CSV byte."""
+    first = str(tmp_path / "first")
+    args = ["--config", _write(tmp_path, text), "--out", first, "--workers", "1",
+            "--seed", "31337", "--set", "run.dt=0.0025", "--set", "grid.x_max=10.5"]
+    assert main(args) == EXIT_OK
+    meta = json.load(open(os.path.join(first, "metadata.json")))
+    rebuilt = _write(tmp_path, _ini_from_resolved(meta["resolved_config"]), "rebuilt.ini")
+    second = str(tmp_path / "second")
+    assert main(["--config", rebuilt, "--out", second, "--workers", "1",
+                 "--seed", str(meta["seed"])]) == EXIT_OK
+    again = json.load(open(os.path.join(second, "metadata.json")))
+    assert again["resolved_config"] == meta["resolved_config"]
+    assert again["outputs"] == meta["outputs"]
+    for fname in meta["outputs"]:
+        assert open(os.path.join(second, fname), "rb").read() == \
+            open(os.path.join(first, fname), "rb").read()
 
 
 def test_determinism_across_workers_and_reruns(tmp_path):

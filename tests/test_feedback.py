@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qcond.core import PositionGrid, SystemSpec
+from qcond import feedback
+from qcond.core import PositionGrid, QcondError, SystemSpec
 from qcond.cumulant import GaussianBelief
 from qcond.feedback import (
     FeedbackPolicy,
@@ -74,19 +75,53 @@ def test_estimator_control_arithmetic():
 def test_zero_gain_identical_to_none():
     dt = 1e-3
     noise = generate(3, 0, 2000, dt)
-    base = run_closed_loop(STATE0, PLANT, MEAS, FeedbackPolicy("none"), noise)
+    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)[0]
     zero = run_closed_loop(STATE0, PLANT, MEAS,
-                           FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8), noise)
+                           [FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8)], noise)[0]
     np.testing.assert_allclose(zero.energy, base.energy, atol=1e-12)
+
+
+def test_policy_rows_match_one_policy_runs():
+    """Each policy row of one batched closed loop equals that policy run alone."""
+    noise = generate(5, 0, 1500, 1e-3)
+    policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
+    batch = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, sample_stride=50)
+    assert len(batch) == 3
+    for pol, row in zip(policies, batch):
+        alone = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, sample_stride=50)[0]
+        assert np.array_equal(row.energy, alone.energy)
+        assert row.final_control == alone.final_control
+
+
+def test_aborted_realization_is_retried_and_recorded(monkeypatch):
+    """An abort in any policy row reruns the realization for every policy
+    under the next stream index, and the result names the retried stream."""
+    calls = []
+
+    def abort_first(*args, **kwargs):
+        calls.append(args[4].stream_index)
+        if len(calls) == 1:
+            raise QcondError("forced abort")
+        return run_closed_loop(*args, **kwargs)
+
+    monkeypatch.setattr(feedback, "run_closed_loop", abort_first)
+    policies = {"none": FeedbackPolicy("none"), "estimator": ESTIMATOR}
+    with pytest.warns(UserWarning, match="realization 0 aborted"):
+        results = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=2,
+                                     horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50)
+    assert calls == [0, 1, 2]
+    for res in results.values():
+        assert res.stream_indices.tolist() == [1, 2]
+        assert res.retried_streams == (0,)
 
 
 def test_vanishing_actuation_limit_collapses_policies():
     dt = 1e-3
     noise = generate(3, 1, 2000, dt)
-    base = run_closed_loop(STATE0, PLANT, MEAS, FeedbackPolicy("none"), noise)
+    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)[0]
     for pol in (FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=1e-300),
                 FeedbackPolicy("estimator", gain=3.0, u_max=1e-300)):
-        run = run_closed_loop(STATE0, PLANT, MEAS, pol, noise)
+        run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise)[0]
         np.testing.assert_allclose(run.energy, base.energy, rtol=1e-9)
 
 
@@ -126,7 +161,7 @@ def test_no_feedback_heating_rate_is_backaction():
     for r in range(n_real):
         noise = generate(17, r, n, dt)
         run = run_closed_loop((big, 1.0, 0.0, 1 / np.sqrt(2)), harmonic, meas,
-                              FeedbackPolicy("none"), noise, sample_stride=100)
+                              [FeedbackPolicy("none")], noise, sample_stride=100)[0]
         energies[r] = run.energy
     mean_e = energies.mean(axis=0)
     se_e = energies.std(axis=0, ddof=1) / np.sqrt(n_real)
@@ -188,7 +223,7 @@ def test_estimator_gain_sweep_u_shaped():
         vals = []
         for r in range(6):
             noise = generate(31, r, 20_000, 1e-3)
-            run = run_closed_loop(STATE0, PLANT, MEAS, pol, noise, sample_stride=100)
+            run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, sample_stride=100)[0]
             vals.append(run.energy[run.energy.size // 2:].mean())
         steadies.append(np.mean(vals))
     assert steadies[1] < steadies[0]
@@ -201,11 +236,11 @@ def test_estimator_robust_to_belief_offset():
     vals_good, vals_off = [], []
     for r in range(8):
         noise = generate(41, r, n, dt)
-        good = run_closed_loop(STATE0, PLANT, MEAS, ESTIMATOR, noise, sample_stride=100)
+        good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], noise, sample_stride=100)[0]
         bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2),
                               quantum=True, hbar=1.0)
-        off = run_closed_loop(STATE0, PLANT, MEAS, ESTIMATOR, noise,
-                              sample_stride=100, belief0=bel0)
+        off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], noise,
+                              sample_stride=100, belief0=bel0)[0]
         vals_good.append(good.energy[good.energy.size // 2:].mean())
         vals_off.append(off.energy[off.energy.size // 2:].mean())
     d = np.array(vals_off) - np.array(vals_good)

@@ -1,10 +1,12 @@
 """Seeded Wiener streams: determinism and statistics."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from qcond.noise import generate, substream_rng
+from qcond.noise import generate, parallel_map, substream_rng
 
 
 def test_same_key_bit_identical():
@@ -70,3 +72,19 @@ def test_numpy_integer_keys_match_plain_int_keys():
                               generate(seed, index, 64, 1e-3).increments)
         assert np.array_equal(substream_rng(np_seed, np_index, "resample").standard_normal(8),
                               substream_rng(seed, index, "resample").standard_normal(8))
+
+
+def _slow_stream_sum(item):
+    # Lower job indices sleep longer, so later jobs finish first.
+    idx, (seed, n_jobs) = item
+    time.sleep(0.1 * (n_jobs - idx))
+    return idx, (float(np.sum(generate(seed, idx, 100, 1e-3).increments)), time.monotonic())
+
+
+def test_parallel_map_slots_results_by_job_index():
+    jobs = [(5, 4)] * 4
+    serial = parallel_map(_slow_stream_sum, jobs, 1)
+    pooled = parallel_map(_slow_stream_sum, jobs, 2)
+    assert [value for value, _ in pooled] == [value for value, _ in serial]
+    finished = [stamp for _, stamp in pooled]
+    assert finished != sorted(finished), "no later job finished first; the test shows nothing"

@@ -192,6 +192,45 @@ def test_pure_and_density_paths_agree(grid, harmonic):
     np.testing.assert_allclose(md.as_array(), mp.as_array(), atol=1e-9)
 
 
+def test_batched_rows_step_exactly_like_single_rows(grid):
+    """A (3, n) stack with per-row controls (0, +u, -u) and one shared dW:
+    every row's psi and dy equal that row stepped alone, bit for bit, in
+    the conditioned and in the isolated step."""
+    driven = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5, 0, 0.02),
+                        drive_amplitude=0.4, drive_frequency=1.3)
+    dt, n = 1e-3, 150
+    stepper = PureStepper(grid, driven, MeasurementSpec(1.0), dt)
+    controls = (0.0, 0.7, -0.7)
+    rows = np.stack([gaussian_wavefunction(grid, x0, p0, s, HBAR)
+                     for x0, p0, s in ((-1.0, 0.0, 0.7), (0.5, 0.4, 0.9), (1.5, -0.3, 0.6))])
+    singles = list(rows)
+    noise = generate(8, 0, n, dt)
+    for i in range(2 * n):
+        t = i * dt
+        stepper.control = np.array(controls)[:, None]
+        if i < n:
+            rows, dy = stepper.conditioned(rows, t, noise.increments[i])
+        else:
+            rows = stepper.isolated(rows, t)
+        for j, u in enumerate(controls):
+            stepper.control = u
+            if i < n:
+                singles[j], dy_j = stepper.conditioned(singles[j], t, noise.increments[i])
+                assert dy[j] == dy_j
+            else:
+                singles[j] = stepper.isolated(singles[j], t)
+            assert np.array_equal(rows[j], singles[j])
+
+
+def test_batched_support_check_sees_any_row(grid, harmonic):
+    stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), 1e-3)
+    inside = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
+    edge = gaussian_wavefunction(grid, 9.0, 0.0, 0.5, HBAR)   # tail in the outer buffer
+    stepper.conditioned(np.stack([inside, inside]), 0.0, 0.0)
+    with pytest.raises(SupportEscapeError):
+        stepper.conditioned(np.stack([inside, edge, inside]), 0.0, 0.0)
+
+
 def test_trajectory_loop_density_twin(harmonic):
     """run_conditioned, filter_with_record and run_isolated from (grid, psi)
     and from the density matrix of the same packet, on the same noise, give
