@@ -29,8 +29,8 @@ import numpy as np
 
 from .core import PositionGrid, QcondError, SystemSpec, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
-from .noise import generate
-from .qdyn import MeasurementSpec, PureStepper
+from .noise import NoisePath, generate, stack_increments
+from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 
 __all__ = [
     "FeedbackPolicy",
@@ -126,16 +126,19 @@ class ClosedLoopRun:
 def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
                     policies, noise, sample_stride=10,
                     belief0: GaussianBelief = None) -> list:
-    """Plant-measure-control loops over one noise path, one batch row per policy.
+    """Plant-measure-control loops, one batch row per (noise path, policy).
 
     state0_params = (grid, x_mean, p_mean, sigma_x).  Every policy drives
-    its own copy of that state under the same noise; returns one
-    ClosedLoopRun per policy, in order.  The energy score uses the
-    control-free Hamiltonian at each sample time.
+    its own copy of that state under each noise path.  With one NoisePath
+    this returns one ClosedLoopRun per policy, in order; with a list of
+    paths, one such list per path.  Every row is bit-identical to running
+    its path and policy alone.  The energy score uses the control-free
+    Hamiltonian at each sample time.
     """
     grid, x0, p0, sigma_x = state0_params
     hbar = system.hbar
-    dt = noise.dt
+    increments = stack_increments(noise)
+    dt = noise.dt if isinstance(noise, NoisePath) else noise[0].dt
     if belief0 is None:
         belief0 = GaussianBelief(x0, p0, sigma_x**2, 0.0, hbar**2 / (4 * sigma_x**2),
                                  quantum=True, hbar=hbar)
@@ -148,26 +151,35 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
             return _estimator_update(pol, system, meas, dt, belief0, grid_span)
         return lambda *_: 0.0
 
-    updates = [policy_update(pol) for pol in policies]
+    # Rows are (path, policy) in row-major order; updates and u_apply follow them.
+    rows = increments.shape[1:] + (len(policies),)
+    updates = [policy_update(pol) for _ in range(increments[0].size) for pol in policies]
 
-    psi = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)] * len(updates))
+    psi = np.broadcast_to(gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
+                          rows + (grid.n_points,)).copy()
     stepper = PureStepper(grid, system, meas, dt)
     scoring_system = system.with_control(0.0)
 
-    n_samples = noise.n_steps // sample_stride
+    n_steps = increments.shape[0]
+    n_samples = n_steps // sample_stride
     times = dt * sample_stride * (1 + np.arange(n_samples))
     energy = np.empty((len(updates), n_samples))
 
     u_apply = [0.0] * len(updates)     # one-step actuation delay: nothing known at t=0
-    for i in range(noise.n_steps):
-        stepper.control = np.array(u_apply)[:, None]
-        psi, dy = stepper.conditioned(psi, i * dt, noise.increments[i])
+    for i in range(n_steps):
+        stepper.control = np.array(u_apply).reshape(rows + (1,))
+        # One increment per path, shared by its policy rows.
+        psi, dy = stepper.conditioned(psi, i * dt, increments[i][..., None])
         t = (i + 1) * dt
-        u_apply = [update(dy_row, u, t) for update, dy_row, u in zip(updates, dy, u_apply)]
+        u_apply = [update(dy_row, u, t) for update, dy_row, u in zip(updates, dy.ravel(), u_apply)]
         if (i + 1) % sample_stride == 0:
             energy[:, (i + 1) // sample_stride - 1] = [
-                wavefunction_moments(grid, row, hbar, scoring_system, t).energy for row in psi]
-    return [ClosedLoopRun(times, e, u) for e, u in zip(energy, u_apply)]
+                wavefunction_moments(grid, row, hbar, scoring_system, t).energy
+                for row in psi.reshape(-1, grid.n_points)]
+    runs = [ClosedLoopRun(times, e, u) for e, u in zip(energy, u_apply)]
+    if isinstance(noise, NoisePath):
+        return runs
+    return [runs[j:j + len(policies)] for j in range(0, len(runs), len(policies))]
 
 
 @dataclass(frozen=True)
@@ -196,33 +208,57 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
     """Common-random-number comparison of feedback policies.
 
     Every policy sees the same per-realization noise path, so policy
-    differences are paired samples.  A realization on which any policy
-    aborts is rerun for all policies under a fresh stream index (logged),
-    keeping the pairing intact.
+    differences are paired samples.  Consecutive stream indices run as
+    one closed-loop batch (qdyn.realizations_per_batch).  A realization
+    on which any policy aborts is rerun for all policies under a fresh
+    stream index (logged), keeping the pairing intact: an aborted batch
+    reruns its streams one at a time, so the accepted and retried
+    indices are those of a stream-by-stream loop.
     """
     n_steps = int(round(horizon / dt))
+    chunk = realizations_per_batch(len(policies), state0_params[0].n_points)
     runs = {name: [] for name in policies}
     indices = []
     retried = []
-    next_index = 0
-    accepted = 0
-    while accepted < n_realizations:
-        index = next_index
-        next_index += 1
-        if index - accepted > max_retries * max(1, n_realizations):
+
+    def closed_loops(streams):
+        noise = [generate(master_seed, k, n_steps, dt) for k in streams]
+        return run_closed_loop(state0_params, system, meas, list(policies.values()),
+                               noise, sample_stride)
+
+    def check_budget(index):
+        if index - len(indices) > max_retries * max(1, n_realizations):
             raise QcondError("too many aborted closed-loop realizations")
-        noise = generate(master_seed, index, n_steps, dt)
-        try:
-            batch = run_closed_loop(state0_params, system, meas, list(policies.values()),
-                                    noise, sample_stride)
-        except QcondError as err:
-            warnings.warn(f"realization {index} aborted ({err}); retrying with fresh stream")
-            retried.append(index)
-            continue
+
+    def accept(index, batch):
         for name, run in zip(policies, batch):
             runs[name].append(run)
         indices.append(index)
-        accepted += 1
+
+    next_index = 0
+    while len(indices) < n_realizations:
+        # Never more streams than still needed, so the serial order is kept.
+        streams = range(next_index, next_index + min(chunk, n_realizations - len(indices)))
+        next_index = streams.stop
+        check_budget(streams[0])
+        try:
+            batches = closed_loops(streams)
+        except QcondError:
+            # Some row aborted: rerun the chunk one stream at a time.
+            for index in streams:
+                check_budget(index)
+                try:
+                    (batch,) = closed_loops([index])
+                except QcondError as err:
+                    warnings.warn(f"realization {index} aborted ({err}); "
+                                  "retrying with fresh stream")
+                    retried.append(index)
+                    continue
+                accept(index, batch)
+        else:
+            for index, batch in zip(streams, batches):
+                accept(index, batch)
+    accepted = len(indices)
 
     out = {}
     for name, pol in policies.items():

@@ -7,8 +7,9 @@ displaced by delta0 in the position mean.  The divergence is
 
 (the ratio form differs from the bare logarithm by an additive constant
 that dies as 1/t, and makes the isolated-case slope test exact).
-Ensemble statistics run one stream index per realization, so results are
-independent of execution order and worker count.
+Ensemble statistics run one stream index per realization, and chunks of
+realizations step together as batch rows, so results are independent of
+execution order, chunking and worker count.
 
 Finite delta0 stands in for the vanishing-separation limit; optionally a
 Benettin-style renormalization resets the perturbed state to a displaced
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PositionGrid, SystemSpec, gaussian_wavefunction
-from .noise import generate, parallel_map
-from .qdyn import MeasurementSpec, PureStepper
+from .noise import generate, parallel_map, stack_increments
+from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 from . import cdyn
 
 __all__ = [
@@ -74,11 +75,19 @@ class LyapunovConfig:
 
 @dataclass(frozen=True)
 class PairedRunResult:
+    """Divergence series of one pair, or of a batch of pairs.
+
+    delta and lam are (*batch, n_samples) and merged and renormalizations
+    have the batch shape: () for one noise path, (R,) for a list of R.
+    n_renormalizations is the total number of Benettin resets, a plain int.
+    """
+
     times: np.ndarray
     delta: np.ndarray
     lam: np.ndarray
     merged: bool
-    n_renormalizations: int = 0
+    n_renormalizations: int
+    renormalizations: np.ndarray    # resets per pair
 
 
 @dataclass(frozen=True)
@@ -101,78 +110,96 @@ def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
     return np.fft.ifft(np.exp(-1j * p * delta / hbar) * np.fft.fft(psi))
 
 
-def _divergence_loop(cfg: LyapunovConfig, step, centroids, reset) -> PairedRunResult:
-    """Sample Delta and lambda of one fiducial/perturbed pair, with renormalization.
+def _divergence_loop(cfg: LyapunovConfig, batch: tuple, step, centroids, reset) -> PairedRunResult:
+    """Sample Delta and lambda of a batch of fiducial/perturbed pairs, with renormalization.
 
-    step(i, t) advances both members over step i from time t;
-    centroids() returns their (fiducial, perturbed) position means;
-    reset(sign, d) puts the perturbed member back at separation d0 along
-    sign, from the current separation d.
+    step(i, t, x_mean) advances every pair over step i from time t; x_mean
+    is the current (*batch, 2) centroids when the loop has read them since
+    the last step, else None.  centroids() returns the (fiducial,
+    perturbed) position means of every pair as a (*batch, 2) array;
+    reset(index, sign, d) puts the perturbed member of pair ``index`` back
+    at separation d0 along sign, from its current separation d.
     """
     d0 = cfg.initial_separation
     dt = cfg.dt
     stride = cfg.sample_stride
     n_samples = cfg.n_steps // stride
     times = dt * stride * (1 + np.arange(n_samples))
-    delta = np.full(n_samples, np.nan)
-    lam = np.full(n_samples, np.nan)
+    delta = np.full(batch + (n_samples,), np.nan)
+    lam = np.full(batch + (n_samples,), np.nan)
 
-    log_growth = 0.0
-    n_renorm = 0
-    merged = False
+    log_growth = np.zeros(batch)
+    n_renorm = np.zeros(batch, dtype=int)
+    merged = np.zeros(batch, dtype=bool)
+    known = None
     isample = 0
     for i in range(cfg.n_steps):
-        step(i, i * dt)
+        step(i, i * dt, known)
+        known = None
         t = (i + 1) * dt
         need_sample = (i + 1) % stride == 0
         if not (cfg.renormalize or need_sample):
             continue
-        xf, xp = centroids()
+        known = centroids()
+        xf, xp = known[..., 0], known[..., 1]
         d = abs(xp - xf)
         if need_sample:
-            delta[isample] = d
-            if d < MERGE_FLOOR_FACTOR * d0:
-                merged = True
-            else:
-                lam[isample] = (log_growth + np.log(d / d0)) / t
+            delta[..., isample] = d
+            close = d < MERGE_FLOOR_FACTOR * d0
+            merged |= close
+            # A merged pair has d = 0 and its lambda stays NaN.
+            with np.errstate(divide="ignore"):
+                lam[..., isample] = np.where(close, np.nan, (log_growth + np.log(d / d0)) / t)
             isample += 1
-        if cfg.renormalize and d > cfg.renorm_threshold:
-            log_growth += np.log(d / d0)
-            reset(1.0 if xp >= xf else -1.0, d)
-            n_renorm += 1
-    return PairedRunResult(times, delta, lam, merged, n_renorm)
+        if cfg.renormalize:
+            over = d > cfg.renorm_threshold
+            if over.any():
+                log_growth[over] += np.log(d[over] / d0)
+                sign = np.where(xp >= xf, 1.0, -1.0)
+                for index in map(tuple, np.argwhere(over)):
+                    reset(index, sign[index], d[index])
+                n_renorm += over
+                known = None
+    merged = bool(merged) if merged.ndim == 0 else merged
+    return PairedRunResult(times, delta, lam, merged, int(n_renorm.sum()), n_renorm)
 
 
 def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
                cfg: LyapunovConfig, noise) -> PairedRunResult:
-    """Fiducial/perturbed conditioned pair driven by one noise path.
+    """Fiducial/perturbed conditioned pairs, one pair per noise path.
 
     state0_params = (grid, x_mean, p_mean, sigma_x) of the fiducial
     Gaussian; the perturbed twin starts at x_mean + initial_separation.
-    The pair is one (2, n) batch of a single stepper.  k = 0 degenerates
-    to isolated evolution of both members (no record).
+    noise is one NoisePath or a list of them; the pairs are one (2, n) or
+    (R, 2, n) batch of a single stepper, and every pair comes out
+    bit-identical to running it alone.  k = 0 degenerates to isolated
+    evolution of both members (no record).
     """
     grid, x0, p0, sigma_x = state0_params
     if cfg.initial_separation > sigma_x / 10.0:
         raise ValueError("initial_separation must not exceed sigma_x / 10")
     hbar = system.hbar
     d0 = cfg.initial_separation
-    psi = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
-                    gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)])
+    increments = stack_increments(noise)
+    batch = increments.shape[1:]
+    pair = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
+                     gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)])
+    psi = np.broadcast_to(pair, batch + pair.shape).copy()
     conditioned = meas is not None and meas.strength > 0.0
     stepper = PureStepper(grid, system, meas if conditioned else None, cfg.dt)
 
-    def step(i, t):
+    def step(i, t, x_mean):
         nonlocal psi
         if conditioned:
-            psi, _ = stepper.conditioned(psi, t, noise.increments[i])
+            # One increment per pair, shared by its two members.
+            psi, _ = stepper.conditioned(psi, t, increments[i][..., None], x_mean)
         else:
             psi = stepper.isolated(psi, t)
 
-    def reset(sign, d):
-        psi[1] = _shift_wavefunction(grid, psi[0], sign * d0, hbar)
+    def reset(index, sign, d):
+        psi[index + (1,)] = _shift_wavefunction(grid, psi[index + (0,)], sign * d0, hbar)
 
-    return _divergence_loop(cfg, step, lambda: stepper.mean_x(psi), reset)
+    return _divergence_loop(cfg, batch, step, lambda: stepper.mean_x(psi), reset)
 
 
 def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> PairedRunResult:
@@ -181,46 +208,51 @@ def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> Pai
     x = np.array([x0, x0 + d0], dtype=float)
     p = np.array([p0, p0], dtype=float)
 
-    def step(i, t):
+    def step(i, t, _):
         nonlocal x, p
         x, p = cdyn._leapfrog(x, p, system, cfg.dt, t)
 
-    def reset(sign, d):
+    def reset(index, sign, d):
         # Reset full phase-space offset along the current separation.
         x[1] = x[0] + sign * d0
         p[1] = p[0] + (p[1] - p[0]) * (d0 / d)
 
-    return _divergence_loop(cfg, step, lambda: x, reset)
+    return _divergence_loop(cfg, (), step, lambda: x, reset)
 
 
-def _one_realization(item):
-    index, (state0_params, system, meas, cfg, master_seed) = item
-    noise = generate(master_seed, index, cfg.n_steps, cfg.dt)
-    res = paired_run(state0_params, system, meas, cfg, noise)
-    return index, res
+def _realization_chunk(item):
+    index, (streams, state0_params, system, meas, cfg, master_seed) = item
+    noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
+    return index, paired_run(state0_params, system, meas, cfg, noise)
 
 
 def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
                       master_seed: int, workers: int = 1) -> LyapunovSeries:
     """Stream-indexed realizations of paired_run with mean and spread bands.
 
-    Result slots are pre-indexed by stream index, so any worker count
-    produces identical output.
+    Consecutive stream indices run as the rows of one paired_run batch,
+    in chunks of at most ceil(R / workers) streams that fit
+    qdyn.realizations_per_batch.  Each row is bit-identical to its
+    stream run alone, so any worker count produces identical output.
     """
-    if cfg.n_realizations < 2:
+    n_real = cfg.n_realizations
+    if n_real < 2:
         raise ValueError("need at least 2 realizations for ensemble statistics")
-    jobs = [(state0_params, system, meas, cfg, master_seed)] * cfg.n_realizations
-    results = parallel_map(_one_realization, jobs, workers)
+    size = min(-(-n_real // max(1, workers)),
+               realizations_per_batch(2, state0_params[0].n_points))
+    jobs = [(range(start, min(start + size, n_real)), state0_params, system, meas, cfg,
+             master_seed) for start in range(0, n_real, size)]
+    results = parallel_map(_realization_chunk, jobs, workers)
 
     times = results[0].times
-    delta = np.stack([r.delta for r in results])
-    lam = np.stack([r.lam for r in results])
-    merged = np.array([r.merged for r in results])
+    delta = np.concatenate([r.delta for r in results])
+    lam = np.concatenate([r.lam for r in results])
+    merged = np.concatenate([r.merged for r in results])
     ok = ~merged
     lam_ok = lam[ok]
     lam_mean = np.nanmean(lam_ok, axis=0)
     lam_sd = np.nanstd(lam_ok, axis=0, ddof=1)
-    renorms = np.array([r.n_renormalizations for r in results])
+    renorms = np.concatenate([r.renormalizations for r in results])
     return LyapunovSeries(times, delta, lam, lam_mean, lam_sd, merged, cfg, renorms)
 
 

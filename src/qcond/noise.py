@@ -18,7 +18,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-__all__ = ["NoisePath", "generate", "parallel_map", "substream_rng"]
+__all__ = ["NoisePath", "generate", "parallel_map", "stack_increments", "substream_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -57,6 +57,16 @@ def generate(master_seed: int, stream_index: int, n_steps: int, dt: float) -> No
     rng = _keyed_generator(master_seed, stream_index)
     dw = rng.standard_normal(n_steps) * np.sqrt(dt)
     return NoisePath(master_seed, stream_index, float(dt), dw)
+
+
+def stack_increments(noise) -> np.ndarray:
+    """(n_steps,) increments of one NoisePath, or (n_steps, R) of a list of R paths.
+
+    Step i of a batch of realizations reads the contiguous row [i].
+    """
+    if isinstance(noise, NoisePath):
+        return noise.increments
+    return np.stack([path.increments for path in noise], axis=1)
 
 
 def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.random.Generator:

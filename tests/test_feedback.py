@@ -95,24 +95,55 @@ def test_policy_rows_match_one_policy_runs():
 
 def test_aborted_realization_is_retried_and_recorded(monkeypatch):
     """An abort in any policy row reruns the realization for every policy
-    under the next stream index, and the result names the retried stream."""
+    under the next stream index, and the result names the retried stream.
+    The aborted chunk is rerun one stream at a time, so the indices are those
+    of a stream-by-stream loop."""
     calls = []
 
-    def abort_first(*args, **kwargs):
-        calls.append(args[4].stream_index)
-        if len(calls) == 1:
+    def abort_stream_0(*args, **kwargs):
+        streams = [path.stream_index for path in args[4]]
+        calls.append(streams)
+        if 0 in streams:
             raise QcondError("forced abort")
         return run_closed_loop(*args, **kwargs)
 
-    monkeypatch.setattr(feedback, "run_closed_loop", abort_first)
+    monkeypatch.setattr(feedback, "run_closed_loop", abort_stream_0)
     policies = {"none": FeedbackPolicy("none"), "estimator": ESTIMATOR}
     with pytest.warns(UserWarning, match="realization 0 aborted"):
         results = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=2,
                                      horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50)
-    assert calls == [0, 1, 2]
+    assert calls == [[0, 1], [0], [1], [2]]
     for res in results.values():
         assert res.stream_indices.tolist() == [1, 2]
         assert res.retried_streams == (0,)
+
+
+def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
+    """Seven realizations of three policies at n = 256 run as chunks of 5 and
+    2 streams; every statistic equals the one built from per-stream runs."""
+    calls = []
+
+    def record_streams(*args, **kwargs):
+        calls.append([path.stream_index for path in args[4]])
+        return run_closed_loop(*args, **kwargs)
+
+    monkeypatch.setattr(feedback, "run_closed_loop", record_streams)
+    policies = {"none": FeedbackPolicy("none"), "direct": DIRECT, "estimator": ESTIMATOR}
+    n_real, horizon, dt, stride = 7, 0.2, 1e-3, 20
+    results = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=n_real,
+                                 horizon=horizon, dt=dt, master_seed=3, sample_stride=stride)
+    assert calls == [[0, 1, 2, 3, 4], [5, 6]]
+    alone = [run_closed_loop(STATE0, PLANT, MEAS, list(policies.values()),
+                             generate(3, k, int(round(horizon / dt)), dt), stride)
+             for k in range(n_real)]
+    for j, name in enumerate(policies):
+        energies = np.stack([runs[j].energy for runs in alone])
+        res = results[name]
+        assert res.stream_indices.tolist() == list(range(n_real))
+        assert np.array_equal(res.energy_mean, energies.mean(axis=0))
+        assert np.array_equal(res.energy_se, energies.std(axis=0, ddof=1) / np.sqrt(n_real))
+        assert np.array_equal(res.steady_per_realization,
+                              energies[:, energies.shape[1] // 2:].mean(axis=1))
 
 
 def test_vanishing_actuation_limit_collapses_policies():

@@ -1,8 +1,11 @@
 """Divergence-exponent harness: shared noise, fits, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
+from qcond import lyap
 from qcond.core import PositionGrid, SystemSpec
 from qcond.lyap import (
     LyapunovConfig,
@@ -15,6 +18,10 @@ from qcond.noise import generate
 from qcond.qdyn import MeasurementSpec
 
 HARMONIC = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
+# Driven double well: under k = 0.5 and a 0.1 reset threshold, master seed 11
+# streams 0 and 2 are renormalized within a horizon of 2 and stream 1 is not.
+DOUBLE_WELL = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, -1.0, 0, 0.1),
+                         drive_amplitude=1.0, drive_frequency=1.3)
 DUFFING_CL = SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0, 0, -10, 0, 0.5),
                         drive_amplitude=10.0, drive_frequency=6.07)
 
@@ -136,6 +143,72 @@ def test_shared_noise_swap_symmetry():
     a2 = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, meas, cfg, noise)
     np.testing.assert_array_equal(a.delta, a2.delta)
     assert np.all(a.delta[np.isfinite(a.delta)] >= 0)
+
+
+def _assert_rows_equal(times, delta, lam, merged, renormalizations, singles):
+    """Row r of the batched fields equals singles[r], a single-path run, bit for bit."""
+    for r, alone in enumerate(singles):
+        assert np.array_equal(times, alone.times)
+        assert np.array_equal(delta[r], alone.delta, equal_nan=True)
+        assert np.array_equal(lam[r], alone.lam, equal_nan=True)
+        assert merged[r] == alone.merged
+        assert renormalizations[r] == alone.n_renormalizations
+
+
+@pytest.mark.parametrize("n_points", [128, 4096])
+def test_paired_run_batch_matches_single_paths(n_points):
+    """Three noise paths as one (3, 2, n) batch give each pair's single-path
+    run bit for bit, with resets firing in some rows only.  At n = 4096 the
+    batch holds 384 KiB, past numpy's 256 KiB temporary-elision threshold."""
+    grid = PositionGrid(-12, 12, n_points)
+    cfg = LyapunovConfig(initial_separation=0.05, horizon=2.0, dt=1e-3, sample_stride=20,
+                         renormalize=True, renorm_threshold=0.1)
+    state0 = (grid, 1.0, 0.0, 0.8)
+    noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(3)]
+    batch = paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
+    singles = [paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noise)
+               for noise in noises]
+    _assert_rows_equal(batch.times, batch.delta, batch.lam, batch.merged,
+                       batch.renormalizations, singles)
+    fired = batch.renormalizations > 0
+    assert fired.any() and not fired.all()
+
+
+def test_paired_run_batch_reset_total_is_plain_int():
+    grid = PositionGrid(-12, 12, 128)
+    cfg = LyapunovConfig(initial_separation=0.05, horizon=0.5, dt=1e-3, sample_stride=20,
+                         renormalize=True, renorm_threshold=0.06)
+    noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(2)]
+    res = paired_run((grid, 1.0, 0.0, 0.8), DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
+    assert type(res.n_renormalizations) is int
+    assert res.n_renormalizations == res.renormalizations.sum() > 0
+    json.dumps({"resets": res.n_renormalizations})
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ensemble_chunks_match_per_stream_runs(workers, monkeypatch):
+    """At n = 1024 two pairs fill a batch, so five realizations run in
+    chunks of 2, 2, 1 at every worker count; each row equals its stream's
+    paired_run alone."""
+    chunks = []
+
+    def counting_paired_run(*args):
+        chunks.append([path.stream_index for path in args[4]])
+        return paired_run(*args)
+
+    monkeypatch.setattr(lyap, "paired_run", counting_paired_run)
+    grid = PositionGrid(-12, 12, 1024)
+    cfg = LyapunovConfig(initial_separation=0.05, horizon=0.3, dt=1e-3, sample_stride=20,
+                         n_realizations=5, renormalize=True, renorm_threshold=0.06)
+    state0 = (grid, 1.0, 0.0, 0.8)
+    meas = MeasurementSpec(0.5)
+    series = ensemble_lyapunov(state0, DOUBLE_WELL, meas, cfg, 11, workers=workers)
+    if workers == 1:    # pool workers append to their own copy of the list
+        assert chunks == [[0, 1], [2, 3], [4]]
+    singles = [paired_run(state0, DOUBLE_WELL, meas, cfg, generate(11, k, cfg.n_steps, cfg.dt))
+               for k in range(cfg.n_realizations)]
+    _assert_rows_equal(series.times, series.delta, series.lam, series.merged_flags,
+                       series.renormalizations, singles)
 
 
 def test_ensemble_deterministic_and_workers_invariant():

@@ -222,6 +222,30 @@ def test_batched_rows_step_exactly_like_single_rows(grid):
             assert np.array_equal(rows[j], singles[j])
 
 
+def test_per_row_increments_step_like_single_rows(grid, harmonic):
+    """A (2, 3, n) batch whose dW has one increment per leading row (a (2, 1)
+    column) steps every row exactly as that row alone under its own scalar
+    dW; passing the caller's mean_x changes no bit."""
+    dt, n = 1e-3, 100
+    stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), dt)
+    rows = np.stack([[gaussian_wavefunction(grid, x0, 0.1 * r, 0.8, HBAR)
+                      for x0 in (-1.0, 0.0, 1.2)] for r in range(2)])
+    singles = [[row for row in block] for block in rows]
+    noises = [generate(4, r, n, dt) for r in range(2)]
+    for i in range(n):
+        dw = np.array([[noises[0].increments[i]], [noises[1].increments[i]]])
+        x_mean = stepper.mean_x(rows) if i % 2 else None
+        rows, dy = stepper.conditioned(rows, i * dt, dw, x_mean)
+        for r in range(2):
+            for j in range(3):
+                singles[r][j], dy_rj = stepper.conditioned(singles[r][j], i * dt,
+                                                           noises[r].increments[i])
+                assert dy[r, j] == dy_rj
+    for r in range(2):
+        for j in range(3):
+            assert np.array_equal(rows[r, j], singles[r][j])
+
+
 def test_batched_support_check_sees_any_row(grid, harmonic):
     stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), 1e-3)
     inside = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
