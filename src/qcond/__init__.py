@@ -31,10 +31,7 @@ from .qdyn import (
     MeasurementSpec,
     PureStepper,
     filter_with_record,
-    isolated_step,
     moyal_rhs,
-    sme_step,
-    unconditional_step,
 )
 from .cdyn import ks_step, liouville_step, newton_trajectory, resample
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step

@@ -286,6 +286,8 @@ def run_qct_scan_experiment(cfg, seed, workers):
         "action": rep.action,
         "s_dimensionless": rep.s,
         "threshold": rep.threshold,
+        "n_samples": int(rep.singular_mask.size),
+        "n_singular": int(np.count_nonzero(rep.singular_mask)),
         "percentiles": {key: list(val) for key, val in rep.percentiles.items()},
         "window_open": bool(rep.window_open()),
     }

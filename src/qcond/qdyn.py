@@ -65,9 +65,6 @@ __all__ = [
     "MeasurementRecord",
     "DensityStepper",
     "PureStepper",
-    "isolated_step",
-    "unconditional_step",
-    "sme_step",
     "filter_with_record",
     "moyal_rhs",
     "evolve_moyal",
@@ -322,25 +319,6 @@ class PureStepper:
 def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
     """Realizations of rows_per_realization complex rows of n_points that fit in one batch."""
     return max(1, BATCH_BYTES // (rows_per_realization * n_points * 16))
-
-
-# ---------------------------------------------------------------------------
-# One-shot operations (module-level spec surface)
-
-
-def isolated_step(state: QuantumState, system: SystemSpec, dt: float, t=0.0) -> QuantumState:
-    """Single von Neumann step generated by H = p^2/2m + V(x, t)."""
-    return DensityStepper(state.grid, system, None, dt).isolated(state, t)
-
-
-def unconditional_step(state, system, meas: MeasurementSpec, dt, t=0.0) -> QuantumState:
-    """Deterministic open-system step: unitary drift + backaction diffusion."""
-    return DensityStepper(state.grid, system, meas, dt).unconditional(state, t)
-
-
-def sme_step(state, system, meas: MeasurementSpec, dt, dw, t=0.0):
-    """Single conditioned step; returns (state', dy)."""
-    return DensityStepper(state.grid, system, meas, dt).conditioned(state, t, dw)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from qcond.cli import EXIT_CONFIG, EXIT_OK, list_experiments, main
+from qcond.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_OK, list_experiments, main, write_outputs
+from qcond.experiments import CsvSeries, ExperimentResult
 
 HARMONIC_LYAP = """
 [experiment]
@@ -90,6 +91,27 @@ sample_stride = 50
 [cooling]
 x0 = 1.5
 sigma_x = 0.5
+"""
+
+QCT_SCAN = """
+[experiment]
+name = qct-scan
+
+[system]
+mass = 1.0
+hbar = 1e-3
+potential_coeffs = 0, 0, 0.5
+
+[measurement]
+k = 2.0
+
+[run]
+dt = 1e-2
+horizon = 8.0
+
+[qct-scan]
+x0 = 0.0
+p0 = 1.0
 """
 
 PASSIVITY = """
@@ -286,3 +308,35 @@ def test_passivity_max_z_skips_roundoff_rows(tmp_path):
     assert times[0] == 0.0 and times.size == 5
     assert result["max_z"] == np.max(z[1:])
     assert result["max_z_time"] == times[1 + np.argmax(np.max(z[1:], axis=1))] > 0.0
+
+
+def test_write_outputs_matches_per_value_rendering(tmp_path):
+    """Block formatting writes the bytes of per-value f"{v:.17g}" rendering."""
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 3.0, -7.0, 1e17, 0.1, 2.0 / 3.0]
+    rng = np.random.default_rng(0)
+    long = rng.standard_normal((2 * CSV_BLOCK_ROWS + 5, len(special))) * 10.0 ** rng.integers(
+        -20, 20, size=(2 * CSV_BLOCK_ROWS + 5, len(special)))
+    long[CSV_BLOCK_ROWS - 1] = special
+    long[CSV_BLOCK_ROWS] = special[::-1]
+    series = [
+        CsvSeries("long", tuple(f"c{j} [1]" for j in range(len(special))), long),
+        CsvSeries("flat", ("a [1]", "b [1]", "c [1]"), np.array([np.nan, -0.0, 1e-300])),
+        CsvSeries("empty", ("a [1]",), np.empty((0, 1))),
+    ]
+    out = str(tmp_path / "o")
+    write_outputs(ExperimentResult(series, {}), out, "test", {}, 1, 0.0, 1)
+    for s in series:
+        expected = ",".join(s.columns) + "\r\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in np.atleast_2d(s.rows))
+        assert open(os.path.join(out, s.name + ".csv"), "rb").read() == expected.encode()
+
+
+def test_qct_scan_metadata_counts_singular_samples(tmp_path):
+    # The orbit starts at x = 0, where the harmonic force vanishes exactly.
+    out = str(tmp_path / "o")
+    assert main(["--config", _write(tmp_path, QCT_SCAN), "--out", out]) == EXIT_OK
+    table = np.loadtxt(os.path.join(out, "qct_margins.csv"), delimiter=",", skiprows=1)
+    result = json.load(open(os.path.join(out, "metadata.json")))["result"]
+    assert result["n_samples"] == table.shape[0] == 801
+    assert result["n_singular"] == int(table[:, 6].sum()) >= 1
+    assert np.isnan(table[0, 2])

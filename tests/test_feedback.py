@@ -188,12 +188,10 @@ def test_no_feedback_heating_rate_is_backaction():
     assert slope_ref == pytest.approx(k * 1.0**2 / 1.0, rel=1e-4)  # D_BA/m exactly
 
     n_real = 96
-    energies = np.empty((n_real, ref.size))
-    for r in range(n_real):
-        noise = generate(17, r, n, dt)
-        run = run_closed_loop((big, 1.0, 0.0, 1 / np.sqrt(2)), harmonic, meas,
-                              [FeedbackPolicy("none")], noise, sample_stride=100)[0]
-        energies[r] = run.energy
+    paths = [generate(17, r, n, dt) for r in range(n_real)]
+    runs = run_closed_loop((big, 1.0, 0.0, 1 / np.sqrt(2)), harmonic, meas,
+                           [FeedbackPolicy("none")], paths, sample_stride=100)
+    energies = np.stack([run.energy for (run,) in runs])
     mean_e = energies.mean(axis=0)
     se_e = energies.std(axis=0, ddof=1) / np.sqrt(n_real)
     z = np.abs(mean_e - ref) / se_e
@@ -248,15 +246,12 @@ def test_cooling_ordering_paired():
 def test_estimator_gain_sweep_u_shaped():
     """Too little gain under-damps, too much feeds noise back."""
     gains = (0.15, 3.0, 80.0)
-    steadies = []
-    for g in gains:
-        pol = FeedbackPolicy("estimator", gain=g, u_max=50.0)
-        vals = []
-        for r in range(6):
-            noise = generate(31, r, 20_000, 1e-3)
-            run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, sample_stride=100)[0]
-            vals.append(run.energy[run.energy.size // 2:].mean())
-        steadies.append(np.mean(vals))
+    policies = [FeedbackPolicy("estimator", gain=g, u_max=50.0) for g in gains]
+    paths = [generate(31, r, 20_000, 1e-3) for r in range(6)]
+    runs = run_closed_loop(STATE0, PLANT, MEAS, policies, paths, sample_stride=100)
+    # steadies[j]: steady energy under gain j, averaged over the paths
+    steadies = np.mean([[run.energy[run.energy.size // 2:].mean() for run in row]
+                        for row in runs], axis=0)
     assert steadies[1] < steadies[0]
     assert steadies[1] < steadies[2]
 
@@ -264,16 +259,14 @@ def test_estimator_gain_sweep_u_shaped():
 def test_estimator_robust_to_belief_offset():
     """Offset initial belief converges; steady state unchanged within error."""
     dt, n = 1e-3, 20_000
-    vals_good, vals_off = [], []
-    for r in range(8):
-        noise = generate(41, r, n, dt)
-        good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], noise, sample_stride=100)[0]
-        bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2),
-                              quantum=True, hbar=1.0)
-        off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], noise,
-                              sample_stride=100, belief0=bel0)[0]
-        vals_good.append(good.energy[good.energy.size // 2:].mean())
-        vals_off.append(off.energy[off.energy.size // 2:].mean())
+    paths = [generate(41, r, n, dt) for r in range(8)]
+    bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2),
+                          quantum=True, hbar=1.0)
+    good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, sample_stride=100)
+    off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths,
+                          sample_stride=100, belief0=bel0)
+    vals_good = [run.energy[run.energy.size // 2:].mean() for (run,) in good]
+    vals_off = [run.energy[run.energy.size // 2:].mean() for (run,) in off]
     d = np.array(vals_off) - np.array(vals_good)
     se = d.std(ddof=1) / np.sqrt(d.size)
     assert abs(d.mean()) < 3 * max(se, 1e-3)

@@ -8,6 +8,7 @@ from qcond.core import SystemSpec
 from qcond.cdyn import newton_trajectory
 from qcond.qct import (
     NonRecurrentOrbitError,
+    _pow2,
     action_scale,
     evaluate_along_trajectory,
     localization_margin,
@@ -19,6 +20,11 @@ from qcond.qct import (
 @pytest.fixture
 def quartic():
     return SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0, 0, 0.25))
+
+
+# F(x, t) = -x^3 - cos(1.3 t) / 8: F(-0.5, 0) = 0 and dF/dx(0) = 0 exactly.
+DRIVEN_QUARTIC = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0, 0, 0.25),
+                            drive_amplitude=0.125, drive_frequency=1.3)
 
 
 @pytest.fixture
@@ -93,6 +99,17 @@ def test_quantum_window_inflection_open(quartic):
     assert left == np.inf and right == np.inf
 
 
+def test_margins_scalar_in_scalar_out_and_validated_for_arrays(quartic):
+    assert isinstance(localization_margin(quartic, 1.0, 1.0), float)
+    assert isinstance(lownoise_margin_classical(quartic, 1.0, 1.0, 10.0), float)
+    assert all(isinstance(r, float) for r in quantum_window(quartic, 1.0, 1.0, 10.0, 1.0))
+    xs = np.array([0.0, 1.0, -1.3])
+    with pytest.raises(ValueError):
+        lownoise_margin_classical(quartic, xs, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        quantum_window(quartic, xs, 1.0, -1.0, hbar=1.0)
+
+
 # --- action -------------------------------------------------------------------
 
 
@@ -133,6 +150,47 @@ def test_report_margins_reparametrization_invariant(harmonic):
         sorted(set(np.round(rep_sparse.lownoise_classical, 9))),
         sorted(set(np.round(rep_dense.lownoise_classical[::7], 9))),
     )
+
+
+def test_margin_squares_are_python_float_squares():
+    # Python's float ** calls C pow, which may round x*x apart from np.square.
+    values = np.random.default_rng(1).standard_normal(20_000) * 7.0
+    assert np.array_equal(_pow2(values), [v**2 for v in values.tolist()])
+    assert _pow2(3.0) == 9.0 and _pow2(values.reshape(100, 200)).shape == (100, 200)
+    with np.errstate(over="ignore"):
+        assert _pow2(1e200) == np.inf
+
+
+def _assert_matches(got, want):
+    """Same nan and +-inf positions; finite values within 1 ulp."""
+    for pattern in (np.isnan, np.isposinf, np.isneginf):
+        np.testing.assert_array_equal(pattern(got), pattern(want))
+    finite = np.isfinite(want)
+    np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=1)
+
+
+@pytest.mark.parametrize("hbar", [0.5, 0.0])
+def test_report_matches_pointwise_margins(hbar):
+    sys_, k, action = DRIVEN_QUARTIC, 0.7, 2.5
+    times, xs, _ = newton_trajectory(0.9, 0.0, sys_, 1e-2, 1500)
+    # samples where F = 0 (singular) and dF = 0 (trivially satisfied)
+    times = np.append(times, [0.0, 0.4])
+    xs = np.append(xs, [-0.5, 0.0])
+    rep = evaluate_along_trajectory(sys_, xs, k=k, hbar=hbar, action=action, times=times)
+
+    loc = np.array([localization_margin(sys_, x, k, t) for x, t in zip(xs, times)])
+    low = np.array([lownoise_margin_classical(sys_, x, k, action) for x in xs])
+    if hbar > 0:
+        left, right = np.array([quantum_window(sys_, x, k, action / hbar, hbar) for x in xs]).T
+    else:
+        left = right = np.full(xs.size, np.inf)
+    assert np.isnan(loc[-2]) and loc[-1] == np.inf and low[-1] == np.inf
+    _assert_matches(rep.localization, loc)
+    _assert_matches(rep.lownoise_classical, low)
+    _assert_matches(rep.window_left, left)
+    _assert_matches(rep.window_right, right)
+    np.testing.assert_array_equal(rep.singular_mask, np.isnan(loc))
+    assert rep.s == (action / hbar if hbar > 0 else np.inf)
 
 
 def test_report_percentiles_and_window(quartic):

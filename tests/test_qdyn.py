@@ -23,12 +23,9 @@ from qcond.qdyn import (
     PureStepper,
     evolve_moyal,
     filter_with_record,
-    isolated_step,
     moyal_rhs,
     run_conditioned,
     run_isolated,
-    sme_step,
-    unconditional_step,
 )
 
 HBAR = 1.0
@@ -140,7 +137,7 @@ def test_record_arithmetic_unit_gain(grid, free):
     # <x>=0, k=1/8 makes sqrt(8k)=1, so dy = dW exactly
     meas = MeasurementSpec(0.125)
     state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
-    _, dy = sme_step(state, free, meas, 1e-3, 0.01, 0.0)
+    _, dy = DensityStepper(grid, free, meas, 1e-3).conditioned(state, 0.0, 0.01)
     assert dy == pytest.approx(0.01, abs=1e-12)
 
 
@@ -335,8 +332,8 @@ def test_unconditional_free_particle_momentum_heating(grid, free):
 
 def test_unconditional_k0_equals_isolated(grid, harmonic):
     state = gaussian_state(grid, 1.0, 0.0, 1.0, HBAR)
-    a = unconditional_step(state, harmonic, MeasurementSpec(0.0), 1e-3, 0.0)
-    b = isolated_step(state, harmonic, 1e-3, 0.0)
+    a = DensityStepper(grid, harmonic, MeasurementSpec(0.0), 1e-3).unconditional(state, 0.0)
+    b = DensityStepper(grid, harmonic, None, 1e-3).isolated(state, 0.0)
     assert np.max(np.abs(a.rho - b.rho)) < 1e-12
 
 
