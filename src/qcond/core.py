@@ -244,10 +244,6 @@ class QuantumState:
         w = np.linalg.eigvalsh(self.rho * self.grid.dx)
         return float(w[0])
 
-    def outer_support_mass(self) -> float:
-        dens = self.position_density()
-        return float(np.sum(dens[self.grid.outer_buffer_mask]) * self.grid.dx)
-
     def validate(self, check_eigenvalues=False):
         """Raise if the state violates its structural invariants."""
         if abs(self.trace() - 1.0) > 1e-9:
@@ -365,10 +361,13 @@ class MomentSet:
         )
 
 
-def _momentum_density(grid: PositionGrid, rho: np.ndarray, hbar) -> np.ndarray:
-    """Diagonal of rho in the momentum representation (FFT order)."""
-    a = np.fft.fft(rho, axis=0)
-    b = np.fft.fft(a.conj(), axis=1).conj()
+def _momentum_density(grid: PositionGrid, rho_k: np.ndarray, hbar) -> np.ndarray:
+    """Diagonal of rho in the momentum representation (FFT order).
+
+    rho_k is np.fft.fft(rho, axis=0).  np.fft.fft(rho_k.conj(), axis=1) is
+    then the complex conjugate of F rho F^dagger and has the same real diagonal.
+    """
+    b = np.fft.fft(rho_k.conj(), axis=1)
     return b.diagonal().real * grid.dx**2 / (2.0 * np.pi * hbar)
 
 
@@ -383,13 +382,14 @@ def quantum_moments(state: QuantumState, system: SystemSpec = None, time=0.0) ->
 
     p = grid.momenta(hbar)
     dp = 2.0 * np.pi * hbar / (grid.n_points * dx)
-    pdens = _momentum_density(grid, rho, hbar) / norm
+    rho_k = np.fft.fft(rho, axis=0)
+    pdens = _momentum_density(grid, rho_k, hbar) / norm
     p_mean = float(np.sum(p * pdens) * dp)
     p2 = float(np.sum(p**2 * pdens) * dp)
     c_pp = p2 - p_mean**2
 
     # <xp + px>/2 = Re Tr(x . (p rho))  with  (p rho) spectral along axis 0.
-    prho = np.fft.ifft(p[:, None] * np.fft.fft(rho, axis=0), axis=0)
+    prho = np.fft.ifft(p[:, None] * rho_k, axis=0)
     xp_sym = float(np.real(np.sum(x * prho.diagonal()) * dx) / norm)
     c_xp = xp_sym - x_mean * p_mean
 

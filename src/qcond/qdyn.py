@@ -42,6 +42,7 @@ the wavefunction path is the cheap one for large conditioned ensembles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -159,8 +160,16 @@ def _check_support(mass_outside: float, t: float):
         )
 
 
+def _phase_product(w: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = W * rho elementwise, in the operand order of the reference outputs."""
+    # FMA rounds w*rho and rho*w apart; numpy's temp elision puts w first in rho * W from 256 KiB.
+    if rho.nbytes >= 256 * 1024:
+        return np.multiply(w, rho, out=out)
+    return np.multiply(rho, w, out=out)
+
+
 class DensityStepper:
-    """Evolves a density matrix; owns no state besides precomputed phases.
+    """Evolves a density matrix; owns no state besides precomputed phases and damping.
 
     The congruence form of the measurement update keeps the state
     positive for any dt, so no eigenvalue repair is needed.
@@ -178,26 +187,58 @@ class DensityStepper:
         # Feedback loops override this per step; the value enters the
         # potential as the -control * x term.
         self.control = system.control_offset
+        # Phase matrix of a static potential, valid for _phase_key = (sign, control).
+        self._phase_key = None
+        self._phase = None
+
+    @cached_property
+    def _decoherence(self) -> np.ndarray:
+        """Backaction damping exp(-k (x1 - x2)^2 dt) of one unconditional step."""
+        x = self.pieces.x
+        return np.exp(-self.k * (x[:, None] - x[None, :]) ** 2 * self.dt)
 
     # -- elementary pieces ---------------------------------------------------
 
-    def _unitary(self, rho: np.ndarray, t: float, sign=1.0) -> np.ndarray:
-        """One symmetric split-operator step of U rho U^dagger."""
-        pieces = self.pieces
-        t_mid = t + 0.5 * self.dt
-        pv = pieces.half_potential_phase(t_mid, self.control, sign)
-        pt = pieces.kinetic_phase if sign > 0 else pieces.kinetic_phase.conj()
+    def _phase_matrix(self, t: float, sign: float) -> np.ndarray:
+        """W = pv pv^*, the half-step potential phase acting on both indices of rho.
 
-        rho = rho * np.outer(pv, pv.conj())
+        Without a drive and with a scalar control the potential is static,
+        so W is built once per (sign, control) and reused.
+        """
+        static = self.system.drive_amplitude == 0.0 and not isinstance(self.control, np.ndarray)
+        if static and self._phase_key == (sign, self.control):
+            return self._phase
+        pv = self.pieces.half_potential_phase(t + 0.5 * self.dt, self.control, sign)
+        w = np.outer(pv, pv.conj())
+        if static:
+            self._phase_key, self._phase = (sign, self.control), w
+        return w
+
+    def _unitary(self, rho: np.ndarray, t: float, sign=1.0) -> np.ndarray:
+        """One symmetric split-operator step of U rho U^dagger.
+
+        Every pass, FFTs included, runs in place in the one array returned,
+        so a step takes no fresh memory beyond the new state.
+        """
+        w = self._phase_matrix(t, sign)
+        pt = self.pieces.kinetic_phase if sign > 0 else self.pieces.kinetic_phase.conj()
+        a = _phase_product(w, rho, np.empty_like(w))
         # U along axis 0, conj(U) along axis 1 (i.e. rho -> U rho U^dagger).
-        rho = np.fft.ifft(pt[:, None] * np.fft.fft(rho, axis=0), axis=0)
-        rho = np.fft.fft(pt.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
-        rho = rho * np.outer(pv, pv.conj())
-        return rho
+        np.fft.fft(a, axis=0, out=a)
+        np.multiply(pt[:, None], a, out=a)
+        np.fft.ifft(a, axis=0, out=a)
+        np.fft.ifft(a, axis=1, out=a)
+        np.multiply(pt.conj()[None, :], a, out=a)
+        np.fft.fft(a, axis=1, out=a)
+        return _phase_product(w, a, a)
 
     def _renormalize(self, rho: np.ndarray) -> np.ndarray:
         tr = np.sum(rho.diagonal().real) * self.grid.dx
         return rho / tr
+
+    def _outer_mass(self, rho: np.ndarray) -> float:
+        """Probability in the outer grid buffer."""
+        return float(np.sum(rho.diagonal().real.take(self.pieces.outer_index)) * self.grid.dx)
 
     def mean_x(self, state: QuantumState) -> float:
         dens = state.rho.diagonal().real
@@ -207,9 +248,8 @@ class DensityStepper:
 
     def isolated(self, state: QuantumState, t=0.0) -> QuantumState:
         rho = self._unitary(state.rho, t)
-        out = QuantumState(self.grid, rho, state.hbar)
-        _check_support(out.outer_support_mass(), t)
-        return out
+        _check_support(self._outer_mass(rho), t)
+        return QuantumState(self.grid, rho, state.hbar)
 
     def isolated_reversed(self, state: QuantumState, t=0.0) -> QuantumState:
         """Step under the sign-flipped Hamiltonian (time reversal check)."""
@@ -218,14 +258,11 @@ class DensityStepper:
 
     def unconditional(self, state: QuantumState, t=0.0) -> QuantumState:
         """Linear open-system step: backaction decoherence, no conditioning."""
-        x = self.pieces.x
-        damp = np.exp(-self.k * (x[:, None] - x[None, :]) ** 2 * self.dt)
-        rho = state.rho * damp
+        rho = state.rho * self._decoherence
         rho = self._unitary(rho, t)
         rho = self._renormalize(rho)
-        out = QuantumState(self.grid, rho, state.hbar)
-        _check_support(out.outer_support_mass(), t)
-        return out
+        _check_support(self._outer_mass(rho), t)
+        return QuantumState(self.grid, rho, state.hbar)
 
     def conditioned(self, state: QuantumState, t: float, dw: float, x_mean=None):
         """One measurement-conditioned step; returns (state', dy).
@@ -246,9 +283,8 @@ class DensityStepper:
         rho = state.rho * np.outer(m, m)
         rho = self._renormalize(rho)
         rho = self._unitary(rho, t)
-        out = QuantumState(self.grid, rho, state.hbar)
-        _check_support(out.outer_support_mass(), t)
-        return out, dy
+        _check_support(self._outer_mass(rho), t)
+        return QuantumState(self.grid, rho, state.hbar), dy
 
 
 class PureStepper:

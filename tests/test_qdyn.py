@@ -130,6 +130,47 @@ def test_isolated_unitary_matches_dense_propagator_oracle():
     assert np.max(np.abs(stepped.rho - rho_exact)) * dx < 1e-8
 
 
+def _allocating_unitary(stepper, rho, t, sign=1.0):
+    """The split-operator step written with temporaries, operand order left to numpy."""
+    pieces = stepper.pieces
+    pv = pieces.half_potential_phase(t + 0.5 * stepper.dt, stepper.control, sign)
+    pt = pieces.kinetic_phase if sign > 0 else pieces.kinetic_phase.conj()
+    rho = rho * np.outer(pv, pv.conj())
+    rho = np.fft.ifft(pt[:, None] * np.fft.fft(rho, axis=0), axis=0)
+    rho = np.fft.fft(pt.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
+    return rho * np.outer(pv, pv.conj())
+
+
+# n = 64 and 128 sit on either side of numpy's 256 KiB temporary-elision
+# threshold, where the operand order of the phase products flips.
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("drive", [0.0, 0.7])
+def test_unitary_bitwise_matches_allocating_form(n, drive):
+    grid = PositionGrid(-12.0, 12.0, n)
+    sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5),
+                      drive_amplitude=drive, drive_frequency=1.3)
+    stepper = DensityStepper(grid, sys_, None, 1e-3)
+    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR).rho
+    for sign in (1.0, -1.0, 1.0):
+        got = want = rho
+        for i in range(3):
+            got = stepper._unitary(got, i * 1e-3, sign)
+            want = _allocating_unitary(stepper, want, i * 1e-3, sign)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_unitary_phase_follows_reassigned_control(n):
+    grid = PositionGrid(-12.0, 12.0, n)
+    sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5))
+    stepper = DensityStepper(grid, sys_, None, 1e-3)
+    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR).rho
+    for u in (0.0, 0.4, -0.4, 0.0):
+        stepper.control = u
+        want = _allocating_unitary(stepper, rho, 0.0)
+        assert np.array_equal(stepper._unitary(rho, 0.0), want)
+
+
 # --- conditioned ----------------------------------------------------------------
 
 
@@ -335,6 +376,19 @@ def test_unconditional_k0_equals_isolated(grid, harmonic):
     a = DensityStepper(grid, harmonic, MeasurementSpec(0.0), 1e-3).unconditional(state, 0.0)
     b = DensityStepper(grid, harmonic, None, 1e-3).isolated(state, 0.0)
     assert np.max(np.abs(a.rho - b.rho)) < 1e-12
+
+
+def test_unconditional_bitwise_matches_per_step_damping(grid, harmonic):
+    dt, k = 1e-3, 0.7
+    stepper = DensityStepper(grid, harmonic, MeasurementSpec(k), dt)
+    state = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR)
+    x = grid.x
+    want = state.rho
+    for i in range(3):
+        state = stepper.unconditional(state, i * dt)
+        damp = np.exp(-k * (x[:, None] - x[None, :]) ** 2 * dt)
+        want = stepper._renormalize(stepper._unitary(want * damp, i * dt))
+    assert np.array_equal(state.rho, want)
 
 
 def _raw_moments(moment_row):
