@@ -43,7 +43,7 @@ from .qct import (
     lownoise_margin_classical,
     quantum_window,
 )
-from .lyap import LyapunovConfig, LyapunovSeries, ensemble_lyapunov, one_over_t_fit, paired_run
-from .feedback import CoolingResult, FeedbackPolicy, cooling_experiment, direct_control, estimator_control
+from .lyap import LyapunovConfig, PairedRunResult, ensemble_lyapunov, one_over_t_fit, paired_run
+from .feedback import CoolingResult, FeedbackPolicy, cooling_experiment, estimator_control
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ energy bounded over the long horizons the Lyapunov harness needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec

@@ -279,6 +279,10 @@ def main(argv=None) -> int:
     except QcondError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as err:
+        # A value the parser accepted but the experiment rejects (e.g. a grid size).
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     wall = time.perf_counter() - start
     try:
         write_outputs(result, args.out, name, resolved, seed, wall, workers)

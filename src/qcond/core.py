@@ -12,7 +12,7 @@ units; ``hbar`` is an explicit parameter, never assumed to be 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

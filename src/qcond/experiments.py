@@ -27,7 +27,7 @@ from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, ensemble_lyapunov
 from .noise import generate, parallel_map, substream_rng
-from .qct import evaluate_along_trajectory, action_scale, NonRecurrentOrbitError
+from .qct import evaluate_along_trajectory, action_scale
 from .qdyn import MeasurementSpec, run_conditioned, run_isolated
 from .cdyn import newton_trajectory
 
@@ -300,8 +300,7 @@ def run_qct_scan_experiment(cfg, seed, workers):
 def run_lyapunov_experiment(cfg, seed, workers):
     system = _system(cfg)
     grid = _grid(cfg)
-    k = cfg["measurement"]["k"]
-    meas = MeasurementSpec(k) if k > 0 else None
+    meas = MeasurementSpec(cfg["measurement"]["k"])
     run = cfg["run"]
     exp = cfg["lyapunov"]
     lcfg = LyapunovConfig(
@@ -328,7 +327,7 @@ def run_lyapunov_experiment(cfg, seed, workers):
             np.column_stack([series_out.times, series_out.delta[r], series_out.lam[r]]),
         ))
     meta = {
-        "merged_realizations": [int(i) for i in np.nonzero(series_out.merged_flags)[0]],
+        "merged_realizations": [int(i) for i in np.nonzero(series_out.merged)[0]],
         "renormalizations": series_out.renormalizations.tolist(),
         "band_definition": "stddev over per-realization lambda(t), merged excluded",
     }

@@ -23,20 +23,19 @@ the actuator performs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PositionGrid, QcondError, SystemSpec, gaussian_wavefunction, wavefunction_moments
+from .core import QcondError, SystemSpec, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
-from .noise import NoisePath, generate, stack_increments
+from .noise import generate, stack_increments
 from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 
 __all__ = [
     "FeedbackPolicy",
     "CoolingResult",
     "ClosedLoopRun",
-    "direct_control",
     "estimator_control",
     "run_closed_loop",
     "cooling_experiment",
@@ -70,7 +69,8 @@ class FeedbackPolicy:
 def _direct_update(policy: FeedbackPolicy, dt):
     """Direct controller as a step function (dy, ...) -> u = clamp(-gain * EMA of dy/dt)."""
     if policy.smoothing_time < 5.0 * dt:
-        raise ValueError("smoothing_time must be at least 5*dt")
+        raise ValueError(f"smoothing_time must be at least 5*dt = {5.0 * dt:g}, "
+                         f"got {policy.smoothing_time:g}")
     alpha = dt / policy.smoothing_time
     smoothed = 0.0
 
@@ -99,16 +99,6 @@ def _estimator_update(policy: FeedbackPolicy, system, meas, dt, belief, grid_spa
     return update
 
 
-def direct_control(record_increments, policy: FeedbackPolicy, dt) -> np.ndarray:
-    """Offline form of the direct controller: u series for a record tail.
-
-    u_n is computed from increments through n (inclusive); the closed
-    loop applies it during step n+1.
-    """
-    update = _direct_update(policy, dt)
-    return np.array([update(dy) for dy in record_increments], dtype=float)
-
-
 def estimator_control(belief: GaussianBelief, policy: FeedbackPolicy) -> float:
     """Momentum-damping force from the current belief."""
     return policy.clamp(-policy.gain * belief.p_mean)
@@ -116,29 +106,31 @@ def estimator_control(belief: GaussianBelief, policy: FeedbackPolicy) -> float:
 
 @dataclass(frozen=True)
 class ClosedLoopRun:
-    """Energy trace of one closed-loop realization (control term excluded)."""
+    """Energy traces of a batch of closed loops (control term excluded).
+
+    For R noise paths and P policies, energy is (R, P, n_samples) and
+    final_control, the last control each loop computed, is (R, P).
+    """
 
     times: np.ndarray
     energy: np.ndarray
-    final_control: float
+    final_control: np.ndarray
 
 
 def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
-                    policies, noise, sample_stride=10,
-                    belief0: GaussianBelief = None) -> list:
+                    policies: list, noise: list, sample_stride=10,
+                    belief0: GaussianBelief = None) -> ClosedLoopRun:
     """Plant-measure-control loops, one batch row per (noise path, policy).
 
     state0_params = (grid, x_mean, p_mean, sigma_x).  Every policy drives
-    its own copy of that state under each noise path.  With one NoisePath
-    this returns one ClosedLoopRun per policy, in order; with a list of
-    paths, one such list per path.  Every row is bit-identical to running
-    its path and policy alone.  The energy score uses the control-free
-    Hamiltonian at each sample time.
+    its own copy of that state under each path in the list ``noise``.
+    Every row is bit-identical to running its path and policy alone.  The
+    energy score uses the control-free Hamiltonian at each sample time.
     """
     grid, x0, p0, sigma_x = state0_params
     hbar = system.hbar
     increments = stack_increments(noise)
-    dt = noise.dt if isinstance(noise, NoisePath) else noise[0].dt
+    dt = noise[0].dt
     if belief0 is None:
         belief0 = GaussianBelief(x0, p0, sigma_x**2, 0.0, hbar**2 / (4 * sigma_x**2),
                                  quantum=True, hbar=hbar)
@@ -152,8 +144,8 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
         return lambda *_: 0.0
 
     # Rows are (path, policy) in row-major order; updates and u_apply follow them.
-    rows = increments.shape[1:] + (len(policies),)
-    updates = [policy_update(pol) for _ in range(increments[0].size) for pol in policies]
+    rows = (len(noise), len(policies))
+    updates = [policy_update(pol) for _ in noise for pol in policies]
 
     psi = np.broadcast_to(gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
                           rows + (grid.n_points,)).copy()
@@ -169,17 +161,14 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
     for i in range(n_steps):
         stepper.control = np.array(u_apply).reshape(rows + (1,))
         # One increment per path, shared by its policy rows.
-        psi, dy = stepper.conditioned(psi, i * dt, increments[i][..., None])
+        psi, dy = stepper.conditioned(psi, i * dt, increments[i][:, None])
         t = (i + 1) * dt
         u_apply = [update(dy_row, u, t) for update, dy_row, u in zip(updates, dy.ravel(), u_apply)]
         if (i + 1) % sample_stride == 0:
             energy[:, (i + 1) // sample_stride - 1] = [
                 wavefunction_moments(grid, row, hbar, scoring_system, t).energy
                 for row in psi.reshape(-1, grid.n_points)]
-    runs = [ClosedLoopRun(times, e, u) for e, u in zip(energy, u_apply)]
-    if isinstance(noise, NoisePath):
-        return runs
-    return [runs[j:j + len(policies)] for j in range(0, len(runs), len(policies))]
+    return ClosedLoopRun(times, energy.reshape(rows + (n_samples,)), np.array(u_apply).reshape(rows))
 
 
 @dataclass(frozen=True)
@@ -217,8 +206,7 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
     """
     n_steps = int(round(horizon / dt))
     chunk = realizations_per_batch(len(policies), state0_params[0].n_points)
-    runs = {name: [] for name in policies}
-    indices = []
+    accepted = []    # (stream index, ClosedLoopRun, its row) per accepted realization
     retried = []
 
     def closed_loops(streams):
@@ -227,54 +215,47 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
                                noise, sample_stride)
 
     def check_budget(index):
-        if index - len(indices) > max_retries * max(1, n_realizations):
+        if index - len(accepted) > max_retries * max(1, n_realizations):
             raise QcondError("too many aborted closed-loop realizations")
 
-    def accept(index, batch):
-        for name, run in zip(policies, batch):
-            runs[name].append(run)
-        indices.append(index)
-
     next_index = 0
-    while len(indices) < n_realizations:
+    while len(accepted) < n_realizations:
         # Never more streams than still needed, so the serial order is kept.
-        streams = range(next_index, next_index + min(chunk, n_realizations - len(indices)))
+        streams = range(next_index, next_index + min(chunk, n_realizations - len(accepted)))
         next_index = streams.stop
         check_budget(streams[0])
         try:
-            batches = closed_loops(streams)
+            run = closed_loops(streams)
         except QcondError:
             # Some row aborted: rerun the chunk one stream at a time.
             for index in streams:
                 check_budget(index)
                 try:
-                    (batch,) = closed_loops([index])
+                    accepted.append((index, closed_loops([index]), 0))
                 except QcondError as err:
                     warnings.warn(f"realization {index} aborted ({err}); "
                                   "retrying with fresh stream")
                     retried.append(index)
-                    continue
-                accept(index, batch)
         else:
-            for index, batch in zip(streams, batches):
-                accept(index, batch)
-    accepted = len(indices)
+            accepted.extend((index, run, row) for row, index in enumerate(streams))
+    n_accepted = len(accepted)
+    times = accepted[0][1].times
+    indices = np.array([index for index, _, _ in accepted])
 
     out = {}
-    for name, pol in policies.items():
-        energies = np.stack([r.energy for r in runs[name]])
-        times = runs[name][0].times
+    for j, (name, pol) in enumerate(policies.items()):
+        energies = np.stack([run.energy[row, j] for _, run, row in accepted])
         window = _steady_window(energies.shape[1])
         steady = energies[:, window].mean(axis=1)
         out[name] = CoolingResult(
             policy=pol,
             times=times,
             energy_mean=energies.mean(axis=0),
-            energy_se=energies.std(axis=0, ddof=1) / np.sqrt(accepted),
+            energy_se=energies.std(axis=0, ddof=1) / np.sqrt(n_accepted),
             steady_per_realization=steady,
             steady_mean=float(steady.mean()),
-            steady_se=float(steady.std(ddof=1) / np.sqrt(accepted)),
-            stream_indices=np.array(indices),
+            steady_se=float(steady.std(ddof=1) / np.sqrt(n_accepted)),
+            stream_indices=indices,
             retried_streams=tuple(retried),
         )
     return out

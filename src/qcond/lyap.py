@@ -20,7 +20,7 @@ would otherwise saturate at the attractor size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from . import cdyn
 
 __all__ = [
     "LyapunovConfig",
-    "LyapunovSeries",
     "PairedRunResult",
     "paired_run",
     "classical_paired_run",
@@ -60,7 +59,6 @@ class LyapunovConfig:
     sample_stride: int = 20
     renormalize: bool = False
     renorm_threshold: float = None
-    fit_windows: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.initial_separation > 0:
@@ -75,33 +73,29 @@ class LyapunovConfig:
 
 @dataclass(frozen=True)
 class PairedRunResult:
-    """Divergence series of one pair, or of a batch of pairs.
+    """Divergence series of a batch of R fiducial/perturbed pairs.
 
-    delta and lam are (*batch, n_samples) and merged and renormalizations
-    have the batch shape: () for one noise path, (R,) for a list of R.
-    n_renormalizations is the total number of Benettin resets, a plain int.
+    delta and lam are (R, n_samples); merged (bool) and renormalizations
+    (Benettin resets per pair) are (R,).  n_renormalizations is the total
+    number of resets, a plain int.
     """
 
     times: np.ndarray
     delta: np.ndarray
     lam: np.ndarray
-    merged: bool
+    merged: np.ndarray
     n_renormalizations: int
-    renormalizations: np.ndarray    # resets per pair
+    renormalizations: np.ndarray
 
+    @property
+    def lam_mean(self) -> np.ndarray:
+        """Mean lambda(t) over the pairs that did not merge."""
+        return np.nanmean(self.lam[~self.merged], axis=0)
 
-@dataclass(frozen=True)
-class LyapunovSeries:
-    """Per-realization exponents plus the ensemble mean and spread bands."""
-
-    times: np.ndarray
-    delta: np.ndarray          # (n_realizations, n_samples)
-    lam: np.ndarray            # (n_realizations, n_samples)
-    lam_mean: np.ndarray
-    lam_sd: np.ndarray
-    merged_flags: np.ndarray
-    config: LyapunovConfig
-    renormalizations: np.ndarray    # Benettin resets per realization
+    @property
+    def lam_sd(self) -> np.ndarray:
+        """Sample standard deviation of lambda(t) over the pairs that did not merge."""
+        return np.nanstd(self.lam[~self.merged], axis=0, ddof=1)
 
 
 def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
@@ -110,27 +104,28 @@ def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
     return np.fft.ifft(np.exp(-1j * p * delta / hbar) * np.fft.fft(psi))
 
 
-def _divergence_loop(cfg: LyapunovConfig, batch: tuple, step, centroids, reset) -> PairedRunResult:
+def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) -> PairedRunResult:
     """Sample Delta and lambda of a batch of fiducial/perturbed pairs, with renormalization.
 
     step(i, t, x_mean) advances every pair over step i from time t; x_mean
-    is the current (*batch, 2) centroids when the loop has read them since
-    the last step, else None.  centroids() returns the (fiducial,
-    perturbed) position means of every pair as a (*batch, 2) array;
-    reset(index, sign, d) puts the perturbed member of pair ``index`` back
-    at separation d0 along sign, from its current separation d.
+    is the current (n_pairs, 2) centroids when the loop has read them
+    since the last step, else None.  centroids() returns the (fiducial,
+    perturbed) position means of every pair as an (n_pairs, 2) array;
+    reset(over, sign, d) puts the perturbed member of every pair in the
+    mask ``over`` back at separation d0 along sign, from its current
+    separation d (sign and d hold one value per masked pair).
     """
     d0 = cfg.initial_separation
     dt = cfg.dt
     stride = cfg.sample_stride
     n_samples = cfg.n_steps // stride
     times = dt * stride * (1 + np.arange(n_samples))
-    delta = np.full(batch + (n_samples,), np.nan)
-    lam = np.full(batch + (n_samples,), np.nan)
+    delta = np.full((n_pairs, n_samples), np.nan)
+    lam = np.full((n_pairs, n_samples), np.nan)
 
-    log_growth = np.zeros(batch)
-    n_renorm = np.zeros(batch, dtype=int)
-    merged = np.zeros(batch, dtype=bool)
+    log_growth = np.zeros(n_pairs)
+    n_renorm = np.zeros(n_pairs, dtype=int)
+    merged = np.zeros(n_pairs, dtype=bool)
     known = None
     isample = 0
     for i in range(cfg.n_steps):
@@ -141,39 +136,36 @@ def _divergence_loop(cfg: LyapunovConfig, batch: tuple, step, centroids, reset) 
         if not (cfg.renormalize or need_sample):
             continue
         known = centroids()
-        xf, xp = known[..., 0], known[..., 1]
+        xf, xp = known[:, 0], known[:, 1]
         d = abs(xp - xf)
         if need_sample:
-            delta[..., isample] = d
+            delta[:, isample] = d
             close = d < MERGE_FLOOR_FACTOR * d0
             merged |= close
             # A merged pair has d = 0 and its lambda stays NaN.
             with np.errstate(divide="ignore"):
-                lam[..., isample] = np.where(close, np.nan, (log_growth + np.log(d / d0)) / t)
+                lam[:, isample] = np.where(close, np.nan, (log_growth + np.log(d / d0)) / t)
             isample += 1
         if cfg.renormalize:
             over = d > cfg.renorm_threshold
             if over.any():
                 log_growth[over] += np.log(d[over] / d0)
-                sign = np.where(xp >= xf, 1.0, -1.0)
-                for index in map(tuple, np.argwhere(over)):
-                    reset(index, sign[index], d[index])
+                sign = np.where(xp[over] >= xf[over], 1.0, -1.0)
+                reset(over, sign, d[over])
                 n_renorm += over
                 known = None
-    merged = bool(merged) if merged.ndim == 0 else merged
     return PairedRunResult(times, delta, lam, merged, int(n_renorm.sum()), n_renorm)
 
 
 def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
-               cfg: LyapunovConfig, noise) -> PairedRunResult:
-    """Fiducial/perturbed conditioned pairs, one pair per noise path.
+               cfg: LyapunovConfig, noise: list) -> PairedRunResult:
+    """Fiducial/perturbed conditioned pairs, one pair per path in the list ``noise``.
 
     state0_params = (grid, x_mean, p_mean, sigma_x) of the fiducial
     Gaussian; the perturbed twin starts at x_mean + initial_separation.
-    noise is one NoisePath or a list of them; the pairs are one (2, n) or
-    (R, 2, n) batch of a single stepper, and every pair comes out
-    bit-identical to running it alone.  k = 0 degenerates to isolated
-    evolution of both members (no record).
+    The R pairs are one (R, 2, n) batch of a single stepper, and every
+    pair comes out bit-identical to running it alone.  k = 0 degenerates
+    to isolated evolution of both members (no record).
     """
     grid, x0, p0, sigma_x = state0_params
     if cfg.initial_separation > sigma_x / 10.0:
@@ -181,43 +173,41 @@ def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
     hbar = system.hbar
     d0 = cfg.initial_separation
     increments = stack_increments(noise)
-    batch = increments.shape[1:]
     pair = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
                      gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)])
-    psi = np.broadcast_to(pair, batch + pair.shape).copy()
-    conditioned = meas is not None and meas.strength > 0.0
-    stepper = PureStepper(grid, system, meas if conditioned else None, cfg.dt)
+    psi = np.broadcast_to(pair, (len(noise),) + pair.shape).copy()
+    stepper = PureStepper(grid, system, meas, cfg.dt)
 
     def step(i, t, x_mean):
         nonlocal psi
-        if conditioned:
+        if stepper.k > 0:
             # One increment per pair, shared by its two members.
-            psi, _ = stepper.conditioned(psi, t, increments[i][..., None], x_mean)
+            psi, _ = stepper.conditioned(psi, t, increments[i][:, None], x_mean)
         else:
             psi = stepper.isolated(psi, t)
 
-    def reset(index, sign, d):
-        psi[index + (1,)] = _shift_wavefunction(grid, psi[index + (0,)], sign * d0, hbar)
+    def reset(over, sign, d):
+        psi[over, 1] = _shift_wavefunction(grid, psi[over, 0], (sign * d0)[:, None], hbar)
 
-    return _divergence_loop(cfg, batch, step, lambda: stepper.mean_x(psi), reset)
+    return _divergence_loop(cfg, len(noise), step, lambda: stepper.mean_x(psi), reset)
 
 
 def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> PairedRunResult:
-    """Newtonian twin of paired_run (the deterministic strong-QCT limit)."""
+    """Newtonian twin of paired_run (the deterministic strong-QCT limit), a batch of one pair."""
     d0 = cfg.initial_separation
-    x = np.array([x0, x0 + d0], dtype=float)
-    p = np.array([p0, p0], dtype=float)
+    x = np.array([[x0, x0 + d0]], dtype=float)
+    p = np.array([[p0, p0]], dtype=float)
 
     def step(i, t, _):
         nonlocal x, p
         x, p = cdyn._leapfrog(x, p, system, cfg.dt, t)
 
-    def reset(index, sign, d):
+    def reset(over, sign, d):
         # Reset full phase-space offset along the current separation.
-        x[1] = x[0] + sign * d0
-        p[1] = p[0] + (p[1] - p[0]) * (d0 / d)
+        x[over, 1] = x[over, 0] + sign * d0
+        p[over, 1] = p[over, 0] + (p[over, 1] - p[over, 0]) * (d0 / d)
 
-    return _divergence_loop(cfg, (), step, lambda: x, reset)
+    return _divergence_loop(cfg, 1, step, lambda: x, reset)
 
 
 def _realization_chunk(item):
@@ -227,8 +217,8 @@ def _realization_chunk(item):
 
 
 def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
-                      master_seed: int, workers: int = 1) -> LyapunovSeries:
-    """Stream-indexed realizations of paired_run with mean and spread bands.
+                      master_seed: int, workers: int = 1) -> PairedRunResult:
+    """Stream-indexed realizations of paired_run as one batch of R pairs.
 
     Consecutive stream indices run as the rows of one paired_run batch,
     in chunks of at most ceil(R / workers) streams that fit
@@ -237,23 +227,20 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     """
     n_real = cfg.n_realizations
     if n_real < 2:
-        raise ValueError("need at least 2 realizations for ensemble statistics")
+        raise ValueError(f"need at least 2 realizations for ensemble statistics, got {n_real}")
     size = min(-(-n_real // max(1, workers)),
                realizations_per_batch(2, state0_params[0].n_points))
     jobs = [(range(start, min(start + size, n_real)), state0_params, system, meas, cfg,
              master_seed) for start in range(0, n_real, size)]
     results = parallel_map(_realization_chunk, jobs, workers)
-
-    times = results[0].times
-    delta = np.concatenate([r.delta for r in results])
-    lam = np.concatenate([r.lam for r in results])
-    merged = np.concatenate([r.merged for r in results])
-    ok = ~merged
-    lam_ok = lam[ok]
-    lam_mean = np.nanmean(lam_ok, axis=0)
-    lam_sd = np.nanstd(lam_ok, axis=0, ddof=1)
-    renorms = np.concatenate([r.renormalizations for r in results])
-    return LyapunovSeries(times, delta, lam, lam_mean, lam_sd, merged, cfg, renorms)
+    return PairedRunResult(
+        results[0].times,
+        np.concatenate([r.delta for r in results]),
+        np.concatenate([r.lam for r in results]),
+        np.concatenate([r.merged for r in results]),
+        sum(r.n_renormalizations for r in results),
+        np.concatenate([r.renormalizations for r in results]),
+    )
 
 
 @dataclass(frozen=True)

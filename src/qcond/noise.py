@@ -59,13 +59,11 @@ def generate(master_seed: int, stream_index: int, n_steps: int, dt: float) -> No
     return NoisePath(master_seed, stream_index, float(dt), dw)
 
 
-def stack_increments(noise) -> np.ndarray:
-    """(n_steps,) increments of one NoisePath, or (n_steps, R) of a list of R paths.
+def stack_increments(noise: list) -> np.ndarray:
+    """(n_steps, R) increments of a list of R NoisePaths.
 
     Step i of a batch of realizations reads the contiguous row [i].
     """
-    if isinstance(noise, NoisePath):
-        return noise.increments
     return np.stack([path.increments for path in noise], axis=1)
 
 

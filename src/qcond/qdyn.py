@@ -47,8 +47,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    ClassicalEnsemble,  # noqa: F401  (re-exported convenience)
-    MomentSet,
     PositionGrid,
     QcondError,
     QuantumState,
@@ -233,8 +231,9 @@ class DensityStepper:
         return _phase_product(w, a, a)
 
     def _renormalize(self, rho: np.ndarray) -> np.ndarray:
-        tr = np.sum(rho.diagonal().real) * self.grid.dx
-        return rho / tr
+        # Divides in place: every caller passes an array it has just made.
+        rho /= np.sum(rho.diagonal().real) * self.grid.dx
+        return rho
 
     def _outer_mass(self, rho: np.ndarray) -> float:
         """Probability in the outer grid buffer."""

@@ -251,6 +251,19 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     assert "delta0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, override, named", [
+    (ISOLATED, "grid.n_points=100", "100"),
+    (HARMONIC_LYAP, "run.n_realizations=1", "got 1"),
+    (COOLING, "cooling.direct_smoothing=0.00001", "1e-05"),
+], ids=["grid", "realizations", "smoothing"])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
+    """A value the parser accepts but the experiment rejects exits 2 and names the value."""
+    cfg = _write(tmp_path, text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg = _write(tmp_path, ISOLATED)
     out1 = str(tmp_path / "o1")

@@ -9,7 +9,6 @@ from qcond.cumulant import GaussianBelief
 from qcond.feedback import (
     FeedbackPolicy,
     cooling_experiment,
-    direct_control,
     estimator_control,
     paired_gap,
     run_closed_loop,
@@ -36,8 +35,14 @@ def test_policy_validation():
         FeedbackPolicy("direct", u_max=0.0)
 
 
+def _direct_controls(record_increments, policy, dt):
+    """u series of the direct controller over a record; u_n uses increments through n."""
+    update = feedback._direct_update(policy, dt)
+    return np.array([update(dy) for dy in record_increments])
+
+
 def test_direct_control_zero_record():
-    u = direct_control(np.zeros(200), FeedbackPolicy("direct", gain=2.0, smoothing_time=0.1), 1e-3)
+    u = _direct_controls(np.zeros(200), FeedbackPolicy("direct", gain=2.0, smoothing_time=0.1), 1e-3)
     np.testing.assert_array_equal(u, 0.0)
 
 
@@ -46,7 +51,7 @@ def test_direct_control_constant_current_steady_state():
     tau = 0.05
     c = 0.7  # constant dy/dt
     pol = FeedbackPolicy("direct", gain=2.0, smoothing_time=tau)
-    u = direct_control(np.full(1000, c * dt), pol, dt)
+    u = _direct_controls(np.full(1000, c * dt), pol, dt)
     # after ~3 tau the smoothed current reaches c, so u -> -g c
     settle = int(3 * tau / dt)
     assert u[settle] == pytest.approx(-2.0 * c, rel=0.06)
@@ -55,13 +60,13 @@ def test_direct_control_constant_current_steady_state():
 
 def test_direct_control_clamps():
     pol = FeedbackPolicy("direct", gain=100.0, smoothing_time=0.05, u_max=0.3)
-    u = direct_control(np.full(500, 1e-3), pol, 1e-3)
+    u = _direct_controls(np.full(500, 1e-3), pol, 1e-3)
     assert np.max(np.abs(u)) <= 0.3
 
 
 def test_direct_control_requires_smoothing():
     with pytest.raises(ValueError):
-        direct_control(np.zeros(10), FeedbackPolicy("direct", smoothing_time=1e-3), 1e-3)
+        feedback._direct_update(FeedbackPolicy("direct", smoothing_time=1e-3), 1e-3)
 
 
 def test_estimator_control_arithmetic():
@@ -74,23 +79,23 @@ def test_estimator_control_arithmetic():
 
 def test_zero_gain_identical_to_none():
     dt = 1e-3
-    noise = generate(3, 0, 2000, dt)
-    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)[0]
+    noise = [generate(3, 0, 2000, dt)]
+    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)
     zero = run_closed_loop(STATE0, PLANT, MEAS,
-                           [FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8)], noise)[0]
+                           [FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8)], noise)
     np.testing.assert_allclose(zero.energy, base.energy, atol=1e-12)
 
 
 def test_policy_rows_match_one_policy_runs():
     """Each policy row of one batched closed loop equals that policy run alone."""
-    noise = generate(5, 0, 1500, 1e-3)
+    noise = [generate(5, 0, 1500, 1e-3)]
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
     batch = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, sample_stride=50)
-    assert len(batch) == 3
-    for pol, row in zip(policies, batch):
-        alone = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, sample_stride=50)[0]
-        assert np.array_equal(row.energy, alone.energy)
-        assert row.final_control == alone.final_control
+    assert batch.energy.shape == (1, 3, 30) and batch.final_control.shape == (1, 3)
+    for j, pol in enumerate(policies):
+        alone = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, sample_stride=50)
+        assert np.array_equal(batch.energy[0, j], alone.energy[0, 0])
+        assert batch.final_control[0, j] == alone.final_control[0, 0]
 
 
 def test_aborted_realization_is_retried_and_recorded(monkeypatch):
@@ -134,10 +139,10 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
                                  horizon=horizon, dt=dt, master_seed=3, sample_stride=stride)
     assert calls == [[0, 1, 2, 3, 4], [5, 6]]
     alone = [run_closed_loop(STATE0, PLANT, MEAS, list(policies.values()),
-                             generate(3, k, int(round(horizon / dt)), dt), stride)
+                             [generate(3, k, int(round(horizon / dt)), dt)], stride)
              for k in range(n_real)]
     for j, name in enumerate(policies):
-        energies = np.stack([runs[j].energy for runs in alone])
+        energies = np.stack([run.energy[0, j] for run in alone])
         res = results[name]
         assert res.stream_indices.tolist() == list(range(n_real))
         assert np.array_equal(res.energy_mean, energies.mean(axis=0))
@@ -148,11 +153,11 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
 
 def test_vanishing_actuation_limit_collapses_policies():
     dt = 1e-3
-    noise = generate(3, 1, 2000, dt)
-    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)[0]
+    noise = [generate(3, 1, 2000, dt)]
+    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)
     for pol in (FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=1e-300),
                 FeedbackPolicy("estimator", gain=3.0, u_max=1e-300)):
-        run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise)[0]
+        run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise)
         np.testing.assert_allclose(run.energy, base.energy, rtol=1e-9)
 
 
@@ -191,7 +196,7 @@ def test_no_feedback_heating_rate_is_backaction():
     paths = [generate(17, r, n, dt) for r in range(n_real)]
     runs = run_closed_loop((big, 1.0, 0.0, 1 / np.sqrt(2)), harmonic, meas,
                            [FeedbackPolicy("none")], paths, sample_stride=100)
-    energies = np.stack([run.energy for (run,) in runs])
+    energies = runs.energy[:, 0]
     mean_e = energies.mean(axis=0)
     se_e = energies.std(axis=0, ddof=1) / np.sqrt(n_real)
     z = np.abs(mean_e - ref) / se_e
@@ -250,8 +255,7 @@ def test_estimator_gain_sweep_u_shaped():
     paths = [generate(31, r, 20_000, 1e-3) for r in range(6)]
     runs = run_closed_loop(STATE0, PLANT, MEAS, policies, paths, sample_stride=100)
     # steadies[j]: steady energy under gain j, averaged over the paths
-    steadies = np.mean([[run.energy[run.energy.size // 2:].mean() for run in row]
-                        for row in runs], axis=0)
+    steadies = runs.energy[:, :, runs.times.size // 2:].mean(axis=2).mean(axis=0)
     assert steadies[1] < steadies[0]
     assert steadies[1] < steadies[2]
 
@@ -265,8 +269,7 @@ def test_estimator_robust_to_belief_offset():
     good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, sample_stride=100)
     off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths,
                           sample_stride=100, belief0=bel0)
-    vals_good = [run.energy[run.energy.size // 2:].mean() for (run,) in good]
-    vals_off = [run.energy[run.energy.size // 2:].mean() for (run,) in off]
-    d = np.array(vals_off) - np.array(vals_good)
+    half = good.times.size // 2
+    d = off.energy[:, 0, half:].mean(axis=1) - good.energy[:, 0, half:].mean(axis=1)
     se = d.std(ddof=1) / np.sqrt(d.size)
     assert abs(d.mean()) < 3 * max(se, 1e-3)

@@ -38,7 +38,7 @@ def test_separation_capped_by_state_width():
     cfg = LyapunovConfig(initial_separation=0.2, horizon=0.1, dt=1e-3)
     noise = generate(1, 0, cfg.n_steps, cfg.dt)
     with pytest.raises(ValueError):
-        paired_run((grid, 0.0, 0.0, 1.0), HARMONIC, MeasurementSpec(1.0), cfg, noise)
+        paired_run((grid, 0.0, 0.0, 1.0), HARMONIC, MeasurementSpec(1.0), cfg, [noise])
 
 
 def test_one_over_t_fit_synthetic_exact():
@@ -71,12 +71,12 @@ def test_isolated_harmonic_exponent_decays_one_over_t():
     cfg = LyapunovConfig(initial_separation=0.05, horizon=120.0, dt=1e-3,
                          sample_stride=50)
     noise = generate(5, 0, cfg.n_steps, cfg.dt)
-    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, None, cfg, noise)
-    assert not res.merged
+    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.0), cfg, [noise])
+    assert not res.merged[0]
     # lambda * t bounded (the testable statement of zero exponent)
-    lam_t = res.lam * res.times
+    lam_t = res.lam[0] * res.times
     assert np.nanmax(np.abs(lam_t)) < 10.0
-    fit = one_over_t_fit(res.times, res.lam, (10.0, 110.0))
+    fit = one_over_t_fit(res.times, res.lam[0], (10.0, 110.0))
     assert fit.slope == pytest.approx(-1.0, abs=0.05)
 
 
@@ -87,15 +87,15 @@ def test_identical_initial_states_flagged_as_merged():
     noise = generate(5, 1, cfg.n_steps, cfg.dt)
     # delta0 ~ 1e-30 is below double resolution of the identical construction:
     # the two states coincide and the pair must be flagged, not crash
-    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.5), cfg, noise)
-    assert res.merged
+    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.5), cfg, [noise])
+    assert res.merged[0]
 
 
 def test_classical_duffing_matches_benettin_oracle():
     cfg = LyapunovConfig(initial_separation=1e-7, horizon=300.0, dt=1e-3,
                          renormalize=True, renorm_threshold=1e-4, sample_stride=100)
     res = classical_paired_run(2.5, 0.0, DUFFING_CL, cfg)
-    lam_paired = res.lam[-1]
+    lam_paired = res.lam[0, -1]
     lam_tangent = _benettin_tangent(2.5, 0.0, DUFFING_CL, 1e-3, 300.0)
     assert lam_paired == pytest.approx(lam_tangent, rel=0.10)
     assert lam_paired > 0.3
@@ -133,7 +133,7 @@ def test_shared_noise_swap_symmetry():
     cfg = LyapunovConfig(initial_separation=0.05, horizon=2.0, dt=1e-3,
                          sample_stride=20)
     meas = MeasurementSpec(0.5)
-    noise = generate(9, 0, cfg.n_steps, cfg.dt)
+    noise = [generate(9, 0, cfg.n_steps, cfg.dt)]
     a = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, meas, cfg, noise)
     b = paired_run((grid, 1.0 + cfg.initial_separation, 0.0, 0.8),
                    HARMONIC, meas, cfg, noise)
@@ -145,33 +145,64 @@ def test_shared_noise_swap_symmetry():
     assert np.all(a.delta[np.isfinite(a.delta)] >= 0)
 
 
-def _assert_rows_equal(times, delta, lam, merged, renormalizations, singles):
-    """Row r of the batched fields equals singles[r], a single-path run, bit for bit."""
+def _assert_rows_equal(batch, singles):
+    """Row r of the batch result equals singles[r], a one-path run, bit for bit."""
     for r, alone in enumerate(singles):
-        assert np.array_equal(times, alone.times)
-        assert np.array_equal(delta[r], alone.delta, equal_nan=True)
-        assert np.array_equal(lam[r], alone.lam, equal_nan=True)
-        assert merged[r] == alone.merged
-        assert renormalizations[r] == alone.n_renormalizations
+        assert np.array_equal(batch.times, alone.times)
+        assert np.array_equal(batch.delta[r], alone.delta[0], equal_nan=True)
+        assert np.array_equal(batch.lam[r], alone.lam[0], equal_nan=True)
+        assert batch.merged[r] == alone.merged[0]
+        assert batch.renormalizations[r] == alone.n_renormalizations
 
 
 @pytest.mark.parametrize("n_points", [128, 4096])
-def test_paired_run_batch_matches_single_paths(n_points):
-    """Three noise paths as one (3, 2, n) batch give each pair's single-path
-    run bit for bit, with resets firing in some rows only.  At n = 4096 the
-    batch holds 384 KiB, past numpy's 256 KiB temporary-elision threshold."""
+def test_shift_wavefunction_batch_matches_rows(n_points):
+    """One (k, n) shift with a (k, 1) column of mixed-sign shifts equals k
+    one-row shifts bit for bit, on both sides of numpy's 256 KiB
+    temporary-elision threshold."""
     grid = PositionGrid(-12, 12, n_points)
-    cfg = LyapunovConfig(initial_separation=0.05, horizon=2.0, dt=1e-3, sample_stride=20,
-                         renormalize=True, renorm_threshold=0.1)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((5, n_points)) + 1j * rng.standard_normal((5, n_points))
+    shifts = np.array([0.05, -0.05, 0.03, -0.2, 0.05])
+    batch = lyap._shift_wavefunction(grid, psi, shifts[:, None], 1.0)
+    for row, shift, out in zip(psi, shifts, batch):
+        assert np.array_equal(out, lyap._shift_wavefunction(grid, row, shift, 1.0))
+
+
+@pytest.mark.parametrize("n_points", [128, 4096])
+def test_paired_run_batch_matches_single_paths(n_points, monkeypatch):
+    """Three noise paths as one (3, 2, n) batch give each pair's one-path
+    run bit for bit.  At n = 4096 the batch holds 384 KiB, past numpy's
+    256 KiB temporary-elision threshold.
+
+    Two thresholds, found once by scanning master seed 11, streams 0-2:
+    at 0.1 resets fire in some rows only; at 0.05001, just above
+    delta0 = 0.05, streams 0 and 2 both reset on step 139, so one reset
+    call shifts two rows."""
+    reset_rows = []
+    shift = lyap._shift_wavefunction
+
+    def recording_shift(grid, psi, delta, hbar):
+        reset_rows.append(len(psi))
+        return shift(grid, psi, delta, hbar)
+
+    monkeypatch.setattr(lyap, "_shift_wavefunction", recording_shift)
+    grid = PositionGrid(-12, 12, n_points)
     state0 = (grid, 1.0, 0.0, 0.8)
-    noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(3)]
-    batch = paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
-    singles = [paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noise)
-               for noise in noises]
-    _assert_rows_equal(batch.times, batch.delta, batch.lam, batch.merged,
-                       batch.renormalizations, singles)
-    fired = batch.renormalizations > 0
-    assert fired.any() and not fired.all()
+    for threshold, horizon in ((0.1, 2.0), (0.05001, 0.2)):
+        cfg = LyapunovConfig(initial_separation=0.05, horizon=horizon, dt=1e-3, sample_stride=20,
+                             renormalize=True, renorm_threshold=threshold)
+        noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(3)]
+        reset_rows.clear()
+        batch = paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
+        if threshold == 0.1:
+            fired = batch.renormalizations > 0
+            assert fired.any() and not fired.all()
+        else:
+            assert max(reset_rows) >= 2
+        singles = [paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, [noise])
+                   for noise in noises]
+        _assert_rows_equal(batch, singles)
 
 
 def test_paired_run_batch_reset_total_is_plain_int():
@@ -205,10 +236,9 @@ def test_ensemble_chunks_match_per_stream_runs(workers, monkeypatch):
     series = ensemble_lyapunov(state0, DOUBLE_WELL, meas, cfg, 11, workers=workers)
     if workers == 1:    # pool workers append to their own copy of the list
         assert chunks == [[0, 1], [2, 3], [4]]
-    singles = [paired_run(state0, DOUBLE_WELL, meas, cfg, generate(11, k, cfg.n_steps, cfg.dt))
+    singles = [paired_run(state0, DOUBLE_WELL, meas, cfg, [generate(11, k, cfg.n_steps, cfg.dt)])
                for k in range(cfg.n_realizations)]
-    _assert_rows_equal(series.times, series.delta, series.lam, series.merged_flags,
-                       series.renormalizations, singles)
+    _assert_rows_equal(series, singles)
 
 
 def test_ensemble_deterministic_and_workers_invariant():
