@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec
+from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, drive, ensemble_moments
 from .qdyn import MeasurementRecord, MeasurementSpec, MeasurementError
 from .noise import NoisePath
 
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 ESS_HARD_FLOOR = 10.0
+RESAMPLE_ESS_FRACTION = 0.5
 
 
 def _leapfrog(x, p, system: SystemSpec, dt, t):
@@ -151,28 +152,21 @@ def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps, t0=0.0):
 
 
 def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: NoisePath,
-                              sample_every=1, t0=0.0, resample_threshold=0.5,
-                              resample_rng=None, clip_counter=None):
-    """Full conditioned run with automatic resampling below an ESS fraction.
+                              sample_every=1, resample_rng=None, clip_counter=None):
+    """Full conditioned run, resampled before any step whose ESS is below
+    RESAMPLE_ESS_FRACTION of the particle count.
 
     Returns (times, moment matrix (n_samples, 5), record).
     """
-    from .core import ensemble_moments
-
     dt = noise.dt
-    ens = ens0
-    n_part = ens0.n_particles
     dys = np.empty(noise.n_steps)
-    samples = [ensemble_moments(ens, system, t0)]
-    times = [t0]
-    t = t0
-    for i in range(noise.n_steps):
-        if ens.ess() < resample_threshold * n_part:
+
+    def step(ens, i, t):
+        if ens.ess() < RESAMPLE_ESS_FRACTION * ens0.n_particles:
             ens = resample(ens, resample_rng)
         ens, dys[i] = ks_step(ens, system, meas, dt, noise.increments[i], t, clip_counter)
-        t = t0 + (i + 1) * dt
-        if (i + 1) % sample_every == 0:
-            samples.append(ensemble_moments(ens, system, t))
-            times.append(t)
-    mom = np.array([m.as_array() for m in samples])
-    return np.asarray(times), mom, MeasurementRecord(dt, dys)
+        return ens
+
+    times, mom, _ = drive(ens0, noise.n_steps, dt, sample_every, step,
+                          lambda ens, t: ensemble_moments(ens, system, t).as_array())
+    return times, mom, MeasurementRecord(dt, dys)

@@ -35,6 +35,7 @@ __all__ = [
     "wigner_moments",
     "moments",
     "force_moments",
+    "drive",
 ]
 
 # Fraction of the grid (each side) treated as the absorbing-risk buffer:
@@ -480,6 +481,22 @@ def force_moments(state, system: SystemSpec, time=0.0):
         f_mean -= system.drive_amplitude * np.cos(system.drive_frequency * time)
     f_mean += system.control_offset
     return float(f_mean), float(system.force_gradient(m1)), float(system.force_curvature(m1))
+
+
+def drive(state, n_steps, dt, stride, step, sample):
+    """The one sampled-trajectory loop; returns (times, rows, final state).
+
+    step(state, i, t) returns the state after step i, begun at t = i * dt.
+    sample(state, t) returns one row of floats, taken at t = 0.0 and after
+    every stride-th step at t = (i + 1) * dt; later steps run unsampled.
+    """
+    times, rows = [0.0], [sample(state, 0.0)]
+    for i in range(n_steps):
+        state = step(state, i, i * dt)
+        if (i + 1) % stride == 0:
+            times.append((i + 1) * dt)
+            rows.append(sample(state, times[-1]))
+    return np.asarray(times), np.array(rows), state
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .core import (
     ClassicalEnsemble,
     PositionGrid,
     SystemSpec,
+    drive,
     ensemble_moments,
     gaussian_state,
     gaussian_wavefunction,
@@ -75,6 +76,13 @@ def _grid(cfg) -> PositionGrid:
     return PositionGrid(g["x_min"], g["x_max"], int(g["n_points"]))
 
 
+def _n_realizations(run, least) -> int:
+    n_real = int(run["n_realizations"])
+    if n_real < least:
+        raise ValueError(f"run.n_realizations must be at least {least}, got {n_real}")
+    return n_real
+
+
 def _traj_table(traj) -> np.ndarray:
     return np.column_stack([
         traj.times, traj.x_mean, traj.p_mean, traj.c_xx, traj.c_xp,
@@ -121,7 +129,7 @@ def run_conditioned_experiment(cfg, seed, workers):
     dt = run["dt"]
     n_steps = int(round(run["horizon"] / dt))
     stride = int(run["sample_stride"])
-    n_real = int(run["n_realizations"])
+    n_real = _n_realizations(run, 1)
 
     jobs = [(grid, system, meas, exp, dt, n_steps, stride, seed)] * n_real
     trajs = parallel_map(_conditioned_one, jobs, workers)
@@ -155,6 +163,12 @@ def _passivity_one(item):
     return idx, (times, raw)
 
 
+def _raw_moment_row(m):
+    # Python-float squares (libm pow); np.square, as in _passivity_one, differs by ulps.
+    return [m.x_mean, m.p_mean, m.c_xx + m.x_mean**2,
+            m.c_xp + m.x_mean * m.p_mean, m.c_pp + m.p_mean**2]
+
+
 def run_passivity_experiment(cfg, seed, workers):
     system = _system(cfg)
     meas = MeasurementSpec(cfg["measurement"]["k"])
@@ -163,7 +177,8 @@ def run_passivity_experiment(cfg, seed, workers):
     dt = run["dt"]
     n_steps = int(round(run["horizon"] / dt))
     stride = int(run["sample_stride"])
-    n_real = int(run["n_realizations"])
+    # Two realizations at least: the z-scores divide by their standard error.
+    n_real = _n_realizations(run, 2)
 
     rng = substream_rng(seed, 0, "passivity-init")
     n_part = int(exp["n_particles"])
@@ -179,19 +194,9 @@ def run_passivity_experiment(cfg, seed, workers):
     mean = raws.mean(axis=0)
     se = raws.std(axis=0, ddof=1) / np.sqrt(n_real)
 
-    ens = ens0
-    ref_rows = []
-    t = 0.0
-    for i in range(n_steps):
-        ens = liouville_step(ens, system, dt, t)
-        t = (i + 1) * dt
-        if (i + 1) % stride == 0:
-            m = ensemble_moments(ens, system, t)
-            ref_rows.append([m.x_mean, m.p_mean, m.c_xx + m.x_mean**2,
-                             m.c_xp + m.x_mean * m.p_mean, m.c_pp + m.p_mean**2])
-    m0 = ensemble_moments(ens0, system, 0.0)
-    ref = np.vstack([[m0.x_mean, m0.p_mean, m0.c_xx + m0.x_mean**2,
-                      m0.c_xp + m0.x_mean * m0.p_mean, m0.c_pp + m0.p_mean**2], ref_rows])
+    _, ref, _ = drive(ens0, n_steps, dt, stride,
+                      lambda ens, i, t: liouville_step(ens, system, dt, t),
+                      lambda ens, t: _raw_moment_row(ensemble_moments(ens, system, t)))
     z = np.abs(mean - ref) / np.maximum(se, 1e-300)
     # A standard error at roundoff level (the t = 0 row, where every
     # realization starts from ens0) has no sampling noise to compare with.
@@ -231,16 +236,13 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
 
     belief = GaussianBelief(x0, p0, sx**2, 0.0, hbar**2 / (4 * sx**2),
                             quantum=True, hbar=hbar)
-    bel_rows = []
-    t = 0.0
-    for i in range(n_steps):
-        belief = centroid_step(belief, system, meas, dt, noise.increments[i], t,
-                               include_force_curvature=include_curv)
-        t = (i + 1) * dt
-        if (i + 1) % stride == 0:
-            bel_rows.append([belief.x_mean, belief.p_mean, belief.c_xx, belief.c_xp, belief.c_pp])
-    # Drop the full state's t0 sample: the belief series starts one stride in.
-    full_rows, bel_rows = traj.moment_matrix()[1:], np.array(bel_rows)
+    _, bel_rows, _ = drive(
+        belief, n_steps, dt, stride,
+        lambda b, i, t: centroid_step(b, system, meas, dt, noise.increments[i], t,
+                                      include_force_curvature=include_curv),
+        lambda b, t: [b.x_mean, b.p_mean, b.c_xx, b.c_xp, b.c_pp])
+    # Both series start one stride in: the t = 0 rows are the shared start.
+    full_rows, bel_rows = traj.moment_matrix()[1:], bel_rows[1:]
     rows = np.column_stack([traj.times[1:], full_rows, bel_rows])
     report = belief_vs_full_compare(full_rows, bel_rows)
     cols = ("t [time]",
@@ -309,7 +311,6 @@ def run_lyapunov_experiment(cfg, seed, workers):
         dt=run["dt"],
         n_realizations=int(run["n_realizations"]),
         sample_stride=int(run["sample_stride"]),
-        renormalize=bool(exp["renormalize"]),
         renorm_threshold=exp["renorm_threshold"] if exp["renormalize"] else None,
     )
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
@@ -358,7 +359,7 @@ def run_cooling_experiment(cfg, seed, workers):
             raise ValueError(f"unknown policy kind {kind!r}")
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
     results = cooling_experiment(state0, system, meas, policies,
-                                 n_realizations=int(run["n_realizations"]),
+                                 n_realizations=_n_realizations(run, 2),
                                  horizon=run["horizon"], dt=run["dt"],
                                  master_seed=seed,
                                  sample_stride=int(run["sample_stride"]))

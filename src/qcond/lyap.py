@@ -49,7 +49,9 @@ class LyapunovConfig:
     initial_separation is applied as a centroid offset of the perturbed
     initial state.  It must sit well above the <x> noise floor of the
     grid but stay a small fraction of the state width; both are checked
-    where the state is known.
+    where the state is known.  A renorm_threshold turns on Benettin
+    renormalization: a pair separated by more is reset to
+    initial_separation.  None leaves it off.
     """
 
     initial_separation: float
@@ -57,14 +59,16 @@ class LyapunovConfig:
     dt: float
     n_realizations: int = 32
     sample_stride: int = 20
-    renormalize: bool = False
     renorm_threshold: float = None
 
     def __post_init__(self):
         if not self.initial_separation > 0:
             raise ValueError("initial_separation must be positive")
-        if self.renormalize and self.renorm_threshold is None:
-            raise ValueError("renormalize=True requires renorm_threshold")
+        # A threshold at or below the separation would reset every pair on every step.
+        if (self.renorm_threshold is not None
+                and not self.renorm_threshold > self.initial_separation):
+            raise ValueError(f"renorm_threshold must exceed initial_separation "
+                             f"{self.initial_separation}, got {self.renorm_threshold}")
 
     @property
     def n_steps(self) -> int:
@@ -118,6 +122,7 @@ def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) 
     d0 = cfg.initial_separation
     dt = cfg.dt
     stride = cfg.sample_stride
+    renormalize = cfg.renorm_threshold is not None
     n_samples = cfg.n_steps // stride
     times = dt * stride * (1 + np.arange(n_samples))
     delta = np.full((n_pairs, n_samples), np.nan)
@@ -133,7 +138,7 @@ def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) 
         known = None
         t = (i + 1) * dt
         need_sample = (i + 1) % stride == 0
-        if not (cfg.renormalize or need_sample):
+        if not (renormalize or need_sample):
             continue
         known = centroids()
         xf, xp = known[:, 0], known[:, 1]
@@ -146,7 +151,7 @@ def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) 
             with np.errstate(divide="ignore"):
                 lam[:, isample] = np.where(close, np.nan, (log_growth + np.log(d / d0)) / t)
             isample += 1
-        if cfg.renormalize:
+        if renormalize:
             over = d > cfg.renorm_threshold
             if over.any():
                 log_growth[over] += np.log(d[over] / d0)

@@ -41,7 +41,7 @@ the wavefunction path is the cheap one for large conditioned ensembles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +53,7 @@ from .core import (
     SupportEscapeError,
     SystemSpec,
     SUPPORT_TOLERANCE,
+    drive,
     wavefunction_moments,
     quantum_moments,
     WignerGrid,
@@ -166,12 +167,8 @@ def _phase_product(w: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.multiply(rho, w, out=out)
 
 
-class DensityStepper:
-    """Evolves a density matrix; owns no state besides precomputed phases and damping.
-
-    The congruence form of the measurement update keeps the state
-    positive for any dt, so no eigenvalue repair is needed.
-    """
+class _Stepper:
+    """What both steppers hold for one (grid, system, measurement, dt)."""
 
     def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
         self.pieces = _SpectralPieces(grid, system, dt)
@@ -179,12 +176,28 @@ class DensityStepper:
         self.system = system
         self.meas = meas
         self.dt = float(dt)
-        k = 0.0 if meas is None else meas.strength
-        self.sqrt8k = np.sqrt(8.0 * k)
-        self.k = k
+        self.k = 0.0 if meas is None else meas.strength
+        self.sqrt8k = np.sqrt(8.0 * self.k)
         # Feedback loops override this per step; the value enters the
         # potential as the -control * x term.
         self.control = system.control_offset
+
+    def _record_increment(self, x_mean, dw):
+        """dy = <x> dt + dW / sqrt(8k) of one conditioned step."""
+        if self.k == 0.0:
+            raise MeasurementError("conditioned step with k = 0 has no record; use isolated()")
+        return x_mean * self.dt + dw / self.sqrt8k
+
+
+class DensityStepper(_Stepper):
+    """Evolves a density matrix; owns no state besides precomputed phases and damping.
+
+    The congruence form of the measurement update keeps the state
+    positive for any dt, so no eigenvalue repair is needed.
+    """
+
+    def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
+        super().__init__(grid, system, meas, dt)
         # Phase matrix of a static potential, valid for _phase_key = (sign, control).
         self._phase_key = None
         self._phase = None
@@ -268,14 +281,10 @@ class DensityStepper:
 
         x_mean, if given, is ``mean_x(state)`` already computed by the caller.
         """
-        if self.k == 0.0:
-            raise MeasurementError(
-                "conditioned step with k = 0 has no record; use isolated()"
-            )
         x = self.pieces.x
         if x_mean is None:
             x_mean = self.mean_x(state)
-        dy = x_mean * self.dt + dw / self.sqrt8k
+        dy = self._record_increment(x_mean, dw)
 
         u = x - x_mean
         m = np.exp(np.sqrt(2.0 * self.k) * u * dw - 2.0 * self.k * u**2 * self.dt)
@@ -286,7 +295,7 @@ class DensityStepper:
         return QuantumState(self.grid, rho, state.hbar), dy
 
 
-class PureStepper:
+class PureStepper(_Stepper):
     """Wavefunction twin of DensityStepper for pure-state trajectories.
 
     Ideal (efficiency-one) measurement keeps pure states pure, and the
@@ -300,17 +309,6 @@ class PureStepper:
     array broadcasting against psi, e.g. a (B, 1) column of per-row
     values.  Each row comes out bit-identical to stepping it alone.
     """
-
-    def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
-        self.pieces = _SpectralPieces(grid, system, dt)
-        self.grid = grid
-        self.system = system
-        self.meas = meas
-        self.dt = float(dt)
-        k = 0.0 if meas is None else meas.strength
-        self.k = k
-        self.sqrt8k = np.sqrt(8.0 * k)
-        self.control = system.control_offset
 
     def _unitary(self, psi: np.ndarray, t: float, sign=1.0) -> np.ndarray:
         pieces = self.pieces
@@ -333,14 +331,10 @@ class PureStepper:
 
         x_mean, if given, is ``mean_x(psi)`` already computed by the caller.
         """
-        if self.k == 0.0:
-            raise MeasurementError(
-                "conditioned step with k = 0 has no record; use isolated()"
-            )
         x = self.pieces.x
         if x_mean is None:
             x_mean = self.mean_x(psi)
-        dy = x_mean * self.dt + dw / self.sqrt8k
+        dy = self._record_increment(x_mean, dw)
         u = x - x_mean[..., None]
         dw_row = np.asarray(dw)[..., None]
         psi = psi * np.exp(np.sqrt(2.0 * self.k) * u * dw_row - 2.0 * self.k * u**2 * self.dt)
@@ -379,67 +373,55 @@ class ConditionedTrajectory:
         return np.stack([self.x_mean, self.p_mean, self.c_xx, self.c_xp, self.c_pp], axis=1)
 
 
-def _drive(state0, system, meas, dt, n_steps, step, sample_every, t0):
-    """The one trajectory loop: step, and sample moments every sample_every steps.
+def _stepper_and_sample(state0, system, meas, dt):
+    """(stepper, state, moment row sampler) for a QuantumState or a wavefunction as (grid, psi).
 
-    state0 is a QuantumState (density path) or a wavefunction packaged as
-    (grid, psi); the stepper and the moment function follow from it.
-    step(stepper, state, i, t) -> (state', dy) advances step i from time t.
-    Returns the sampled trajectory (no record) and the dy of every step.
+    The moment functions are looked up when called, so a rebinding of the
+    module attribute (as span tracing does) takes effect here too.
     """
-    # The moment functions are looked up when called, so a rebinding of
-    # the module attribute (as span tracing does) takes effect here too.
     if isinstance(state0, tuple):
-        grid, state = state0
-        stepper = PureStepper(grid, system, meas, dt)
+        grid, psi = state0
+        return (PureStepper(grid, system, meas, dt), psi,
+                lambda psi, t: astuple(wavefunction_moments(grid, psi, system.hbar, system, t)))
+    return (DensityStepper(state0.grid, system, meas, dt), state0,
+            lambda state, t: astuple(quantum_moments(state, system, t)))
 
-        def sample(psi, t):
-            return wavefunction_moments(grid, psi, system.hbar, system, t)
-    else:
-        state = state0
-        stepper = DensityStepper(state0.grid, system, meas, dt)
 
-        def sample(qstate, t):
-            return quantum_moments(qstate, system, t)
-
-    samples = [sample(state, t0)]
-    times = [t0]
+def _run_measured(state0, system, meas, dt, n_steps, sample_every, innovation):
+    """Conditioned trajectory; innovation(stepper, state, i) gives step i's (dW, <x> or None)."""
+    stepper, state, sample = _stepper_and_sample(state0, system, meas, dt)
     dys = np.empty(n_steps)
-    t = t0
-    for i in range(n_steps):
-        state, dys[i] = step(stepper, state, i, t)
-        t = t0 + (i + 1) * dt
-        if (i + 1) % sample_every == 0:
-            samples.append(sample(state, t))
-            times.append(t)
-    arr = {key: np.array([getattr(m, key) for m in samples]) for key in
-           ("x_mean", "p_mean", "c_xx", "c_xp", "c_pp", "purity", "energy")}
-    return ConditionedTrajectory(times=np.asarray(times), **arr), dys
+
+    def step(state, i, t):
+        dw, x_mean = innovation(stepper, state, i)
+        state, dys[i] = stepper.conditioned(state, t, dw, x_mean)
+        return state
+
+    times, rows, _ = drive(state, n_steps, dt, sample_every, step, sample)
+    return ConditionedTrajectory(times, *rows.T, record=MeasurementRecord(dt, dys))
 
 
-def run_conditioned(state0, system, meas, noise: NoisePath, sample_every=1,
-                    t0=0.0) -> ConditionedTrajectory:
+def run_conditioned(state0, system, meas, noise: NoisePath,
+                    sample_every=1) -> ConditionedTrajectory:
     """Integrate the conditioned evolution over a full noise path.
 
     state0 may be a QuantumState (density path) or a wavefunction array
     packaged as (grid, psi) (wavefunction path).
     """
-    traj, dys = _drive(
-        state0, system, meas, noise.dt, noise.n_steps,
-        lambda stepper, state, i, t: stepper.conditioned(state, t, noise.increments[i]),
-        sample_every, t0)
-    return replace(traj, record=MeasurementRecord(noise.dt, dys))
+    return _run_measured(state0, system, meas, noise.dt, noise.n_steps, sample_every,
+                         lambda stepper, state, i: (noise.increments[i], None))
 
 
-def run_isolated(state0, system, dt, n_steps, sample_every=1, t0=0.0) -> ConditionedTrajectory:
+def run_isolated(state0, system, dt, n_steps, sample_every=1) -> ConditionedTrajectory:
     """Unitary evolution of a QuantumState or (grid, psi), no measurement."""
-    return _drive(state0, system, None, dt, n_steps,
-                  lambda stepper, state, i, t: (stepper.isolated(state, t), 0.0),
-                  sample_every, t0)[0]
+    stepper, state, sample = _stepper_and_sample(state0, system, None, dt)
+    times, rows, _ = drive(state, n_steps, dt, sample_every,
+                           lambda state, i, t: stepper.isolated(state, t), sample)
+    return ConditionedTrajectory(times, *rows.T)
 
 
 def filter_with_record(state0, system, meas, record: MeasurementRecord,
-                       sample_every=1, t0=0.0) -> ConditionedTrajectory:
+                       sample_every=1) -> ConditionedTrajectory:
     """Re-integrate the conditioned evolution from a known record.
 
     The innovation is reconstructed step by step from the filter's own
@@ -449,15 +431,13 @@ def filter_with_record(state0, system, meas, record: MeasurementRecord,
     """
     if meas.strength == 0.0:
         raise MeasurementError("a k = 0 record carries no information; nothing to filter")
-    dt = record.dt
-    sqrt8k = np.sqrt(8.0 * meas.strength)
 
-    def step(stepper, state, i, t):
+    def innovation(stepper, state, i):
         x_mean = stepper.mean_x(state)
-        dw = sqrt8k * (record.increments[i] - x_mean * dt)
-        return stepper.conditioned(state, t, dw, x_mean)
+        return stepper.sqrt8k * (record.increments[i] - x_mean * record.dt), x_mean
 
-    return _drive(state0, system, meas, dt, record.n_steps, step, sample_every, t0)[0]
+    return _run_measured(state0, system, meas, record.dt, record.n_steps, sample_every,
+                         innovation)
 
 
 # ---------------------------------------------------------------------------

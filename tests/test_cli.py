@@ -93,6 +93,30 @@ x0 = 1.5
 sigma_x = 0.5
 """
 
+CONDITIONED = """
+[experiment]
+name = conditioned
+
+[system]
+mass = 1.0
+potential_coeffs = 0, 0, 0.5
+
+[grid]
+x_min = -10
+x_max = 10
+n_points = 64
+
+[measurement]
+k = 0.5
+
+[run]
+dt = 1e-3
+horizon = 0.05
+
+[conditioned]
+sigma_x = 0.9
+"""
+
 QCT_SCAN = """
 [experiment]
 name = qct-scan
@@ -255,7 +279,17 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (ISOLATED, "grid.n_points=100", "100"),
     (HARMONIC_LYAP, "run.n_realizations=1", "got 1"),
     (COOLING, "cooling.direct_smoothing=0.00001", "1e-05"),
-], ids=["grid", "realizations", "smoothing"])
+    # Realization counts the statistics cannot use: none, or one where a standard error needs two.
+    (PASSIVITY, "run.n_realizations=1", "run.n_realizations"),
+    (COOLING, "run.n_realizations=0", "run.n_realizations"),
+    (COOLING, "run.n_realizations=1", "run.n_realizations"),
+    (CONDITIONED, "run.n_realizations=0", "run.n_realizations"),
+    # renorm_threshold defaults to 0, below delta0: every step would reset.
+    (HARMONIC_LYAP, "lyapunov.renormalize=true", "renorm_threshold"),
+    (HARMONIC_LYAP.replace("delta0 = 0.05", "delta0 = 0.05\nrenormalize = true"),
+     "lyapunov.renorm_threshold=0.05", "renorm_threshold"),
+], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
+        "conditioned-0", "renorm-default", "renorm-at-delta0"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)

@@ -11,8 +11,10 @@ from qcond.core import (
     PositionGrid,
     SupportEscapeError,
     SystemSpec,
+    drive,
     force_moments,
     gaussian_state,
+    gaussian_wavefunction,
     moments,
     wigner_moments,
     wigner_transform,
@@ -251,3 +253,75 @@ def test_wigner_moments_match_state_moments(grid):
     assert m_w.c_pp == pytest.approx(m_rho.c_pp, rel=1e-6)
     assert m_w.c_xp == pytest.approx(m_rho.c_xp, abs=1e-6)
     assert m_w.energy == pytest.approx(m_rho.energy, rel=1e-6)
+
+
+def test_drive_samples_every_stride_and_returns_final_state():
+    """7 steps at stride 3: samples at t = 0, after step 3 and after step 6;
+    step 7 runs unsampled, and its result is the returned state."""
+    dt = 0.1
+    steps = []
+
+    def step(state, i, t):
+        steps.append((i, t))
+        return state + 1
+
+    times, rows, final = drive(0, 7, dt, 3, step, lambda state, t: [state, t])
+    # Bitwise: (i + 1) * dt, not a sum of dt's nor dt * stride * k.
+    assert times.tolist() == [0.0, 3 * dt, 6 * dt]
+    assert steps == [(i, i * dt) for i in range(7)]
+    assert rows.tolist() == [[0, 0.0], [3, 3 * dt], [6, 6 * dt]]
+    assert final == 7
+
+
+def test_drive_callers_look_up_traced_names(monkeypatch):
+    """The trajectory runners look the stepping and moment functions up when
+    they call them, so a rebinding of the module or class attribute (as the
+    benchmark's span tracer does) sees every call."""
+    from qcond import cdyn, experiments, qdyn
+    from qcond.noise import generate
+
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((qdyn, "quantum_moments"), (qdyn, "wavefunction_moments"),
+                        (qdyn.DensityStepper, "isolated"), (qdyn.PureStepper, "conditioned"),
+                        (cdyn, "ks_step"), (cdyn, "ensemble_moments"),
+                        (experiments, "liouville_step")):
+        count(owner, name)
+
+    harmonic = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
+    grid = PositionGrid(-8.0, 8.0, 64)
+    meas = qdyn.MeasurementSpec(1.0)
+    dt, n_steps, stride = 1e-3, 7, 3
+    noise = generate(3, 0, n_steps, dt)
+    qdyn.run_isolated(gaussian_state(grid, 0.5, 0.0, 1.0), harmonic, dt, n_steps, stride)
+    assert calls == {"isolated": 7, "quantum_moments": 3}
+    calls.clear()
+    psi0 = gaussian_wavefunction(grid, 0.5, 0.0, 1.0)
+    qdyn.run_conditioned((grid, psi0), harmonic, meas, noise, stride)
+    assert calls == {"conditioned": 7, "wavefunction_moments": 3}
+    calls.clear()
+    rng = np.random.default_rng(0)
+    ens = ClassicalEnsemble(rng.normal(0, 1, 64), rng.normal(0, 1, 64), np.full(64, 1 / 64))
+    cdyn.run_conditioned_classical(ens, harmonic, meas, noise, stride)
+    assert calls == {"ks_step": 7, "ensemble_moments": 3}
+    calls.clear()
+    cfg = {"system": {"mass": 1.0, "hbar": 0.0, "potential_coeffs": (0, 0, 0.5),
+                      "drive_amplitude": 0.0, "drive_frequency": 0.0},
+           "measurement": {"k": 1.0},
+           "run": {"dt": dt, "horizon": n_steps * dt, "sample_stride": stride,
+                   "n_realizations": 2},
+           "passivity": {"n_particles": 64, "x0": 0.5, "p0": 0.0, "sigma_x": 1.0,
+                         "sigma_p": 1.0}}
+    experiments.run_passivity_experiment(cfg, 5, workers=1)
+    # Two filtered realizations and one Liouville reference; the
+    # reference's moments go through experiments' own ensemble_moments.
+    assert calls == {"ks_step": 14, "ensemble_moments": 6, "liouville_step": 7}

@@ -29,8 +29,10 @@ DUFFING_CL = SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0, 0, -10, 0, 0.5)
 def test_config_validation():
     with pytest.raises(ValueError):
         LyapunovConfig(initial_separation=-1.0, horizon=1.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        LyapunovConfig(initial_separation=0.1, horizon=1.0, dt=1e-3, renormalize=True)
+    # A threshold at or below the separation would reset every pair on every step.
+    for threshold in (0.0, 0.05, 0.1):
+        with pytest.raises(ValueError, match="renorm_threshold"):
+            LyapunovConfig(initial_separation=0.1, horizon=1.0, dt=1e-3, renorm_threshold=threshold)
 
 
 def test_separation_capped_by_state_width():
@@ -93,7 +95,7 @@ def test_identical_initial_states_flagged_as_merged():
 
 def test_classical_duffing_matches_benettin_oracle():
     cfg = LyapunovConfig(initial_separation=1e-7, horizon=300.0, dt=1e-3,
-                         renormalize=True, renorm_threshold=1e-4, sample_stride=100)
+                         renorm_threshold=1e-4, sample_stride=100)
     res = classical_paired_run(2.5, 0.0, DUFFING_CL, cfg)
     lam_paired = res.lam[0, -1]
     lam_tangent = _benettin_tangent(2.5, 0.0, DUFFING_CL, 1e-3, 300.0)
@@ -191,7 +193,7 @@ def test_paired_run_batch_matches_single_paths(n_points, monkeypatch):
     state0 = (grid, 1.0, 0.0, 0.8)
     for threshold, horizon in ((0.1, 2.0), (0.05001, 0.2)):
         cfg = LyapunovConfig(initial_separation=0.05, horizon=horizon, dt=1e-3, sample_stride=20,
-                             renormalize=True, renorm_threshold=threshold)
+                             renorm_threshold=threshold)
         noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(3)]
         reset_rows.clear()
         batch = paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
@@ -208,7 +210,7 @@ def test_paired_run_batch_matches_single_paths(n_points, monkeypatch):
 def test_paired_run_batch_reset_total_is_plain_int():
     grid = PositionGrid(-12, 12, 128)
     cfg = LyapunovConfig(initial_separation=0.05, horizon=0.5, dt=1e-3, sample_stride=20,
-                         renormalize=True, renorm_threshold=0.06)
+                         renorm_threshold=0.06)
     noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(2)]
     res = paired_run((grid, 1.0, 0.0, 0.8), DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
     assert type(res.n_renormalizations) is int
@@ -230,7 +232,7 @@ def test_ensemble_chunks_match_per_stream_runs(workers, monkeypatch):
     monkeypatch.setattr(lyap, "paired_run", counting_paired_run)
     grid = PositionGrid(-12, 12, 1024)
     cfg = LyapunovConfig(initial_separation=0.05, horizon=0.3, dt=1e-3, sample_stride=20,
-                         n_realizations=5, renormalize=True, renorm_threshold=0.06)
+                         n_realizations=5, renorm_threshold=0.06)
     state0 = (grid, 1.0, 0.0, 0.8)
     meas = MeasurementSpec(0.5)
     series = ensemble_lyapunov(state0, DOUBLE_WELL, meas, cfg, 11, workers=workers)
