@@ -20,10 +20,12 @@ energy bounded over the long horizons the Lyapunov harness needs.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
 from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, drive, ensemble_moments
-from .qdyn import MeasurementRecord, MeasurementSpec, MeasurementError
+from .qdyn import ConditionedTrajectory, MeasurementRecord, MeasurementSpec, MeasurementError
 from .noise import NoisePath
 
 __all__ = [
@@ -122,7 +124,7 @@ def resample(ens: ClassicalEnsemble, rng: np.random.Generator = None) -> Classic
     return ClassicalEnsemble(ens.x[idx], ens.p[idx], np.full(n, 1.0 / n))
 
 
-def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps, t0=0.0):
+def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps):
     """Leapfrog integration of Newton's equations; returns (times, x, p) arrays."""
     xs = np.empty(n_steps + 1)
     ps = np.empty(n_steps + 1)
@@ -133,7 +135,7 @@ def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps, t0=0.0):
     lam = system.drive_amplitude
     omega = system.drive_frequency
     u = system.control_offset
-    t = t0
+    t = 0.0
     # Unrolled force avoids per-step attribute lookups on long horizons.
     f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + u
     if lam != 0.0:
@@ -141,13 +143,13 @@ def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps, t0=0.0):
     for i in range(1, n_steps + 1):
         p_half = p + 0.5 * dt * f
         x = x + dt * p_half / m
-        t = t0 + i * dt
+        t = i * dt
         f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + u
         if lam != 0.0:
             f -= lam * np.cos(omega * t)
         p = p_half + 0.5 * dt * f
         xs[i], ps[i] = x, p
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     return times, xs, ps
 
 
@@ -156,7 +158,7 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: Nois
     """Full conditioned run, resampled before any step whose ESS is below
     RESAMPLE_ESS_FRACTION of the particle count.
 
-    Returns (times, moment matrix (n_samples, 5), record).
+    The trajectory's purity column holds the ensemble's ESS.
     """
     dt = noise.dt
     dys = np.empty(noise.n_steps)
@@ -167,6 +169,6 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: Nois
         ens, dys[i] = ks_step(ens, system, meas, dt, noise.increments[i], t, clip_counter)
         return ens
 
-    times, mom, _ = drive(ens0, noise.n_steps, dt, sample_every, step,
-                          lambda ens, t: ensemble_moments(ens, system, t).as_array())
-    return times, mom, MeasurementRecord(dt, dys)
+    times, rows, _ = drive(ens0, noise.n_steps, dt, sample_every, step,
+                           lambda ens, t: astuple(ensemble_moments(ens, system, t)))
+    return ConditionedTrajectory(times, rows, MeasurementRecord(dt, dys))

@@ -185,6 +185,17 @@ def load_config(path, overrides=()):
             else:
                 out[key] = default
         resolved[section] = out
+
+    # Every run must take a sample after t = 0.
+    run = resolved["run"]
+    try:
+        n_steps = round(run["horizon"] / run["dt"])
+    except (ArithmeticError, ValueError):   # dt = 0, or a nan or inf step count
+        n_steps = 0
+    if not 1 <= run["sample_stride"] <= n_steps:
+        raise ConfigError(f"run.sample_stride must be at least 1 and at most the "
+                          f"round(run.horizon / run.dt) = {n_steps} steps, "
+                          f"got {run['sample_stride']}")
     return name, resolved
 
 

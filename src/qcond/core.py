@@ -356,11 +356,6 @@ class MomentSet:
     def uncertainty_product(self) -> float:
         return self.c_xx * self.c_pp - self.c_xp**2
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.x_mean, self.p_mean, self.c_xx, self.c_xp, self.c_pp], dtype=float
-        )
-
 
 def _momentum_density(grid: PositionGrid, rho_k: np.ndarray, hbar) -> np.ndarray:
     """Diagonal of rho in the momentum representation (FFT order).

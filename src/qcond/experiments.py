@@ -3,9 +3,9 @@
 Each experiment consumes a validated, fully-resolved configuration
 mapping (see qcond.cli for the file format), runs the corresponding
 simulation, and returns CSV-ready series plus a metadata summary.
-Trajectory realizations are distributed over a worker pool with
-pre-indexed result slots, so the emitted bytes never depend on worker
-count or scheduling.
+Trajectory realizations run on a worker pool that returns results in
+job order, each on the noise stream of its own index, so the emitted
+bytes never depend on worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .cdyn import newton_trajectory
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
 
-MOMENT_COLUMNS = (
+TRAJECTORY_COLUMNS = (
+    "t [time]",
     "x_mean [length]",
     "p_mean [momentum]",
     "c_xx [length^2]",
@@ -83,13 +84,6 @@ def _n_realizations(run, least) -> int:
     return n_real
 
 
-def _traj_table(traj) -> np.ndarray:
-    return np.column_stack([
-        traj.times, traj.x_mean, traj.p_mean, traj.c_xx, traj.c_xp,
-        traj.c_pp, traj.purity, traj.energy,
-    ])
-
-
 # --- isolated -----------------------------------------------------------------
 
 
@@ -103,21 +97,20 @@ def run_isolated_experiment(cfg, seed, workers):
     stride = int(run["sample_stride"])
 
     state = gaussian_state(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
-    table = _traj_table(run_isolated(state, system, dt, n_steps, sample_every=stride))
-    series = [CsvSeries("isolated_moments", ("t [time]",) + MOMENT_COLUMNS, table)]
+    traj = run_isolated(state, system, dt, n_steps, sample_every=stride)
+    table = np.column_stack([traj.times, traj.moments])
+    series = [CsvSeries("isolated_moments", TRAJECTORY_COLUMNS, table)]
     return ExperimentResult(series, {"n_steps": n_steps})
 
 
 # --- conditioned --------------------------------------------------------------
 
 
-def _conditioned_one(item):
-    idx, job = item
-    (grid, system, meas, exp, dt, n_steps, stride, seed) = job
+def _conditioned_one(job):
+    grid, system, meas, exp, dt, n_steps, stride, seed, stream = job
     psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
-    noise = generate(seed, idx, n_steps, dt)
-    traj = run_conditioned((grid, psi0), system, meas, noise, sample_every=stride)
-    return idx, traj
+    noise = generate(seed, stream, n_steps, dt)
+    return run_conditioned((grid, psi0), system, meas, noise, sample_every=stride)
 
 
 def run_conditioned_experiment(cfg, seed, workers):
@@ -131,40 +124,30 @@ def run_conditioned_experiment(cfg, seed, workers):
     stride = int(run["sample_stride"])
     n_real = _n_realizations(run, 1)
 
-    jobs = [(grid, system, meas, exp, dt, n_steps, stride, seed)] * n_real
+    jobs = [(grid, system, meas, exp, dt, n_steps, stride, seed, idx) for idx in range(n_real)]
     trajs = parallel_map(_conditioned_one, jobs, workers)
 
-    series = []
-    stacks = []
-    for idx, traj in enumerate(trajs):
-        table = _traj_table(traj)
-        series.append(CsvSeries(f"conditioned_traj_{idx:03d}",
-                                ("t [time]",) + MOMENT_COLUMNS, table))
-        stacks.append(table[:, 1:])
-    mean = np.mean(np.stack(stacks), axis=0)
-    mean_table = np.column_stack([trajs[0].times, mean])
-    series.insert(0, CsvSeries("conditioned_mean", ("t [time]",) + MOMENT_COLUMNS, mean_table))
+    mean = np.mean(np.stack([traj.moments for traj in trajs]), axis=0)
+    series = [CsvSeries("conditioned_mean", TRAJECTORY_COLUMNS,
+                        np.column_stack([trajs[0].times, mean]))]
+    series += [CsvSeries(f"conditioned_traj_{idx:03d}", TRAJECTORY_COLUMNS,
+                         np.column_stack([traj.times, traj.moments]))
+               for idx, traj in enumerate(trajs)]
     return ExperimentResult(series, {"n_realizations": n_real})
 
 
 # --- passivity ------------------------------------------------------------------
 
 
-def _passivity_one(item):
-    idx, job = item
-    (system, meas, ens0, dt, n_steps, stride, seed) = job
-    noise = generate(seed, idx, n_steps, dt)
-    rng = substream_rng(seed, idx, "resample")
-    times, mom, _ = run_conditioned_classical(ens0, system, meas, noise,
-                                              sample_every=stride, resample_rng=rng)
-    # raw moments so realizations average like the underlying distribution
-    x, p = mom[:, 0], mom[:, 1]
-    raw = np.column_stack([x, p, mom[:, 2] + x**2, mom[:, 3] + x * p, mom[:, 4] + p**2])
-    return idx, (times, raw)
+def _passivity_one(job):
+    system, meas, ens0, dt, n_steps, stride, seed, stream = job
+    noise = generate(seed, stream, n_steps, dt)
+    return run_conditioned_classical(ens0, system, meas, noise, sample_every=stride,
+                                     resample_rng=substream_rng(seed, stream, "resample"))
 
 
 def _raw_moment_row(m):
-    # Python-float squares (libm pow); np.square, as in _passivity_one, differs by ulps.
+    # Python-float squares (libm pow); the array squares of the filtered rows differ by ulps.
     return [m.x_mean, m.p_mean, m.c_xx + m.x_mean**2,
             m.c_xp + m.x_mean * m.p_mean, m.c_pp + m.p_mean**2]
 
@@ -187,10 +170,13 @@ def run_passivity_experiment(cfg, seed, workers):
         rng.normal(exp["p0"], exp["sigma_p"], n_part),
         np.full(n_part, 1.0 / n_part),
     )
-    jobs = [(system, meas, ens0, dt, n_steps, stride, seed)] * n_real
-    outs = parallel_map(_passivity_one, jobs, workers)
-    times = outs[0][0]
-    raws = np.stack([o[1] for o in outs])
+    jobs = [(system, meas, ens0, dt, n_steps, stride, seed, idx) for idx in range(n_real)]
+    trajs = parallel_map(_passivity_one, jobs, workers)
+    times = trajs[0].times
+    # raw moments so realizations average like the underlying distribution
+    mom = np.stack([traj.moments for traj in trajs])
+    x, p = mom[..., 0], mom[..., 1]
+    raws = np.stack([x, p, mom[..., 2] + x**2, mom[..., 3] + x * p, mom[..., 4] + p**2], axis=-1)
     mean = raws.mean(axis=0)
     se = raws.std(axis=0, ddof=1) / np.sqrt(n_real)
 
@@ -242,7 +228,7 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
                                       include_force_curvature=include_curv),
         lambda b, t: [b.x_mean, b.p_mean, b.c_xx, b.c_xp, b.c_pp])
     # Both series start one stride in: the t = 0 rows are the shared start.
-    full_rows, bel_rows = traj.moment_matrix()[1:], bel_rows[1:]
+    full_rows, bel_rows = traj.moments[1:, :5], bel_rows[1:]
     rows = np.column_stack([traj.times[1:], full_rows, bel_rows])
     report = belief_vs_full_compare(full_rows, bel_rows)
     cols = ("t [time]",

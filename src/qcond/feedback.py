@@ -186,6 +186,10 @@ class CoolingResult:
     retried_streams: tuple
 
 
+# Aborted realizations a cooling run tolerates, per requested realization.
+MAX_RETRIES = 3
+
+
 def _steady_window(n_samples: int) -> slice:
     # Steady-state scoring must exclude at least the first half-horizon.
     return slice(n_samples // 2, None)
@@ -193,7 +197,7 @@ def _steady_window(n_samples: int) -> slice:
 
 def cooling_experiment(state0_params, system, meas, policies: dict,
                        n_realizations: int, horizon: float, dt: float,
-                       master_seed: int, sample_stride=10, max_retries=3) -> dict:
+                       master_seed: int, sample_stride=10) -> dict:
     """Common-random-number comparison of feedback policies.
 
     Every policy sees the same per-realization noise path, so policy
@@ -215,7 +219,7 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
                                noise, sample_stride)
 
     def check_budget(index):
-        if index - len(accepted) > max_retries * max(1, n_realizations):
+        if index - len(accepted) > MAX_RETRIES * max(1, n_realizations):
             raise QcondError("too many aborted closed-loop realizations")
 
     next_index = 0

@@ -215,10 +215,10 @@ def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> Pai
     return _divergence_loop(cfg, 1, step, lambda: x, reset)
 
 
-def _realization_chunk(item):
-    index, (streams, state0_params, system, meas, cfg, master_seed) = item
+def _realization_chunk(job):
+    streams, state0_params, system, meas, cfg, master_seed = job
     noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
-    return index, paired_run(state0_params, system, meas, cfg, noise)
+    return paired_run(state0_params, system, meas, cfg, noise)
 
 
 def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,

@@ -83,14 +83,11 @@ def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.rando
 
 
 def parallel_map(fn, jobs, workers):
-    """Order-preserving parallel map (results slotted by job index)."""
-    results = [None] * len(jobs)
+    """[fn(job) for job in jobs], on a fork pool of ``workers`` processes when above 1.
+
+    The pool hands out one job at a time and returns the results in job order.
+    """
     if workers and workers > 1 and len(jobs) > 1:
         with get_context("fork").Pool(workers) as pool:
-            for idx, value in pool.imap_unordered(fn, list(enumerate(jobs))):
-                results[idx] = value
-    else:
-        for item in enumerate(jobs):
-            idx, value = fn(item)
-            results[idx] = value
-    return results
+            return pool.map(fn, jobs, chunksize=1)
+    return [fn(job) for job in jobs]

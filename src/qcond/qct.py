@@ -175,7 +175,7 @@ def _pcts(values, mask):
     return tuple(float(np.percentile(ok, q, method="lower")) for q in (10, 50, 90))
 
 
-def evaluate_along_trajectory(system: SystemSpec, xs, k, hbar=None, action=None,
+def evaluate_along_trajectory(system: SystemSpec, xs, k, action=None,
                               ps=None, times=None,
                               threshold=DOMINANCE_THRESHOLD) -> RegimeReport:
     """Margins of all three inequalities along a reference orbit.
@@ -184,7 +184,7 @@ def evaluate_along_trajectory(system: SystemSpec, xs, k, hbar=None, action=None,
     the trajectory is not recurrent); ``ps`` is needed to derive it.
     """
     xs = np.asarray(xs, dtype=float)
-    hbar = system.hbar if hbar is None else hbar
+    hbar = system.hbar
     if action is None:
         if ps is None:
             raise ValueError("supply momenta to derive the action, or pass action=")

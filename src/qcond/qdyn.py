@@ -121,36 +121,6 @@ class MeasurementRecord:
 # Steppers
 
 
-class _SpectralPieces:
-    """Grid vectors shared by both steppers for one (grid, system, dt)."""
-
-    def __init__(self, grid: PositionGrid, system: SystemSpec, dt: float):
-        self.grid = grid
-        self.system = system
-        self.dt = float(dt)
-        self.x = grid.x
-        self.hbar = system.hbar
-        p = grid.momenta(system.hbar)
-        self.kinetic_phase = np.exp(-1j * p**2 * self.dt / (2.0 * system.mass * system.hbar))
-        # Static part of the potential; drive/control are added per step.
-        c0, c1, c2, c3, c4 = system.potential_coeffs
-        x = self.x
-        self.v_static = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-        self.outer_index = np.flatnonzero(grid.outer_buffer_mask)
-
-    def potential_now(self, t_mid: float, control) -> np.ndarray:
-        v = self.v_static
-        if self.system.drive_amplitude != 0.0:
-            v = v + self.system.drive_amplitude * np.cos(self.system.drive_frequency * t_mid) * self.x
-        # A (B, 1) control column gives each row of a batch its own potential.
-        if isinstance(control, np.ndarray) or control != 0.0:
-            v = v - control * self.x
-        return v
-
-    def half_potential_phase(self, t_mid: float, control: float, sign: float) -> np.ndarray:
-        return np.exp(sign * -0.5j * self.potential_now(t_mid, control) * self.dt / self.hbar)
-
-
 def _check_support(mass_outside: float, t: float):
     if mass_outside > SUPPORT_TOLERANCE:
         raise SupportEscapeError(
@@ -171,16 +141,32 @@ class _Stepper:
     """What both steppers hold for one (grid, system, measurement, dt)."""
 
     def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
-        self.pieces = _SpectralPieces(grid, system, dt)
         self.grid = grid
         self.system = system
-        self.meas = meas
         self.dt = float(dt)
+        self.x = grid.x
+        p = grid.momenta(system.hbar)
+        self.kinetic_phase = np.exp(-1j * p**2 * self.dt / (2.0 * system.mass * system.hbar))
+        # Static part of the potential; drive and control are added per step.
+        c0, c1, c2, c3, c4 = system.potential_coeffs
+        x = self.x
+        self.v_static = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+        self.outer_index = np.flatnonzero(grid.outer_buffer_mask)
         self.k = 0.0 if meas is None else meas.strength
         self.sqrt8k = np.sqrt(8.0 * self.k)
         # Feedback loops override this per step; the value enters the
         # potential as the -control * x term.
         self.control = system.control_offset
+
+    def half_potential_phase(self, t_mid: float, sign: float) -> np.ndarray:
+        """exp(-i sign V(x, t_mid) dt / 2 hbar) under the current control."""
+        v = self.v_static
+        if self.system.drive_amplitude != 0.0:
+            v = v + self.system.drive_amplitude * np.cos(self.system.drive_frequency * t_mid) * self.x
+        # A (B, 1) control column gives each row of a batch its own potential.
+        if isinstance(self.control, np.ndarray) or self.control != 0.0:
+            v = v - self.control * self.x
+        return np.exp(sign * -0.5j * v * self.dt / self.system.hbar)
 
     def _record_increment(self, x_mean, dw):
         """dy = <x> dt + dW / sqrt(8k) of one conditioned step."""
@@ -205,7 +191,7 @@ class DensityStepper(_Stepper):
     @cached_property
     def _decoherence(self) -> np.ndarray:
         """Backaction damping exp(-k (x1 - x2)^2 dt) of one unconditional step."""
-        x = self.pieces.x
+        x = self.x
         return np.exp(-self.k * (x[:, None] - x[None, :]) ** 2 * self.dt)
 
     # -- elementary pieces ---------------------------------------------------
@@ -219,7 +205,7 @@ class DensityStepper(_Stepper):
         static = self.system.drive_amplitude == 0.0 and not isinstance(self.control, np.ndarray)
         if static and self._phase_key == (sign, self.control):
             return self._phase
-        pv = self.pieces.half_potential_phase(t + 0.5 * self.dt, self.control, sign)
+        pv = self.half_potential_phase(t + 0.5 * self.dt, sign)
         w = np.outer(pv, pv.conj())
         if static:
             self._phase_key, self._phase = (sign, self.control), w
@@ -232,7 +218,7 @@ class DensityStepper(_Stepper):
         so a step takes no fresh memory beyond the new state.
         """
         w = self._phase_matrix(t, sign)
-        pt = self.pieces.kinetic_phase if sign > 0 else self.pieces.kinetic_phase.conj()
+        pt = self.kinetic_phase if sign > 0 else self.kinetic_phase.conj()
         a = _phase_product(w, rho, np.empty_like(w))
         # U along axis 0, conj(U) along axis 1 (i.e. rho -> U rho U^dagger).
         np.fft.fft(a, axis=0, out=a)
@@ -250,11 +236,11 @@ class DensityStepper(_Stepper):
 
     def _outer_mass(self, rho: np.ndarray) -> float:
         """Probability in the outer grid buffer."""
-        return float(np.sum(rho.diagonal().real.take(self.pieces.outer_index)) * self.grid.dx)
+        return float(np.sum(rho.diagonal().real.take(self.outer_index)) * self.grid.dx)
 
     def mean_x(self, state: QuantumState) -> float:
         dens = state.rho.diagonal().real
-        return float(np.sum(self.pieces.x * dens) / np.sum(dens))
+        return float(np.sum(self.x * dens) / np.sum(dens))
 
     # -- public steps ----------------------------------------------------------
 
@@ -281,7 +267,7 @@ class DensityStepper(_Stepper):
 
         x_mean, if given, is ``mean_x(state)`` already computed by the caller.
         """
-        x = self.pieces.x
+        x = self.x
         if x_mean is None:
             x_mean = self.mean_x(state)
         dy = self._record_increment(x_mean, dw)
@@ -311,17 +297,15 @@ class PureStepper(_Stepper):
     """
 
     def _unitary(self, psi: np.ndarray, t: float, sign=1.0) -> np.ndarray:
-        pieces = self.pieces
-        t_mid = t + 0.5 * self.dt
-        pv = pieces.half_potential_phase(t_mid, self.control, sign)
-        pt = pieces.kinetic_phase if sign > 0 else pieces.kinetic_phase.conj()
+        pv = self.half_potential_phase(t + 0.5 * self.dt, sign)
+        pt = self.kinetic_phase if sign > 0 else self.kinetic_phase.conj()
         psi = pv * psi
         psi = np.fft.ifft(pt * np.fft.fft(psi))
         return pv * psi
 
     def mean_x(self, psi: np.ndarray):
         dens = np.abs(psi) ** 2
-        return (self.pieces.x * dens).sum(-1) / dens.sum(-1)
+        return (self.x * dens).sum(-1) / dens.sum(-1)
 
     def isolated(self, psi: np.ndarray, t=0.0) -> np.ndarray:
         return self._unitary(psi, t)
@@ -331,7 +315,7 @@ class PureStepper(_Stepper):
 
         x_mean, if given, is ``mean_x(psi)`` already computed by the caller.
         """
-        x = self.pieces.x
+        x = self.x
         if x_mean is None:
             x_mean = self.mean_x(psi)
         dy = self._record_increment(x_mean, dw)
@@ -340,7 +324,7 @@ class PureStepper(_Stepper):
         psi = psi * np.exp(np.sqrt(2.0 * self.k) * u * dw_row - 2.0 * self.k * u**2 * self.dt)
         psi = psi / np.sqrt((np.abs(psi) ** 2).sum(-1, keepdims=True) * self.grid.dx)
         psi = self._unitary(psi, t)
-        mass_out = (np.abs(psi.take(self.pieces.outer_index, axis=-1)) ** 2).sum(-1) * self.grid.dx
+        mass_out = (np.abs(psi.take(self.outer_index, axis=-1)) ** 2).sum(-1) * self.grid.dx
         _check_support(float(mass_out.max()), t)
         return psi, dy
 
@@ -356,21 +340,16 @@ def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
 
 @dataclass(frozen=True)
 class ConditionedTrajectory:
-    """Sampled moment series of one trajectory plus its measurement record."""
+    """Sampled moments of one trajectory plus its measurement record.
+
+    moments is (n_samples, 7), one row per entry of times, in MomentSet
+    field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the effective
+    sample size for a classical ensemble) and energy.
+    """
 
     times: np.ndarray
-    x_mean: np.ndarray
-    p_mean: np.ndarray
-    c_xx: np.ndarray
-    c_xp: np.ndarray
-    c_pp: np.ndarray
-    purity: np.ndarray
-    energy: np.ndarray
+    moments: np.ndarray
     record: MeasurementRecord = None
-
-    def moment_matrix(self) -> np.ndarray:
-        """(n_samples, 5) array of [x_mean, p_mean, c_xx, c_xp, c_pp]."""
-        return np.stack([self.x_mean, self.p_mean, self.c_xx, self.c_xp, self.c_pp], axis=1)
 
 
 def _stepper_and_sample(state0, system, meas, dt):
@@ -398,7 +377,7 @@ def _run_measured(state0, system, meas, dt, n_steps, sample_every, innovation):
         return state
 
     times, rows, _ = drive(state, n_steps, dt, sample_every, step, sample)
-    return ConditionedTrajectory(times, *rows.T, record=MeasurementRecord(dt, dys))
+    return ConditionedTrajectory(times, rows, MeasurementRecord(dt, dys))
 
 
 def run_conditioned(state0, system, meas, noise: NoisePath,
@@ -417,7 +396,7 @@ def run_isolated(state0, system, dt, n_steps, sample_every=1) -> ConditionedTraj
     stepper, state, sample = _stepper_and_sample(state0, system, None, dt)
     times, rows, _ = drive(state, n_steps, dt, sample_every,
                            lambda state, i, t: stepper.isolated(state, t), sample)
-    return ConditionedTrajectory(times, *rows.T)
+    return ConditionedTrajectory(times, rows)
 
 
 def filter_with_record(state0, system, meas, record: MeasurementRecord,

@@ -1,10 +1,13 @@
 """Classical evolution: Liouville drift, conditioned weighting, resampling."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from qcond.core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, ensemble_moments
 from qcond.cdyn import (
+    RESAMPLE_ESS_FRACTION,
     WeightClipCounter,
     ks_filter_step,
     ks_step,
@@ -116,8 +119,8 @@ def test_ks_passivity_noise_average(harmonic):
     finals = np.empty((n_real, 5))
     for r in range(n_real):
         noise = generate(5, r, n_steps, dt)
-        _, mom, _ = run_conditioned_classical(ens0, harmonic, meas, noise, sample_every=n_steps)
-        row = mom[-1]
+        traj = run_conditioned_classical(ens0, harmonic, meas, noise, sample_every=n_steps)
+        row = traj.moments[-1]
         finals[r] = [row[0], row[1], row[2] + row[0] ** 2, row[3] + row[0] * row[1], row[4] + row[1] ** 2]
     ens = ens0
     t = 0.0
@@ -131,6 +134,38 @@ def test_ks_passivity_noise_average(harmonic):
     se = finals.std(axis=0, ddof=1) / np.sqrt(n_real)
     z = np.abs(mean - ref) / np.maximum(se, 1e-12)
     assert np.all(z < 3.0), f"z = {z}"
+
+
+def test_classical_trajectory_rows_are_ensemble_moments(harmonic):
+    """Each row of a conditioned classical trajectory is the MomentSet of the
+    filtered ensemble at that sample time: the purity column carries the ESS
+    and the energy column the ensemble's mean energy.
+    """
+    rng = np.random.default_rng(4)
+    n_part, n_steps, stride, dt = 200, 60, 20, 1e-3
+    ens = ClassicalEnsemble(rng.normal(0.5, 0.5, n_part), rng.normal(0.0, 0.5, n_part),
+                            np.full(n_part, 1 / n_part))
+    meas = MeasurementSpec(1.0)
+    noise = generate(9, 0, n_steps, dt)
+    traj = run_conditioned_classical(ens, harmonic, meas, noise, sample_every=stride)
+    assert traj.moments.shape == (n_steps // stride + 1, 7)
+
+    samples = [(0.0, ens)]
+    for i in range(n_steps):
+        if ens.ess() < RESAMPLE_ESS_FRACTION * n_part:
+            ens = resample(ens)
+        ens, dy = ks_step(ens, harmonic, meas, dt, noise.increments[i], i * dt)
+        assert dy == traj.record.increments[i]
+        if (i + 1) % stride == 0:
+            samples.append(((i + 1) * dt, ens))
+    np.testing.assert_array_equal(traj.times, [t for t, _ in samples])
+    for row, (t, e) in zip(traj.moments, samples):
+        np.testing.assert_array_equal(row, astuple(ensemble_moments(e, harmonic, t)))
+        assert row[5] == e.ess()
+        w = e.w / np.sum(e.w)
+        energy = np.dot(w, e.p**2 / (2.0 * harmonic.mass) + harmonic.potential(e.x, t))
+        assert row[6] == pytest.approx(energy, rel=1e-12)
+    assert traj.moments[0, 5] == pytest.approx(n_part)
 
 
 def test_ks_clip_rate_small_at_default_dt(harmonic):

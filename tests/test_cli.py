@@ -117,6 +117,31 @@ horizon = 0.05
 sigma_x = 0.9
 """
 
+CUMULANT = """
+[experiment]
+name = cumulant-compare
+
+[system]
+mass = 1.0
+potential_coeffs = 0, 0, 0.5
+
+[grid]
+x_min = -10
+x_max = 10
+n_points = 64
+
+[measurement]
+k = 0.25
+
+[run]
+dt = 1e-3
+horizon = 0.5
+sample_stride = 250
+
+[cumulant-compare]
+sigma_x = 0.9
+"""
+
 QCT_SCAN = """
 [experiment]
 name = qct-scan
@@ -288,8 +313,13 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (HARMONIC_LYAP, "lyapunov.renormalize=true", "renorm_threshold"),
     (HARMONIC_LYAP.replace("delta0 = 0.05", "delta0 = 0.05\nrenormalize = true"),
      "lyapunov.renorm_threshold=0.05", "renorm_threshold"),
+    # A stride of 0, or a horizon shorter than one stride, samples nothing after t = 0.
+    (ISOLATED, "run.sample_stride=0", "run.sample_stride"),
+    (HARMONIC_LYAP, "run.sample_stride=0", "run.sample_stride"),
+    (CUMULANT, "run.horizon=0.01", "run.horizon"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
-        "conditioned-0", "renorm-default", "renorm-at-delta0"])
+        "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
+        "lyapunov-stride-0", "cumulant-short-horizon"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)

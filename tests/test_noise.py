@@ -74,15 +74,15 @@ def test_numpy_integer_keys_match_plain_int_keys():
                               substream_rng(seed, index, "resample").standard_normal(8))
 
 
-def _slow_stream_sum(item):
+def _slow_stream_sum(job):
     # Lower job indices sleep longer, so later jobs finish first.
-    idx, (seed, n_jobs) = item
+    seed, n_jobs, idx = job
     time.sleep(0.1 * (n_jobs - idx))
-    return idx, (float(np.sum(generate(seed, idx, 100, 1e-3).increments)), time.monotonic())
+    return float(np.sum(generate(seed, idx, 100, 1e-3).increments)), time.monotonic()
 
 
 def test_parallel_map_slots_results_by_job_index():
-    jobs = [(5, 4)] * 4
+    jobs = [(5, 4, idx) for idx in range(4)]
     serial = parallel_map(_slow_stream_sum, jobs, 1)
     pooled = parallel_map(_slow_stream_sum, jobs, 2)
     assert [value for value, _ in pooled] == [value for value, _ in serial]

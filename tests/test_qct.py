@@ -1,5 +1,7 @@
 """Regime-classifier arithmetic and orbit action."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,12 +173,12 @@ def _assert_matches(got, want):
 
 @pytest.mark.parametrize("hbar", [0.5, 0.0])
 def test_report_matches_pointwise_margins(hbar):
-    sys_, k, action = DRIVEN_QUARTIC, 0.7, 2.5
+    sys_, k, action = dataclasses.replace(DRIVEN_QUARTIC, hbar=hbar), 0.7, 2.5
     times, xs, _ = newton_trajectory(0.9, 0.0, sys_, 1e-2, 1500)
     # samples where F = 0 (singular) and dF = 0 (trivially satisfied)
     times = np.append(times, [0.0, 0.4])
     xs = np.append(xs, [-0.5, 0.0])
-    rep = evaluate_along_trajectory(sys_, xs, k=k, hbar=hbar, action=action, times=times)
+    rep = evaluate_along_trajectory(sys_, xs, k=k, action=action, times=times)
 
     loc = np.array([localization_margin(sys_, x, k, t) for x, t in zip(xs, times)])
     low = np.array([lownoise_margin_classical(sys_, x, k, action) for x in xs])

@@ -1,5 +1,7 @@
 """Quantum steppers: isolated/unconditional/conditioned, filtering, Moyal view."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,9 +134,8 @@ def test_isolated_unitary_matches_dense_propagator_oracle():
 
 def _allocating_unitary(stepper, rho, t, sign=1.0):
     """The split-operator step written with temporaries, operand order left to numpy."""
-    pieces = stepper.pieces
-    pv = pieces.half_potential_phase(t + 0.5 * stepper.dt, stepper.control, sign)
-    pt = pieces.kinetic_phase if sign > 0 else pieces.kinetic_phase.conj()
+    pv = stepper.half_potential_phase(t + 0.5 * stepper.dt, sign)
+    pt = stepper.kinetic_phase if sign > 0 else stepper.kinetic_phase.conj()
     rho = rho * np.outer(pv, pv.conj())
     rho = np.fft.ifft(pt[:, None] * np.fft.fft(rho, axis=0), axis=0)
     rho = np.fft.fft(pt.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
@@ -227,7 +228,7 @@ def test_pure_and_density_paths_agree(grid, harmonic):
         assert dy_d == pytest.approx(dy_p, abs=1e-12)
     md = quantum_moments(state, harmonic, t)
     mp = wavefunction_moments(grid, psi, HBAR, harmonic, t)
-    np.testing.assert_allclose(md.as_array(), mp.as_array(), atol=1e-9)
+    np.testing.assert_allclose(astuple(md)[:5], astuple(mp)[:5], atol=1e-9)
 
 
 def test_batched_rows_step_exactly_like_single_rows(grid):
@@ -311,19 +312,19 @@ def test_trajectory_loop_density_twin(harmonic):
     dens = run_conditioned(rho0, harmonic, meas, noise, sample_every=stride)
     assert pure.times.size == n_steps // stride + 1
     np.testing.assert_array_equal(pure.times, dens.times)
-    np.testing.assert_allclose(dens.moment_matrix(), pure.moment_matrix(), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dens.energy, pure.energy, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dens.purity, 1.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dens.moments[:, :5], pure.moments[:, :5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dens.moments[:, 6], pure.moments[:, 6], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dens.moments[:, 5], 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(dens.record.increments, pure.record.increments, rtol=0, atol=1e-12)
 
     f_pure = filter_with_record((g64, psi0), harmonic, meas, pure.record, sample_every=stride)
     f_dens = filter_with_record(rho0, harmonic, meas, pure.record, sample_every=stride)
-    np.testing.assert_allclose(f_dens.moment_matrix(), f_pure.moment_matrix(), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(f_dens.moment_matrix(), dens.moment_matrix(), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(f_dens.moments[:, :5], f_pure.moments[:, :5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(f_dens.moments[:, :5], dens.moments[:, :5], rtol=0, atol=1e-10)
 
     i_pure = run_isolated((g64, psi0), harmonic, dt, n_steps, sample_every=stride)
     i_dens = run_isolated(rho0, harmonic, dt, n_steps, sample_every=stride)
-    np.testing.assert_allclose(i_dens.moment_matrix(), i_pure.moment_matrix(), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(i_dens.moments[:, :5], i_pure.moments[:, :5], rtol=0, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -413,14 +414,14 @@ def test_noise_average_recovers_unconditional(grid, harmonic):
     for r in range(n_real):
         noise = generate(31, r, n_steps, dt)
         traj = run_conditioned((grid, psi0), harmonic, meas, noise, sample_every=n_steps)
-        finals[r] = _raw_moments(traj.moment_matrix()[-1])
+        finals[r] = _raw_moments(traj.moments[-1, :5])
     state = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     stepper = DensityStepper(grid, harmonic, meas, dt)
     t = 0.0
     for _ in range(n_steps):
         state = stepper.unconditional(state, t)
         t += dt
-    ref = _raw_moments(quantum_moments(state, harmonic, t).as_array())
+    ref = _raw_moments(astuple(quantum_moments(state, harmonic, t))[:5])
     mean = finals.mean(axis=0)
     se = finals.std(axis=0, ddof=1) / np.sqrt(n_real)
     z = np.abs(mean - ref) / np.maximum(se, 1e-12)
@@ -469,7 +470,7 @@ def test_filter_self_consistency(grid, harmonic):
     noise = generate(7, 3, 1500, dt)
     traj = run_conditioned((grid, psi0), harmonic, meas, noise, sample_every=10)
     refiltered = filter_with_record((grid, psi0), harmonic, meas, traj.record, sample_every=10)
-    assert np.max(np.abs(traj.x_mean - refiltered.x_mean)) < 1e-10
+    assert np.max(np.abs(traj.moments[:, 0] - refiltered.moments[:, 0])) < 1e-10
 
 
 def test_filter_converges_from_wrong_start(grid, harmonic):
@@ -481,7 +482,7 @@ def test_filter_converges_from_wrong_start(grid, harmonic):
     traj = run_conditioned((grid, psi_true), harmonic, meas, noise, sample_every=40)
     psi_off = gaussian_wavefunction(grid, 1.0 + 0.5 * sigma, 0.0, sigma, HBAR)
     est = filter_with_record((grid, psi_off), harmonic, meas, traj.record, sample_every=40)
-    err = np.abs(est.x_mean - traj.x_mean)
+    err = np.abs(est.moments[:, 0] - traj.moments[:, 0])
     # envelope decreases: compare block maxima
     blocks = np.array_split(err, 5)
     peaks = [b.max() for b in blocks]
