@@ -186,13 +186,21 @@ def load_config(path, overrides=()):
                 out[key] = default
         resolved[section] = out
 
-    # Every run must take a sample after t = 0.
+    # Every run must take a sample after t = 0.  qct-scan writes every
+    # orbit step, so it needs one step and takes no stride.
     run = resolved["run"]
     try:
         n_steps = round(run["horizon"] / run["dt"])
     except (ArithmeticError, ValueError):   # dt = 0, or a nan or inf step count
         n_steps = 0
-    if not 1 <= run["sample_stride"] <= n_steps:
+    if name == "qct-scan":
+        if parser.has_option("run", "sample_stride"):
+            raise ConfigError("run.sample_stride is not read by qct-scan, "
+                              "which writes every orbit step")
+        if n_steps < 1:
+            raise ConfigError(f"run.horizon must cover at least one run.dt step, "
+                              f"got round(run.horizon / run.dt) = {n_steps}")
+    elif not 1 <= run["sample_stride"] <= n_steps:
         raise ConfigError(f"run.sample_stride must be at least 1 and at most the "
                           f"round(run.horizon / run.dt) = {n_steps} steps, "
                           f"got {run['sample_stride']}")

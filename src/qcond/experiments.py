@@ -61,20 +61,24 @@ class ExperimentResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _system(cfg) -> SystemSpec:
-    s = cfg["system"]
-    return SystemSpec(
+def _setup(cfg):
+    """(system, grid, meas, dt, n_steps, stride) of a resolved config.
+
+    grid is None without a [grid] section and meas None without a
+    [measurement] section; n_steps = round(horizon / dt).
+    """
+    s, g, run = cfg["system"], cfg.get("grid"), cfg["run"]
+    system = SystemSpec(
         mass=s["mass"],
         hbar=s["hbar"],
         potential_coeffs=tuple(s["potential_coeffs"]),
         drive_amplitude=s["drive_amplitude"],
         drive_frequency=s["drive_frequency"],
     )
-
-
-def _grid(cfg) -> PositionGrid:
-    g = cfg["grid"]
-    return PositionGrid(g["x_min"], g["x_max"], int(g["n_points"]))
+    grid = PositionGrid(g["x_min"], g["x_max"], int(g["n_points"])) if g else None
+    meas = MeasurementSpec(cfg["measurement"]["k"]) if "measurement" in cfg else None
+    dt = run["dt"]
+    return system, grid, meas, dt, int(round(run["horizon"] / dt)), int(run["sample_stride"])
 
 
 def _n_realizations(run, least) -> int:
@@ -88,14 +92,8 @@ def _n_realizations(run, least) -> int:
 
 
 def run_isolated_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    grid = _grid(cfg)
-    run = cfg["run"]
+    system, grid, _, dt, n_steps, stride = _setup(cfg)
     exp = cfg["isolated"]
-    dt = run["dt"]
-    n_steps = int(round(run["horizon"] / dt))
-    stride = int(run["sample_stride"])
-
     state = gaussian_state(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
     traj = run_isolated(state, system, dt, n_steps, sample_every=stride)
     table = np.column_stack([traj.times, traj.moments])
@@ -114,15 +112,9 @@ def _conditioned_one(job):
 
 
 def run_conditioned_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    grid = _grid(cfg)
-    meas = MeasurementSpec(cfg["measurement"]["k"])
-    run = cfg["run"]
+    system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["conditioned"]
-    dt = run["dt"]
-    n_steps = int(round(run["horizon"] / dt))
-    stride = int(run["sample_stride"])
-    n_real = _n_realizations(run, 1)
+    n_real = _n_realizations(cfg["run"], 1)
 
     jobs = [(grid, system, meas, exp, dt, n_steps, stride, seed, idx) for idx in range(n_real)]
     trajs = parallel_map(_conditioned_one, jobs, workers)
@@ -153,15 +145,10 @@ def _raw_moment_row(m):
 
 
 def run_passivity_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    meas = MeasurementSpec(cfg["measurement"]["k"])
-    run = cfg["run"]
+    system, _, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["passivity"]
-    dt = run["dt"]
-    n_steps = int(round(run["horizon"] / dt))
-    stride = int(run["sample_stride"])
     # Two realizations at least: the z-scores divide by their standard error.
-    n_real = _n_realizations(run, 2)
+    n_real = _n_realizations(cfg["run"], 2)
 
     rng = substream_rng(seed, 0, "passivity-init")
     n_part = int(exp["n_particles"])
@@ -204,15 +191,8 @@ def run_passivity_experiment(cfg, seed, workers):
 
 
 def run_cumulant_compare_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    grid = _grid(cfg)
-    meas = MeasurementSpec(cfg["measurement"]["k"])
-    run = cfg["run"]
+    system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["cumulant-compare"]
-    dt = run["dt"]
-    n_steps = int(round(run["horizon"] / dt))
-    stride = int(run["sample_stride"])
-
     hbar = system.hbar
     x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
     include_curv = bool(exp["include_force_curvature"])
@@ -248,13 +228,9 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
 
 
 def run_qct_scan_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    run = cfg["run"]
+    # The scan writes every orbit step; the config takes no sample stride.
+    system, _, meas, dt, n_steps, _ = _setup(cfg)
     exp = cfg["qct-scan"]
-    k = cfg["measurement"]["k"]
-    dt = run["dt"]
-    n_steps = int(round(run["horizon"] / dt))
-
     times, xs, ps = newton_trajectory(exp["x0"], exp["p0"], system, dt, n_steps)
     action = exp["action"] if exp["action"] > 0 else None
     if action is None:
@@ -262,7 +238,7 @@ def run_qct_scan_experiment(cfg, seed, workers):
                               potential_coeffs=system.potential_coeffs)
         _, xs_u, ps_u = newton_trajectory(exp["x0"], exp["p0"], undriven, dt, n_steps)
         action = action_scale(xs_u, ps_u)
-    rep = evaluate_along_trajectory(system, xs, k=k, action=action, times=times,
+    rep = evaluate_along_trajectory(system, xs, k=meas.strength, action=action, times=times,
                                     threshold=exp["threshold"])
     cols = ("t [time]", "x [length]",
             "localization_margin [1]", "lownoise_classical [1]",
@@ -286,17 +262,15 @@ def run_qct_scan_experiment(cfg, seed, workers):
 
 
 def run_lyapunov_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    grid = _grid(cfg)
-    meas = MeasurementSpec(cfg["measurement"]["k"])
+    system, grid, meas, dt, _, stride = _setup(cfg)
     run = cfg["run"]
     exp = cfg["lyapunov"]
     lcfg = LyapunovConfig(
         initial_separation=exp["delta0"],
         horizon=run["horizon"],
-        dt=run["dt"],
-        n_realizations=int(run["n_realizations"]),
-        sample_stride=int(run["sample_stride"]),
+        dt=dt,
+        n_realizations=_n_realizations(run, 2),
+        sample_stride=stride,
         renorm_threshold=exp["renorm_threshold"] if exp["renormalize"] else None,
     )
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
@@ -325,54 +299,51 @@ def run_lyapunov_experiment(cfg, seed, workers):
 
 
 def run_cooling_experiment(cfg, seed, workers):
-    system = _system(cfg)
-    grid = _grid(cfg)
-    meas = MeasurementSpec(cfg["measurement"]["k"])
+    system, grid, meas, dt, _, stride = _setup(cfg)
     run = cfg["run"]
     exp = cfg["cooling"]
-    policies = {}
-    for kind in [p.strip() for p in exp["policies"].split(",")]:
+    # A policy named twice runs once.
+    names = list(dict.fromkeys(p.strip() for p in exp["policies"].split(",")))
+    policies = []
+    for kind in names:
         if kind == "none":
-            policies[kind] = FeedbackPolicy("none")
+            policies.append(FeedbackPolicy("none"))
         elif kind == "direct":
-            policies[kind] = FeedbackPolicy("direct", gain=exp["direct_gain"],
-                                            smoothing_time=exp["direct_smoothing"],
-                                            u_max=exp["u_max"])
+            policies.append(FeedbackPolicy("direct", gain=exp["direct_gain"],
+                                           smoothing_time=exp["direct_smoothing"],
+                                           u_max=exp["u_max"]))
         elif kind == "estimator":
-            policies[kind] = FeedbackPolicy("estimator", gain=exp["estimator_gain"],
-                                            u_max=exp["u_max"])
+            policies.append(FeedbackPolicy("estimator", gain=exp["estimator_gain"],
+                                           u_max=exp["u_max"]))
         else:
             raise ValueError(f"unknown policy kind {kind!r}")
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
-    results = cooling_experiment(state0, system, meas, policies,
-                                 n_realizations=_n_realizations(run, 2),
-                                 horizon=run["horizon"], dt=run["dt"],
-                                 master_seed=seed,
-                                 sample_stride=int(run["sample_stride"]))
-    series = []
-    summary_rows = []
-    names = list(results)
-    for idx, name in enumerate(names):
-        res = results[name]
-        series.append(CsvSeries(
-            f"cooling_{name}",
-            ("t [time]", "energy_mean [energy]", "energy_se [energy]"),
-            np.column_stack([res.times, res.energy_mean, res.energy_se]),
-        ))
-        summary_rows.append([float(idx), res.steady_mean, res.steady_se])
+    res = cooling_experiment(state0, system, meas, policies,
+                             n_realizations=_n_realizations(run, 2),
+                             horizon=run["horizon"], dt=dt, master_seed=seed,
+                             sample_stride=stride)
+    root_n = np.sqrt(res.stream_indices.size)
+    # Realizations add in order along axis 0, and each steady column reduces
+    # as a 1-D array: steady.mean(axis=0) sums in another order and differs
+    # in the last bit from 8 realizations on.
+    mean = res.energy.mean(axis=0)
+    se = res.energy.std(axis=0, ddof=1) / root_n
+    steady = res.steady
+    series = [CsvSeries(f"cooling_{name}",
+                        ("t [time]", "energy_mean [energy]", "energy_se [energy]"),
+                        np.column_stack([res.times, mean[j], se[j]]))
+              for j, name in enumerate(names)]
     series.append(CsvSeries(
         "cooling_summary",
         ("policy_index [1]", "steady_energy_mean [energy]", "steady_energy_se [energy]"),
-        np.array(summary_rows),
+        np.array([[j, col.mean(), col.std(ddof=1) / root_n] for j, col in enumerate(steady.T)]),
     ))
-    first = results[names[0]]
-    meta = {"policies": names, "stream_indices": first.stream_indices.tolist(),
-            "retried_streams": list(first.retried_streams)}
-    for a in names:
-        for b in names:
+    meta = {"policies": names, "stream_indices": res.stream_indices.tolist(),
+            "retried_streams": list(res.retried_streams)}
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
             if a < b:
-                gap, se = paired_gap(results[a], results[b])
-                meta[f"paired_gap_{a}_minus_{b}"] = [gap, se]
+                meta[f"paired_gap_{a}_minus_{b}"] = list(paired_gap(steady[:, i], steady[:, j]))
     return ExperimentResult(series, meta)
 
 

@@ -173,31 +173,33 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
 
 @dataclass(frozen=True)
 class CoolingResult:
-    """Ensemble energy statistics for one policy."""
+    """Energy traces of the accepted realizations of a cooling comparison.
 
-    policy: FeedbackPolicy
+    For N accepted realizations of P policies, energy is (N, P,
+    n_samples), row n on noise stream stream_indices[n].
+    """
+
     times: np.ndarray
-    energy_mean: np.ndarray
-    energy_se: np.ndarray
-    steady_per_realization: np.ndarray
-    steady_mean: float
-    steady_se: float
+    energy: np.ndarray
     stream_indices: np.ndarray
     retried_streams: tuple
+
+    @property
+    def steady(self) -> np.ndarray:
+        """(N, P) mean energies over the second half of the samples.
+
+        Steady-state scoring must exclude at least the first half-horizon.
+        """
+        return self.energy[..., self.times.size // 2:].mean(axis=-1)
 
 
 # Aborted realizations a cooling run tolerates, per requested realization.
 MAX_RETRIES = 3
 
 
-def _steady_window(n_samples: int) -> slice:
-    # Steady-state scoring must exclude at least the first half-horizon.
-    return slice(n_samples // 2, None)
-
-
-def cooling_experiment(state0_params, system, meas, policies: dict,
+def cooling_experiment(state0_params, system, meas, policies: list,
                        n_realizations: int, horizon: float, dt: float,
-                       master_seed: int, sample_stride=10) -> dict:
+                       master_seed: int, sample_stride=10) -> CoolingResult:
     """Common-random-number comparison of feedback policies.
 
     Every policy sees the same per-realization noise path, so policy
@@ -215,8 +217,7 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
 
     def closed_loops(streams):
         noise = [generate(master_seed, k, n_steps, dt) for k in streams]
-        return run_closed_loop(state0_params, system, meas, list(policies.values()),
-                               noise, sample_stride)
+        return run_closed_loop(state0_params, system, meas, policies, noise, sample_stride)
 
     def check_budget(index):
         if index - len(accepted) > MAX_RETRIES * max(1, n_realizations):
@@ -242,30 +243,18 @@ def cooling_experiment(state0_params, system, meas, policies: dict,
                     retried.append(index)
         else:
             accepted.extend((index, run, row) for row, index in enumerate(streams))
-    n_accepted = len(accepted)
-    times = accepted[0][1].times
-    indices = np.array([index for index, _, _ in accepted])
-
-    out = {}
-    for j, (name, pol) in enumerate(policies.items()):
-        energies = np.stack([run.energy[row, j] for _, run, row in accepted])
-        window = _steady_window(energies.shape[1])
-        steady = energies[:, window].mean(axis=1)
-        out[name] = CoolingResult(
-            policy=pol,
-            times=times,
-            energy_mean=energies.mean(axis=0),
-            energy_se=energies.std(axis=0, ddof=1) / np.sqrt(n_accepted),
-            steady_per_realization=steady,
-            steady_mean=float(steady.mean()),
-            steady_se=float(steady.std(ddof=1) / np.sqrt(n_accepted)),
-            stream_indices=indices,
-            retried_streams=tuple(retried),
-        )
-    return out
+    return CoolingResult(
+        times=accepted[0][1].times,
+        energy=np.stack([run.energy[row] for _, run, row in accepted]),
+        stream_indices=np.array([index for index, _, _ in accepted]),
+        retried_streams=tuple(retried),
+    )
 
 
-def paired_gap(hot: CoolingResult, cold: CoolingResult):
-    """(mean gap, standard error) of paired steady-state energy differences."""
-    d = hot.steady_per_realization - cold.steady_per_realization
+def paired_gap(hot: np.ndarray, cold: np.ndarray):
+    """(mean gap, standard error) of paired steady-state energy differences.
+
+    hot and cold are two columns of CoolingResult.steady, one value per realization.
+    """
+    d = hot - cold
     return float(d.mean()), float(d.std(ddof=1) / np.sqrt(d.size))

@@ -80,16 +80,19 @@ class PairedRunResult:
     """Divergence series of a batch of R fiducial/perturbed pairs.
 
     delta and lam are (R, n_samples); merged (bool) and renormalizations
-    (Benettin resets per pair) are (R,).  n_renormalizations is the total
-    number of resets, a plain int.
+    (Benettin resets per pair) are (R,).
     """
 
     times: np.ndarray
     delta: np.ndarray
     lam: np.ndarray
     merged: np.ndarray
-    n_renormalizations: int
     renormalizations: np.ndarray
+
+    @property
+    def n_renormalizations(self) -> int:
+        """Total number of resets over the pairs, a plain int."""
+        return int(self.renormalizations.sum())
 
     @property
     def lam_mean(self) -> np.ndarray:
@@ -159,7 +162,7 @@ def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) 
                 reset(over, sign, d[over])
                 n_renorm += over
                 known = None
-    return PairedRunResult(times, delta, lam, merged, int(n_renorm.sum()), n_renorm)
+    return PairedRunResult(times, delta, lam, merged, n_renorm)
 
 
 def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
@@ -243,7 +246,6 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
         np.concatenate([r.delta for r in results]),
         np.concatenate([r.lam for r in results]),
         np.concatenate([r.merged for r in results]),
-        sum(r.n_renormalizations for r in results),
         np.concatenate([r.renormalizations for r in results]),
     )
 

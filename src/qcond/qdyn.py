@@ -296,11 +296,10 @@ class PureStepper(_Stepper):
     values.  Each row comes out bit-identical to stepping it alone.
     """
 
-    def _unitary(self, psi: np.ndarray, t: float, sign=1.0) -> np.ndarray:
-        pv = self.half_potential_phase(t + 0.5 * self.dt, sign)
-        pt = self.kinetic_phase if sign > 0 else self.kinetic_phase.conj()
+    def _unitary(self, psi: np.ndarray, t: float) -> np.ndarray:
+        pv = self.half_potential_phase(t + 0.5 * self.dt, 1.0)
         psi = pv * psi
-        psi = np.fft.ifft(pt * np.fft.fft(psi))
+        psi = np.fft.ifft(self.kinetic_phase * np.fft.fft(psi))
         return pv * psi
 
     def mean_x(self, psi: np.ndarray):

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from qcond.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_OK, list_experiments, main, write_outputs
+from qcond.core import PositionGrid, SystemSpec
 from qcond.experiments import CsvSeries, ExperimentResult
+from qcond.feedback import FeedbackPolicy, run_closed_loop
+from qcond.noise import generate
+from qcond.qdyn import MeasurementSpec
 
 HARMONIC_LYAP = """
 [experiment]
@@ -233,6 +237,50 @@ def test_cooling_metadata_names_streams(tmp_path):
     assert result["retried_streams"] == []
 
 
+def test_cooling_outputs_match_per_stream_runs(tmp_path):
+    """Every cooling CSV value and paired gap equals its formula applied to the
+    energies of per-stream closed loops.  Nine realizations: from eight on, a
+    sum over realizations in another order differs in the last bit."""
+    n_real = 9
+    out = str(tmp_path / "out")
+    assert main(["--config", _write(tmp_path, COOLING), "--out", out, "--workers", "1",
+                 "--set", f"run.n_realizations={n_real}"]) == EXIT_OK
+    result = json.load(open(os.path.join(out, "metadata.json")))["result"]
+    assert result["stream_indices"] == list(range(n_real))
+
+    # COOLING's plant, grid, measurement, run and default policies.
+    state0 = (PositionGrid(-10.0, 10.0, 128), 1.5, 0.0, 0.5)
+    plant = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.25, 0, 0.25))
+    policies = [FeedbackPolicy("none"),
+                FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=5.0),
+                FeedbackPolicy("estimator", gain=3.0, u_max=5.0)]
+    runs = [run_closed_loop(state0, plant, MeasurementSpec(0.5), policies,
+                            [generate(9, k, 200, 1e-3)], 50) for k in range(n_real)]
+    root_n = np.sqrt(n_real)
+
+    def table(name):
+        return np.loadtxt(os.path.join(out, name + ".csv"), delimiter=",", skiprows=1, ndmin=2)
+
+    names = result["policies"]
+    steady = []     # per policy: the mean energy of each realization over the second half
+    for j, name in enumerate(names):
+        got = table(f"cooling_{name}")
+        energies = np.stack([run.energy[0, j] for run in runs])
+        steady.append(energies[:, energies.shape[1] // 2:].mean(axis=1))
+        assert np.array_equal(got[:, 0], runs[0].times)
+        assert np.array_equal(got[:, 1], energies.mean(axis=0))
+        assert np.array_equal(got[:, 2], energies.std(axis=0, ddof=1) / root_n)
+        assert np.array_equal(table("cooling_summary")[j], [
+            j, steady[j].mean(), steady[j].std(ddof=1) / root_n])
+    gaps = {key: value for key, value in result.items() if key.startswith("paired_gap_")}
+    assert len(gaps) == 3
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            if a < b:
+                d = steady[i] - steady[j]
+                assert gaps[f"paired_gap_{a}_minus_{b}"] == [d.mean(), d.std(ddof=1) / root_n]
+
+
 def _ini_from_resolved(resolved) -> str:
     """INI text that loads back to ``resolved`` (floats by repr, lists comma-joined)."""
     lines = []
@@ -302,7 +350,7 @@ def test_missing_required_key_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, override, named", [
     (ISOLATED, "grid.n_points=100", "100"),
-    (HARMONIC_LYAP, "run.n_realizations=1", "got 1"),
+    (HARMONIC_LYAP, "run.n_realizations=1", "run.n_realizations"),
     (COOLING, "cooling.direct_smoothing=0.00001", "1e-05"),
     # Realization counts the statistics cannot use: none, or one where a standard error needs two.
     (PASSIVITY, "run.n_realizations=1", "run.n_realizations"),
@@ -317,9 +365,14 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (ISOLATED, "run.sample_stride=0", "run.sample_stride"),
     (HARMONIC_LYAP, "run.sample_stride=0", "run.sample_stride"),
     (CUMULANT, "run.horizon=0.01", "run.horizon"),
+    # qct-scan writes every orbit step: it takes no stride, and needs one step.
+    (QCT_SCAN, "run.sample_stride=10", "run.sample_stride"),
+    (QCT_SCAN, "run.horizon=0.001", "run.horizon"),
+    (QCT_SCAN, "measurement.k=-1", "-1.0"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
-        "lyapunov-stride-0", "cumulant-short-horizon"])
+        "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
+        "qct-scan-no-step", "qct-scan-negative-k"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
@@ -417,3 +470,13 @@ def test_qct_scan_metadata_counts_singular_samples(tmp_path):
     assert result["n_samples"] == table.shape[0] == 801
     assert result["n_singular"] == int(table[:, 6].sum()) >= 1
     assert np.isnan(table[0, 2])
+
+
+def test_qct_scan_shorter_than_a_stride_runs(tmp_path):
+    # Five steps, fewer than the default sample stride the scan never reads.
+    # The action is given: five steps are too few to derive it from the orbit.
+    out = str(tmp_path / "o")
+    assert main(["--config", _write(tmp_path, QCT_SCAN), "--out", out,
+                 "--set", "run.horizon=0.05", "--set", "qct-scan.action=1.0"]) == EXIT_OK
+    table = np.loadtxt(os.path.join(out, "qct_margins.csv"), delimiter=",", skiprows=1)
+    assert table.shape == (6, 7)

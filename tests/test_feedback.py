@@ -113,19 +113,19 @@ def test_aborted_realization_is_retried_and_recorded(monkeypatch):
         return run_closed_loop(*args, **kwargs)
 
     monkeypatch.setattr(feedback, "run_closed_loop", abort_stream_0)
-    policies = {"none": FeedbackPolicy("none"), "estimator": ESTIMATOR}
+    policies = [FeedbackPolicy("none"), ESTIMATOR]
     with pytest.warns(UserWarning, match="realization 0 aborted"):
-        results = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=2,
-                                     horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50)
+        res = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=2,
+                                 horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50)
     assert calls == [[0, 1], [0], [1], [2]]
-    for res in results.values():
-        assert res.stream_indices.tolist() == [1, 2]
-        assert res.retried_streams == (0,)
+    assert res.energy.shape == (2, 2, 4)
+    assert res.stream_indices.tolist() == [1, 2]
+    assert res.retried_streams == (0,)
 
 
 def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
     """Seven realizations of three policies at n = 256 run as chunks of 5 and
-    2 streams; every statistic equals the one built from per-stream runs."""
+    2 streams; the energies and steady values equal those of per-stream runs."""
     calls = []
 
     def record_streams(*args, **kwargs):
@@ -133,21 +133,20 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
         return run_closed_loop(*args, **kwargs)
 
     monkeypatch.setattr(feedback, "run_closed_loop", record_streams)
-    policies = {"none": FeedbackPolicy("none"), "direct": DIRECT, "estimator": ESTIMATOR}
+    policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
     n_real, horizon, dt, stride = 7, 0.2, 1e-3, 20
-    results = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=n_real,
-                                 horizon=horizon, dt=dt, master_seed=3, sample_stride=stride)
+    res = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=n_real,
+                             horizon=horizon, dt=dt, master_seed=3, sample_stride=stride)
     assert calls == [[0, 1, 2, 3, 4], [5, 6]]
-    alone = [run_closed_loop(STATE0, PLANT, MEAS, list(policies.values()),
+    alone = [run_closed_loop(STATE0, PLANT, MEAS, policies,
                              [generate(3, k, int(round(horizon / dt)), dt)], stride)
              for k in range(n_real)]
-    for j, name in enumerate(policies):
+    assert res.stream_indices.tolist() == list(range(n_real))
+    assert np.array_equal(res.times, alone[0].times)
+    assert np.array_equal(res.energy, np.concatenate([run.energy for run in alone]))
+    for j in range(len(policies)):
         energies = np.stack([run.energy[0, j] for run in alone])
-        res = results[name]
-        assert res.stream_indices.tolist() == list(range(n_real))
-        assert np.array_equal(res.energy_mean, energies.mean(axis=0))
-        assert np.array_equal(res.energy_se, energies.std(axis=0, ddof=1) / np.sqrt(n_real))
-        assert np.array_equal(res.steady_per_realization,
+        assert np.array_equal(res.steady[:, j],
                               energies[:, energies.shape[1] // 2:].mean(axis=1))
 
 
@@ -233,19 +232,21 @@ def test_cooling_ordering_paired():
     N; the seed and the 3-sigma bound stay fixed.
     """
     horizon = 25.0
-    policies = {"none": FeedbackPolicy("none"), "direct": DIRECT, "estimator": ESTIMATOR}
-    results = cooling_experiment(STATE0, PLANT, MEAS, policies,
-                                 n_realizations=COOLING_REALIZATIONS, horizon=horizon,
-                                 dt=1e-3, master_seed=2024, sample_stride=100)
-    gap_nd, se_nd = paired_gap(results["none"], results["direct"])
-    gap_de, se_de = paired_gap(results["direct"], results["estimator"])
+    policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
+    res = cooling_experiment(STATE0, PLANT, MEAS, policies,
+                             n_realizations=COOLING_REALIZATIONS, horizon=horizon,
+                             dt=1e-3, master_seed=2024, sample_stride=100)
+    steady = res.steady
+    gap_nd, se_nd = paired_gap(steady[:, 0], steady[:, 1])
+    gap_de, se_de = paired_gap(steady[:, 1], steady[:, 2])
     assert gap_nd > 3 * se_nd
     assert gap_de > 3 * se_de
     # steady window is the second half of the horizon
-    for res in results.values():
-        half = res.times.size // 2
-        assert res.times[half] >= horizon / 2
-        assert res.steady_mean == pytest.approx(res.energy_mean[half:].mean(), rel=1e-12)
+    half = res.times.size // 2
+    assert res.times[half] >= horizon / 2
+    for j in range(len(policies)):
+        assert steady[:, j].mean() == pytest.approx(
+            res.energy[:, j].mean(axis=0)[half:].mean(), rel=1e-12)
 
 
 def test_estimator_gain_sweep_u_shaped():

@@ -63,8 +63,9 @@ def test_substream_decoupled_from_main_stream():
 
 
 def test_numpy_integer_keys_match_plain_int_keys():
-    # Stream indices come back as numpy integers (CoolingResult.stream_indices),
-    # and a stream must be regenerable from them bit for bit.
+    # Stream indices come back as numpy integers (CoolingResult.stream_indices, one
+    # array for every policy of a cooling run), and a stream must be regenerable
+    # from them bit for bit.
     for seed, index, as_np in [(2024, 3, np.int64), (-7, 12, np.int32),
                                (2**63 + 5, 2**64 - 1, np.uint64)]:
         np_seed, np_index = as_np(seed), as_np(index)
