@@ -18,10 +18,8 @@ from .core import (
     SupportEscapeError,
     SystemSpec,
     WignerGrid,
-    force_moments,
     gaussian_state,
     gaussian_wavefunction,
-    moments,
     wigner_transform,
 )
 from .noise import NoisePath, generate, substream_rng

@@ -25,7 +25,7 @@ from dataclasses import astuple
 import numpy as np
 
 from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, drive, ensemble_moments
-from .qdyn import ConditionedTrajectory, MeasurementRecord, MeasurementSpec, MeasurementError
+from .qdyn import ConditionedTrajectory, MeasurementRecord, MeasurementSpec
 from .noise import NoisePath
 
 __all__ = [
@@ -74,18 +74,15 @@ def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
     Innovation weighting happens at the pre-drift positions (Ito
     convention), then the particles are advected.
     """
-    if meas.strength == 0.0:
-        raise MeasurementError("conditioned classical step with k = 0 has no record")
     ess = ens.ess()
     if ess < ESS_HARD_FLOOR:
         raise DegenerateEnsembleError(
             f"effective sample size {ess:.2f} below {ESS_HARD_FLOOR}; resample first"
         )
-    sqrt8k = np.sqrt(8.0 * meas.strength)
     x_mean = float(np.dot(ens.w, ens.x))
-    dy = x_mean * dt + dw / sqrt8k
+    dy = meas.record(x_mean, dw, dt)
 
-    w = ens.w * (1.0 + sqrt8k * (ens.x - x_mean) * dw)
+    w = ens.w * (1.0 + meas.sqrt8k * (ens.x - x_mean) * dw)
     if clip_counter is not None:
         clip_counter.updates += w.size
         clip_counter.clipped += int(np.sum(w < 0.0))
@@ -101,9 +98,7 @@ def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
 
 def ks_filter_step(ens, system, meas, dt, dy, t=0.0, clip_counter=None):
     """Conditioned step driven by a known record increment instead of dW."""
-    sqrt8k = np.sqrt(8.0 * meas.strength)
-    x_mean = float(np.dot(ens.w, ens.x))
-    dw = sqrt8k * (dy - x_mean * dt)
+    dw = meas.innovation(dy, float(np.dot(ens.w, ens.x)), dt)
     return ks_step(ens, system, meas, dt, dw, t, clip_counter)
 
 

@@ -197,6 +197,7 @@ def load_config(path, overrides=()):
         if parser.has_option("run", "sample_stride"):
             raise ConfigError("run.sample_stride is not read by qct-scan, "
                               "which writes every orbit step")
+        del run["sample_stride"]
         if n_steps < 1:
             raise ConfigError(f"run.horizon must cover at least one run.dt step, "
                               f"got round(run.horizon / run.dt) = {n_steps}")

@@ -30,11 +30,11 @@ __all__ = [
     "MomentSet",
     "gaussian_state",
     "gaussian_wavefunction",
+    "quantum_moments",
     "wavefunction_moments",
+    "ensemble_moments",
     "wigner_transform",
     "wigner_moments",
-    "moments",
-    "force_moments",
     "drive",
 ]
 
@@ -226,9 +226,6 @@ class QuantumState:
 
     def normalized(self) -> "QuantumState":
         return QuantumState(self.grid, self.rho / self.trace(), self.hbar)
-
-    def position_density(self) -> np.ndarray:
-        return self.rho.diagonal().real.copy()
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self.rho) ** 2) * self.grid.dx**2)
@@ -436,46 +433,6 @@ def ensemble_moments(ens: ClassicalEnsemble, system: SystemSpec = None, time=0.0
             np.dot(w, ens.p**2 / (2.0 * system.mass) + system.potential(ens.x, time))
         )
     return MomentSet(x_mean, p_mean, c_xx, c_xp, c_pp, ens.ess(), energy)
-
-
-def moments(state, system: SystemSpec = None, time=0.0) -> MomentSet:
-    """Symmetrized moments, purity/ESS and mean energy of either state kind."""
-    if isinstance(state, QuantumState):
-        return quantum_moments(state, system, time)
-    if isinstance(state, ClassicalEnsemble):
-        return ensemble_moments(state, system, time)
-    if isinstance(state, WignerGrid):
-        return wigner_moments(state, system, time)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def force_moments(state, system: SystemSpec, time=0.0):
-    """(<F(x)>, dF/dx at <x>, d2F/dx2 at <x>).
-
-    Exact for the quartic-capped polynomial force: <F> needs raw position
-    moments up to order three, which both state kinds provide exactly.
-    """
-    c0, c1, c2, c3, c4 = system.potential_coeffs
-    if isinstance(state, QuantumState):
-        x, dx = state.grid.x, state.grid.dx
-        dens = state.position_density()
-        norm = float(np.sum(dens) * dx)
-        m1 = float(np.sum(x * dens) * dx / norm)
-        m2 = float(np.sum(x**2 * dens) * dx / norm)
-        m3 = float(np.sum(x**3 * dens) * dx / norm)
-    elif isinstance(state, ClassicalEnsemble):
-        w = state.w / np.sum(state.w)
-        m1 = float(np.dot(w, state.x))
-        m2 = float(np.dot(w, state.x**2))
-        m3 = float(np.dot(w, state.x**3))
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-
-    f_mean = -(c1 + 2.0 * c2 * m1 + 3.0 * c3 * m2 + 4.0 * c4 * m3)
-    if system.drive_amplitude != 0.0:
-        f_mean -= system.drive_amplitude * np.cos(system.drive_frequency * time)
-    f_mean += system.control_offset
-    return float(f_mean), float(system.force_gradient(m1)), float(system.force_curvature(m1))
 
 
 def drive(state, n_steps, dt, stride, step, sample):

@@ -108,7 +108,7 @@ def centroid_step(belief: GaussianBelief, system: SystemSpec, meas: MeasurementS
     if k > 0.0:
         # Scalar Kalman update: measuring x with per-step precision 8k dt.
         denom = 1.0 + 8.0 * k * cxx * dt
-        gain = np.sqrt(8.0 * k) * dw / denom
+        gain = meas.sqrt8k * dw / denom
         x = x + cxx * gain
         p = p + cxp * gain
         cpp = cpp - 8.0 * k * dt * cxp**2 / denom

@@ -61,11 +61,16 @@ class ExperimentResult:
     metadata: dict = field(default_factory=dict)
 
 
+# Experiments that condition on the measurement record, which k = 0 does not carry.
+RECORD_EXPERIMENTS = {"conditioned", "passivity", "cumulant-compare", "cooling"}
+
+
 def _setup(cfg):
     """(system, grid, meas, dt, n_steps, stride) of a resolved config.
 
     grid is None without a [grid] section and meas None without a
-    [measurement] section; n_steps = round(horizon / dt).
+    [measurement] section; n_steps = round(horizon / dt).  stride is 1
+    without run.sample_stride: qct-scan writes every orbit step.
     """
     s, g, run = cfg["system"], cfg.get("grid"), cfg["run"]
     system = SystemSpec(
@@ -77,8 +82,13 @@ def _setup(cfg):
     )
     grid = PositionGrid(g["x_min"], g["x_max"], int(g["n_points"])) if g else None
     meas = MeasurementSpec(cfg["measurement"]["k"]) if "measurement" in cfg else None
+    name = cfg["experiment"]["name"]
+    if name in RECORD_EXPERIMENTS and meas.strength == 0.0:
+        raise ValueError(f"measurement.k must be positive for {name}, which conditions "
+                         "on the measurement record")
     dt = run["dt"]
-    return system, grid, meas, dt, int(round(run["horizon"] / dt)), int(run["sample_stride"])
+    stride = int(run.get("sample_stride", 1))
+    return system, grid, meas, dt, int(round(run["horizon"] / dt)), stride
 
 
 def _n_realizations(run, least) -> int:
@@ -228,7 +238,6 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
 
 
 def run_qct_scan_experiment(cfg, seed, workers):
-    # The scan writes every orbit step; the config takes no sample stride.
     system, _, meas, dt, n_steps, _ = _setup(cfg)
     exp = cfg["qct-scan"]
     times, xs, ps = newton_trajectory(exp["x0"], exp["p0"], system, dt, n_steps)

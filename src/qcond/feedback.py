@@ -84,11 +84,9 @@ def _direct_update(policy: FeedbackPolicy, dt):
 
 def _estimator_update(policy: FeedbackPolicy, system, meas, dt, belief, grid_span):
     """Estimator controller as a step function (dy, u applied over the step, t) -> u."""
-    sqrt8k = np.sqrt(8.0 * meas.strength)
-
     def update(dy, u, t):
         nonlocal belief
-        dw_b = sqrt8k * (dy - belief.x_mean * dt)
+        dw_b = meas.innovation(dy, belief.x_mean, dt)
         belief = centroid_step(belief, system.with_control(u), meas, dt, dw_b, t - dt)
         if belief.c_xx > grid_span**2:
             raise FilterDivergenceError(

@@ -175,20 +175,15 @@ def _pcts(values, mask):
     return tuple(float(np.percentile(ok, q, method="lower")) for q in (10, 50, 90))
 
 
-def evaluate_along_trajectory(system: SystemSpec, xs, k, action=None,
-                              ps=None, times=None,
+def evaluate_along_trajectory(system: SystemSpec, xs, k, action, times=None,
                               threshold=DOMINANCE_THRESHOLD) -> RegimeReport:
     """Margins of all three inequalities along a reference orbit.
 
-    ``action`` overrides the orbit-derived action scale (required when
-    the trajectory is not recurrent); ``ps`` is needed to derive it.
+    ``action`` is the orbit's action scale, e.g. ``action_scale(xs, ps)``
+    of a recurrent orbit.
     """
     xs = np.asarray(xs, dtype=float)
     hbar = system.hbar
-    if action is None:
-        if ps is None:
-            raise ValueError("supply momenta to derive the action, or pass action=")
-        action = action_scale(xs, ps)
     s = action / hbar if hbar > 0 else float("inf")
 
     ts = 0.0 if times is None else np.asarray(times, dtype=float)

@@ -41,7 +41,7 @@ the wavefunction path is the cheap one for large conditioned ensembles.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -91,18 +91,41 @@ class MeasurementError(QcondError):
 class MeasurementSpec:
     """Continuous position measurement of strength k (1/(length^2 time)).
 
-    The backaction momentum-diffusion coefficient is derived, never
-    stored: D_BA = hbar^2 k.
+    Owns the record law shared by the quantum state, the particle filter
+    and the Gaussian belief: dy = <x> dt + dW / sqrt(8k), its inverse, and
+    the multiplicative update it drives.  The backaction momentum-diffusion
+    coefficient is derived, never stored: D_BA = hbar^2 k.
     """
 
     strength: float
+    sqrt8k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.strength < 0:
             raise ValueError(f"measurement strength must be >= 0, got {self.strength}")
+        object.__setattr__(self, "sqrt8k", np.sqrt(8.0 * self.strength))
 
     def backaction_diffusion(self, hbar: float) -> float:
         return hbar**2 * self.strength
+
+    def _require_record(self):
+        if self.strength == 0.0:
+            raise MeasurementError("a k = 0 measurement has no record; step isolated instead")
+
+    def record(self, x_mean, dw, dt):
+        """Record increment dy = <x> dt + dW / sqrt(8k)."""
+        self._require_record()
+        return x_mean * dt + dw / self.sqrt8k
+
+    def innovation(self, dy, x_mean, dt):
+        """Innovation dW = sqrt(8k) (dy - <x> dt), the inverse of record()."""
+        self._require_record()
+        return self.sqrt8k * (dy - x_mean * dt)
+
+    def multiplier(self, u, dw, dt):
+        """exp(sqrt(2k) u dW - 2k u^2 dt) at offsets u = x - <x> from the mean."""
+        # sqrt(2k) = sqrt(8k) / 2 exactly: scaling by 4 and by 1/2 is exact.
+        return np.exp(0.5 * self.sqrt8k * u * dw - 2.0 * self.strength * u**2 * dt)
 
 
 @dataclass(frozen=True)
@@ -138,7 +161,11 @@ def _phase_product(w: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarra
 
 
 class _Stepper:
-    """What both steppers hold for one (grid, system, measurement, dt)."""
+    """What both steppers hold for one (grid, system, measurement, dt).
+
+    A negative dt runs isolated evolution backwards in time: the step
+    begun at t + dt undoes, to roundoff, the forward step begun at t.
+    """
 
     def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
         self.grid = grid
@@ -152,27 +179,21 @@ class _Stepper:
         x = self.x
         self.v_static = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
         self.outer_index = np.flatnonzero(grid.outer_buffer_mask)
-        self.k = 0.0 if meas is None else meas.strength
-        self.sqrt8k = np.sqrt(8.0 * self.k)
+        self.meas = MeasurementSpec(0.0) if meas is None else meas
+        self.k = self.meas.strength
         # Feedback loops override this per step; the value enters the
         # potential as the -control * x term.
         self.control = system.control_offset
 
-    def half_potential_phase(self, t_mid: float, sign: float) -> np.ndarray:
-        """exp(-i sign V(x, t_mid) dt / 2 hbar) under the current control."""
+    def half_potential_phase(self, t_mid: float) -> np.ndarray:
+        """exp(-i V(x, t_mid) dt / 2 hbar) under the current control."""
         v = self.v_static
         if self.system.drive_amplitude != 0.0:
             v = v + self.system.drive_amplitude * np.cos(self.system.drive_frequency * t_mid) * self.x
         # A (B, 1) control column gives each row of a batch its own potential.
         if isinstance(self.control, np.ndarray) or self.control != 0.0:
             v = v - self.control * self.x
-        return np.exp(sign * -0.5j * v * self.dt / self.system.hbar)
-
-    def _record_increment(self, x_mean, dw):
-        """dy = <x> dt + dW / sqrt(8k) of one conditioned step."""
-        if self.k == 0.0:
-            raise MeasurementError("conditioned step with k = 0 has no record; use isolated()")
-        return x_mean * self.dt + dw / self.sqrt8k
+        return np.exp(-0.5j * v * self.dt / self.system.hbar)
 
 
 class DensityStepper(_Stepper):
@@ -184,7 +205,7 @@ class DensityStepper(_Stepper):
 
     def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
         super().__init__(grid, system, meas, dt)
-        # Phase matrix of a static potential, valid for _phase_key = (sign, control).
+        # Phase matrix of a static potential, valid for the control _phase_key.
         self._phase_key = None
         self._phase = None
 
@@ -196,36 +217,35 @@ class DensityStepper(_Stepper):
 
     # -- elementary pieces ---------------------------------------------------
 
-    def _phase_matrix(self, t: float, sign: float) -> np.ndarray:
+    def _phase_matrix(self, t: float) -> np.ndarray:
         """W = pv pv^*, the half-step potential phase acting on both indices of rho.
 
         Without a drive and with a scalar control the potential is static,
-        so W is built once per (sign, control) and reused.
+        so W is built once per control and reused.
         """
         static = self.system.drive_amplitude == 0.0 and not isinstance(self.control, np.ndarray)
-        if static and self._phase_key == (sign, self.control):
+        if static and self._phase_key == self.control:
             return self._phase
-        pv = self.half_potential_phase(t + 0.5 * self.dt, sign)
+        pv = self.half_potential_phase(t + 0.5 * self.dt)
         w = np.outer(pv, pv.conj())
         if static:
-            self._phase_key, self._phase = (sign, self.control), w
+            self._phase_key, self._phase = self.control, w
         return w
 
-    def _unitary(self, rho: np.ndarray, t: float, sign=1.0) -> np.ndarray:
+    def _unitary(self, rho: np.ndarray, t: float) -> np.ndarray:
         """One symmetric split-operator step of U rho U^dagger.
 
         Every pass, FFTs included, runs in place in the one array returned,
         so a step takes no fresh memory beyond the new state.
         """
-        w = self._phase_matrix(t, sign)
-        pt = self.kinetic_phase if sign > 0 else self.kinetic_phase.conj()
+        w = self._phase_matrix(t)
         a = _phase_product(w, rho, np.empty_like(w))
         # U along axis 0, conj(U) along axis 1 (i.e. rho -> U rho U^dagger).
         np.fft.fft(a, axis=0, out=a)
-        np.multiply(pt[:, None], a, out=a)
+        np.multiply(self.kinetic_phase[:, None], a, out=a)
         np.fft.ifft(a, axis=0, out=a)
         np.fft.ifft(a, axis=1, out=a)
-        np.multiply(pt.conj()[None, :], a, out=a)
+        np.multiply(self.kinetic_phase.conj()[None, :], a, out=a)
         np.fft.fft(a, axis=1, out=a)
         return _phase_product(w, a, a)
 
@@ -249,11 +269,6 @@ class DensityStepper(_Stepper):
         _check_support(self._outer_mass(rho), t)
         return QuantumState(self.grid, rho, state.hbar)
 
-    def isolated_reversed(self, state: QuantumState, t=0.0) -> QuantumState:
-        """Step under the sign-flipped Hamiltonian (time reversal check)."""
-        rho = self._unitary(state.rho, t, sign=-1.0)
-        return QuantumState(self.grid, rho, state.hbar)
-
     def unconditional(self, state: QuantumState, t=0.0) -> QuantumState:
         """Linear open-system step: backaction decoherence, no conditioning."""
         rho = state.rho * self._decoherence
@@ -267,13 +282,10 @@ class DensityStepper(_Stepper):
 
         x_mean, if given, is ``mean_x(state)`` already computed by the caller.
         """
-        x = self.x
         if x_mean is None:
             x_mean = self.mean_x(state)
-        dy = self._record_increment(x_mean, dw)
-
-        u = x - x_mean
-        m = np.exp(np.sqrt(2.0 * self.k) * u * dw - 2.0 * self.k * u**2 * self.dt)
+        dy = self.meas.record(x_mean, dw, self.dt)
+        m = self.meas.multiplier(self.x - x_mean, dw, self.dt)
         rho = state.rho * np.outer(m, m)
         rho = self._renormalize(rho)
         rho = self._unitary(rho, t)
@@ -297,35 +309,36 @@ class PureStepper(_Stepper):
     """
 
     def _unitary(self, psi: np.ndarray, t: float) -> np.ndarray:
-        pv = self.half_potential_phase(t + 0.5 * self.dt, 1.0)
+        pv = self.half_potential_phase(t + 0.5 * self.dt)
         psi = pv * psi
         psi = np.fft.ifft(self.kinetic_phase * np.fft.fft(psi))
         return pv * psi
+
+    def _supported(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """psi, once no row holds more than the tolerance in the outer grid buffer."""
+        mass_out = (np.abs(psi.take(self.outer_index, axis=-1)) ** 2).sum(-1) * self.grid.dx
+        _check_support(float(mass_out.max()), t)
+        return psi
 
     def mean_x(self, psi: np.ndarray):
         dens = np.abs(psi) ** 2
         return (self.x * dens).sum(-1) / dens.sum(-1)
 
     def isolated(self, psi: np.ndarray, t=0.0) -> np.ndarray:
-        return self._unitary(psi, t)
+        return self._supported(self._unitary(psi, t), t)
 
     def conditioned(self, psi: np.ndarray, t: float, dw, x_mean=None):
         """One conditioned step of every row; returns (psi', dy per row).
 
         x_mean, if given, is ``mean_x(psi)`` already computed by the caller.
         """
-        x = self.x
         if x_mean is None:
             x_mean = self.mean_x(psi)
-        dy = self._record_increment(x_mean, dw)
-        u = x - x_mean[..., None]
-        dw_row = np.asarray(dw)[..., None]
-        psi = psi * np.exp(np.sqrt(2.0 * self.k) * u * dw_row - 2.0 * self.k * u**2 * self.dt)
+        dy = self.meas.record(x_mean, dw, self.dt)
+        u = self.x - x_mean[..., None]
+        psi = psi * self.meas.multiplier(u, np.asarray(dw)[..., None], self.dt)
         psi = psi / np.sqrt((np.abs(psi) ** 2).sum(-1, keepdims=True) * self.grid.dx)
-        psi = self._unitary(psi, t)
-        mass_out = (np.abs(psi.take(self.outer_index, axis=-1)) ** 2).sum(-1) * self.grid.dx
-        _check_support(float(mass_out.max()), t)
-        return psi, dy
+        return self._supported(self._unitary(psi, t), t), dy
 
 
 def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
@@ -407,12 +420,9 @@ def filter_with_record(state0, system, meas, record: MeasurementRecord,
     record generation arithmetic; fed its own record from the same
     initial state this reproduces the generating trajectory.
     """
-    if meas.strength == 0.0:
-        raise MeasurementError("a k = 0 record carries no information; nothing to filter")
-
     def innovation(stepper, state, i):
         x_mean = stepper.mean_x(state)
-        return stepper.sqrt8k * (record.increments[i] - x_mean * record.dt), x_mean
+        return meas.innovation(record.increments[i], x_mean, record.dt), x_mean
 
     return _run_measured(state0, system, meas, record.dt, record.n_steps, sample_every,
                          innovation)

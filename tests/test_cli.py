@@ -295,12 +295,14 @@ def _ini_from_resolved(resolved) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("text", [HARMONIC_LYAP, COOLING])
+@pytest.mark.parametrize("text", [HARMONIC_LYAP, COOLING, QCT_SCAN])
 def test_metadata_reruns_bit_identically(tmp_path, text):
     """metadata.json alone (resolved config and seed) reproduces every CSV byte."""
     first = str(tmp_path / "first")
     args = ["--config", _write(tmp_path, text), "--out", first, "--workers", "1",
-            "--seed", "31337", "--set", "run.dt=0.0025", "--set", "grid.x_max=10.5"]
+            "--seed", "31337", "--set", "run.dt=0.0025"]
+    if "[grid]" in text:
+        args += ["--set", "grid.x_max=10.5"]
     assert main(args) == EXIT_OK
     meta = json.load(open(os.path.join(first, "metadata.json")))
     rebuilt = _write(tmp_path, _ini_from_resolved(meta["resolved_config"]), "rebuilt.ini")
@@ -369,10 +371,16 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (QCT_SCAN, "run.sample_stride=10", "run.sample_stride"),
     (QCT_SCAN, "run.horizon=0.001", "run.horizon"),
     (QCT_SCAN, "measurement.k=-1", "-1.0"),
+    # A k = 0 measurement has no record to condition on.
+    (CONDITIONED, "measurement.k=0", "measurement.k"),
+    (PASSIVITY, "measurement.k=0", "measurement.k"),
+    (CUMULANT, "measurement.k=0", "measurement.k"),
+    (COOLING, "measurement.k=0", "measurement.k"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
-        "qct-scan-no-step", "qct-scan-negative-k"])
+        "qct-scan-no-step", "qct-scan-negative-k", "conditioned-k0", "passivity-k0",
+        "cumulant-k0", "cooling-k0"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
@@ -424,6 +432,20 @@ def test_numerical_abort_exit_code(tmp_path):
     bad = ISOLATED.replace("x0 = 0.5", "x0 = 6.5")
     cfg = _write(tmp_path, bad)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_isolated_lyapunov_pairs_abort_in_the_outer_buffer(tmp_path, capsys):
+    """At k = 0 the pairs step isolated; a packet with mass in the outer grid
+    buffer aborts there as it does at k > 0, instead of wrapping around."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lyapunov_duffing.ini")
+    narrow = ["grid.x_min=-22", "grid.x_max=22", "grid.n_points=256",
+              "run.horizon=0.5", "run.n_realizations=2"]
+    for k in ("0", "1e-9"):
+        args = ["--config", cfg, "--out", str(tmp_path / k), "--workers", "1"]
+        for item in narrow + [f"measurement.k={k}"]:
+            args += ["--set", item]
+        assert main(args) == 3
+        assert "outer grid buffer at t=0" in capsys.readouterr().err
 
 
 def test_passivity_max_z_skips_roundoff_rows(tmp_path):

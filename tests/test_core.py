@@ -12,10 +12,10 @@ from qcond.core import (
     SupportEscapeError,
     SystemSpec,
     drive,
-    force_moments,
+    ensemble_moments,
     gaussian_state,
     gaussian_wavefunction,
-    moments,
+    quantum_moments,
     wigner_moments,
     wigner_transform,
 )
@@ -54,7 +54,7 @@ def test_effective_potential_includes_drive_and_control():
 
 def test_gaussian_state_minimum_uncertainty(grid):
     st_ = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
-    m = moments(st_)
+    m = quantum_moments(st_)
     assert m.x_mean == pytest.approx(0.0, abs=1e-9)
     assert m.p_mean == pytest.approx(0.0, abs=1e-9)
     assert m.c_xx == pytest.approx(1.0, rel=1e-7)
@@ -64,14 +64,14 @@ def test_gaussian_state_minimum_uncertainty(grid):
 
 
 def test_gaussian_state_translation(grid):
-    m = moments(gaussian_state(grid, 2.0, -1.0, 0.5, hbar=1.0))
+    m = quantum_moments(gaussian_state(grid, 2.0, -1.0, 0.5, hbar=1.0))
     assert m.x_mean == pytest.approx(2.0, abs=1e-6)
     assert m.p_mean == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_gaussian_state_cpp_scales_with_hbar(grid):
     # analytic: C_pp = hbar^2 / (4 sigma_x^2)
-    m = moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=2.0))
+    m = quantum_moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=2.0))
     assert m.c_pp == pytest.approx(1.0, rel=1e-7)
 
 
@@ -94,7 +94,7 @@ def test_gaussian_state_rejects_support_escape(grid):
 )
 def test_gaussian_state_roundtrip_property(x0, p0, sigma):
     grid = PositionGrid(-12.0, 12.0, 128)
-    m = moments(gaussian_state(grid, x0, p0, sigma, hbar=1.0))
+    m = quantum_moments(gaussian_state(grid, x0, p0, sigma, hbar=1.0))
     assert m.x_mean == pytest.approx(x0, abs=2e-6 * max(1, abs(x0)))
     assert m.p_mean == pytest.approx(p0, abs=2e-6 * max(1, abs(p0)))
     assert m.c_xx == pytest.approx(sigma**2, rel=2e-6)
@@ -109,19 +109,19 @@ def test_gaussian_state_roundtrip_property(x0, p0, sigma):
 def test_moments_energy_gaussian_harmonic(grid):
     # <H> = C_pp/2m + (C_xx + x^2)/2 * mw^2 ... for x0=0: 0.5*(C_pp + C_xx) here
     sys_ = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
-    m = moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0), sys_, 0.0)
+    m = quantum_moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0), sys_, 0.0)
     assert m.energy == pytest.approx(0.625, rel=1e-6)
 
 
 def test_moments_two_point_ensemble():
     ens = ClassicalEnsemble([1.0, -1.0], [0.0, 0.0], [0.5, 0.5])
-    m = moments(ens)
+    m = ensemble_moments(ens)
     assert m.x_mean == pytest.approx(0.0)
     assert m.c_xx == pytest.approx(1.0)
 
 
 def test_moments_single_particle():
-    m = moments(ClassicalEnsemble([3.0], [2.0], [1.0]))
+    m = ensemble_moments(ClassicalEnsemble([3.0], [2.0], [1.0]))
     assert (m.x_mean, m.p_mean) == (3.0, 2.0)
     assert m.c_xx == m.c_pp == m.c_xp == 0.0
 
@@ -129,49 +129,6 @@ def test_moments_single_particle():
 def test_empty_ensemble_rejected():
     with pytest.raises(DegenerateEnsembleError):
         ClassicalEnsemble(np.array([]), np.array([]), np.array([]))
-
-
-# --- force_moments ------------------------------------------------------------
-
-
-def test_force_moments_linear_force(grid):
-    sys_ = SystemSpec(mass=1.0, potential_coeffs=(0, 0, 0.5))
-    st_ = gaussian_state(grid, 2.0, 0.0, 1.0, hbar=1.0)
-    f, df, d2f = force_moments(st_, sys_)
-    assert f == pytest.approx(-2.0, rel=1e-6)  # spread-independent for linear force
-    assert df == pytest.approx(-1.0, rel=1e-12)
-    assert d2f == 0.0
-
-
-def test_force_moments_quartic_centered(grid):
-    sys_ = SystemSpec(mass=1.0, potential_coeffs=(0, 0, 0, 0, 0.25))
-    st_ = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
-    f, _, _ = force_moments(st_, sys_)
-    assert f == pytest.approx(0.0, abs=1e-9)  # odd moment of centered gaussian
-
-
-def test_force_moments_quartic_displaced(grid):
-    # <F> = -<x^3> = -(x0^3 + 3 x0 C_xx) for a gaussian: oracle by quadrature too
-    sys_ = SystemSpec(mass=1.0, potential_coeffs=(0, 0, 0, 0, 0.25))
-    st_ = gaussian_state(grid, 1.0, 0.0, 1.0, hbar=1.0)
-    f, _, _ = force_moments(st_, sys_)
-    assert f == pytest.approx(-4.0, rel=1e-6)
-    # independent quadrature oracle
-    dens = st_.position_density()
-    x = grid.x
-    quad = -np.sum(x**3 * dens) * grid.dx
-    assert f == pytest.approx(quad, rel=1e-9)
-
-
-def test_force_moments_ensemble_matches_weighted_sum():
-    sys_ = SystemSpec(mass=1.0, potential_coeffs=(0, 0, 0, 0, 0.25))
-    rng = np.random.default_rng(5)
-    x = rng.normal(1.0, 0.5, 700)
-    w = rng.random(700)
-    w /= w.sum()
-    ens = ClassicalEnsemble(x, np.zeros_like(x), w)
-    f, _, _ = force_moments(ens, sys_)
-    assert f == pytest.approx(-np.dot(w, x**3), rel=1e-12)
 
 
 # --- wigner -------------------------------------------------------------------
@@ -245,7 +202,7 @@ def _brute_force_wigner(state):
 def test_wigner_moments_match_state_moments(grid):
     sys_ = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
     st_ = gaussian_state(grid, 1.3, -0.7, 0.8, hbar=1.0)
-    m_rho = moments(st_, sys_, 0.0)
+    m_rho = quantum_moments(st_, sys_, 0.0)
     m_w = wigner_moments(wigner_transform(st_), sys_, 0.0)
     assert m_w.x_mean == pytest.approx(m_rho.x_mean, abs=1e-6)
     assert m_w.p_mean == pytest.approx(m_rho.p_mean, abs=1e-6)
@@ -314,7 +271,8 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     cdyn.run_conditioned_classical(ens, harmonic, meas, noise, stride)
     assert calls == {"ks_step": 7, "ensemble_moments": 3}
     calls.clear()
-    cfg = {"system": {"mass": 1.0, "hbar": 0.0, "potential_coeffs": (0, 0, 0.5),
+    cfg = {"experiment": {"name": "passivity"},
+           "system": {"mass": 1.0, "hbar": 0.0, "potential_coeffs": (0, 0, 0.5),
                       "drive_amplitude": 0.0, "drive_frequency": 0.0},
            "measurement": {"k": 1.0},
            "run": {"dt": dt, "horizon": n_steps * dt, "sample_stride": stride,

@@ -145,7 +145,7 @@ def test_report_action_override_honored(harmonic):
 
 def test_report_margins_reparametrization_invariant(harmonic):
     _, xs, ps = newton_trajectory(1.0, 0.0, harmonic, 1e-3, 7000)
-    rep_dense = evaluate_along_trajectory(harmonic, xs, k=0.5, ps=ps)
+    rep_dense = evaluate_along_trajectory(harmonic, xs, k=0.5, action=action_scale(xs, ps))
     rep_sparse = evaluate_along_trajectory(harmonic, xs[::7], k=0.5, action=rep_dense.action)
     # margins are pointwise in x: subsampling the same orbit leaves values on the curve
     assert np.allclose(
@@ -198,7 +198,7 @@ def test_report_matches_pointwise_margins(hbar):
 def test_report_percentiles_and_window(quartic):
     sys_ = quartic
     _, xs, ps = newton_trajectory(1.5, 0.0, sys_, 1e-3, 9000)
-    rep = evaluate_along_trajectory(sys_, xs, k=2.0, ps=ps)
+    rep = evaluate_along_trajectory(sys_, xs, k=2.0, action=action_scale(xs, ps))
     p10, p50, p90 = rep.percentiles["localization"]
     assert p10 <= p50 <= p90
     assert rep.singular_mask.dtype == bool

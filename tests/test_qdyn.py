@@ -106,8 +106,10 @@ def test_isolated_reversibility(grid, harmonic):
         state = stepper.isolated(state, t)
         ts.append(t)
         t += dt
+    # A -dt stepper begun at t + dt undoes the forward step begun at t.
+    back = DensityStepper(grid, harmonic, None, -dt)
     for t_back in reversed(ts):
-        state = stepper.isolated_reversed(state, t_back)
+        state = back.isolated(state, t_back + dt)
     fidelity = float(np.real(np.sum(state0.rho.conj() * state.rho)) * grid.dx**2)
     assert fidelity > 1 - 1e-8
 
@@ -132,10 +134,10 @@ def test_isolated_unitary_matches_dense_propagator_oracle():
     assert np.max(np.abs(stepped.rho - rho_exact)) * dx < 1e-8
 
 
-def _allocating_unitary(stepper, rho, t, sign=1.0):
+def _allocating_unitary(stepper, rho, t):
     """The split-operator step written with temporaries, operand order left to numpy."""
-    pv = stepper.half_potential_phase(t + 0.5 * stepper.dt, sign)
-    pt = stepper.kinetic_phase if sign > 0 else stepper.kinetic_phase.conj()
+    pv = stepper.half_potential_phase(t + 0.5 * stepper.dt)
+    pt = stepper.kinetic_phase
     rho = rho * np.outer(pv, pv.conj())
     rho = np.fft.ifft(pt[:, None] * np.fft.fft(rho, axis=0), axis=0)
     rho = np.fft.fft(pt.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
@@ -150,13 +152,13 @@ def test_unitary_bitwise_matches_allocating_form(n, drive):
     grid = PositionGrid(-12.0, 12.0, n)
     sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5),
                       drive_amplitude=drive, drive_frequency=1.3)
-    stepper = DensityStepper(grid, sys_, None, 1e-3)
+    forward, backward = (DensityStepper(grid, sys_, None, dt) for dt in (1e-3, -1e-3))
     rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR).rho
-    for sign in (1.0, -1.0, 1.0):
+    for stepper in (forward, backward, forward):
         got = want = rho
         for i in range(3):
-            got = stepper._unitary(got, i * 1e-3, sign)
-            want = _allocating_unitary(stepper, want, i * 1e-3, sign)
+            got = stepper._unitary(got, i * 1e-3)
+            want = _allocating_unitary(stepper, want, i * 1e-3)
         assert np.array_equal(got, want)
 
 
@@ -164,12 +166,13 @@ def test_unitary_bitwise_matches_allocating_form(n, drive):
 def test_unitary_phase_follows_reassigned_control(n):
     grid = PositionGrid(-12.0, 12.0, n)
     sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5))
-    stepper = DensityStepper(grid, sys_, None, 1e-3)
     rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR).rho
-    for u in (0.0, 0.4, -0.4, 0.0):
-        stepper.control = u
-        want = _allocating_unitary(stepper, rho, 0.0)
-        assert np.array_equal(stepper._unitary(rho, 0.0), want)
+    for dt in (1e-3, -1e-3):
+        stepper = DensityStepper(grid, sys_, None, dt)
+        for u in (0.0, 0.4, -0.4, 0.0):
+            stepper.control = u
+            want = _allocating_unitary(stepper, rho, 0.0)
+            assert np.array_equal(stepper._unitary(rho, 0.0), want)
 
 
 # --- conditioned ----------------------------------------------------------------
@@ -289,9 +292,12 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
     stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), 1e-3)
     inside = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
     edge = gaussian_wavefunction(grid, 9.0, 0.0, 0.5, HBAR)   # tail in the outer buffer
-    stepper.conditioned(np.stack([inside, inside]), 0.0, 0.0)
-    with pytest.raises(SupportEscapeError):
-        stepper.conditioned(np.stack([inside, edge, inside]), 0.0, 0.0)
+    # The isolated step checks the buffer too: at k = 0 nothing else stops a wrap-around.
+    for step in (lambda psi: stepper.conditioned(psi, 0.0, 0.0),
+                 lambda psi: stepper.isolated(psi, 0.0)):
+        step(np.stack([inside, inside]))
+        with pytest.raises(SupportEscapeError):
+            step(np.stack([inside, edge, inside]))
 
 
 def test_trajectory_loop_density_twin(harmonic):
