@@ -42,6 +42,6 @@ from .qct import (
     quantum_window,
 )
 from .lyap import LyapunovConfig, PairedRunResult, ensemble_lyapunov, one_over_t_fit, paired_run
-from .feedback import CoolingResult, FeedbackPolicy, cooling_experiment, estimator_control
+from .feedback import CoolingResult, FeedbackPolicy, cooling_experiment
 
 __version__ = "0.1.0"

@@ -102,7 +102,6 @@ SCHEMA = {
         "x0": (float, 0.0),
         "p0": (float, 0.0),
         "sigma_x": (float, REQUIRED),
-        "include_force_curvature": (_boolean, True),
     },
     "qct-scan": {
         "x0": (float, REQUIRED),

@@ -156,12 +156,6 @@ class SystemSpec:
         """d3F/dx3, a constant for quartic-capped potentials."""
         return -24.0 * self.potential_coeffs[4]
 
-    def potential_third_derivative(self, x):
-        """d3V/dx3, the only surviving quantum-correction coefficient."""
-        c4 = self.potential_coeffs[4]
-        c3 = self.potential_coeffs[3]
-        return 6.0 * c3 + 24.0 * c4 * x
-
     def with_control(self, u) -> "SystemSpec":
         """Copy of this spec with the control force set to ``u``."""
         return replace(self, control_offset=float(u))

@@ -76,29 +76,22 @@ class GaussianBelief:
                 )
 
 
-def _mean_force(system: SystemSpec, x_mean, c_xx, t, include_curvature=True):
+def _mean_force(system: SystemSpec, x_mean, c_xx, t):
     """<F> over a Gaussian: F(x_mean) + (1/2) F''(x_mean) C_xx (exact, quartic cap)."""
-    f = system.force(x_mean, t)
-    if include_curvature:
-        f = f + 0.5 * system.force_curvature(x_mean) * c_xx
-    return f
+    return system.force(x_mean, t) + 0.5 * system.force_curvature(x_mean) * c_xx
 
 
-def _mean_force_gradient(system: SystemSpec, x_mean, c_xx, include_curvature=True):
+def _mean_force_gradient(system: SystemSpec, x_mean, c_xx):
     """<dF/dx> over a Gaussian; the curvature term is exact for quartic V."""
-    g = system.force_gradient(x_mean)
-    if include_curvature:
-        g = g + 0.5 * system.force_third_derivative() * c_xx
-    return g
+    return system.force_gradient(x_mean) + 0.5 * system.force_third_derivative() * c_xx
 
 
 def centroid_step(belief: GaussianBelief, system: SystemSpec, meas: MeasurementSpec,
-                  dt, dw, t=0.0, include_force_curvature=True) -> GaussianBelief:
+                  dt, dw, t=0.0) -> GaussianBelief:
     """One conditioned step of the closed centroid + covariance equations.
 
     Sub-step order matches the full-state stepper (measurement, then
-    symplectic drift); ``include_force_curvature`` drops the C_xx
-    correction in <F> and <dF/dx> when False.
+    symplectic drift).
     """
     m = system.mass
     k = meas.strength if meas is not None else 0.0
@@ -119,15 +112,15 @@ def centroid_step(belief: GaussianBelief, system: SystemSpec, meas: MeasurementS
 
     # Symplectic kick-drift-kick on the means; covariance rides the
     # tangent map of the same composition.
-    g1 = _mean_force_gradient(system, x, cxx, include_force_curvature)
-    p = p + 0.5 * dt * _mean_force(system, x, cxx, t, include_force_curvature)
+    g1 = _mean_force_gradient(system, x, cxx)
+    p = p + 0.5 * dt * _mean_force(system, x, cxx, t)
     cxp1 = cxp + 0.5 * dt * g1 * cxx
     cpp1 = cpp + dt * g1 * cxp + (0.5 * dt * g1) ** 2 * cxx
     x = x + dt * p / m
     cxx2 = cxx + 2.0 * dt * cxp1 / m + (dt / m) ** 2 * cpp1
     cxp2 = cxp1 + dt * cpp1 / m
-    g2 = _mean_force_gradient(system, x, cxx2, include_force_curvature)
-    p = p + 0.5 * dt * _mean_force(system, x, cxx2, t + dt, include_force_curvature)
+    g2 = _mean_force_gradient(system, x, cxx2)
+    p = p + 0.5 * dt * _mean_force(system, x, cxx2, t + dt)
     cxp3 = cxp2 + 0.5 * dt * g2 * cxx2
     cpp2 = cpp1 + dt * g2 * cxp2 + (0.5 * dt * g2) ** 2 * cxx2
 

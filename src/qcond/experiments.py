@@ -23,7 +23,8 @@ from .core import (
     gaussian_state,
     gaussian_wavefunction,
 )
-from .cdyn import liouville_step, run_conditioned_classical
+from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, liouville_step,
+                   run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, ensemble_lyapunov
@@ -162,6 +163,10 @@ def run_passivity_experiment(cfg, seed, workers):
 
     rng = substream_rng(seed, 0, "passivity-init")
     n_part = int(exp["n_particles"])
+    # Fewer particles reach the ESS floor before the filter first resamples.
+    least = ESS_HARD_FLOOR / RESAMPLE_ESS_FRACTION
+    if n_part < least:
+        raise ValueError(f"passivity.n_particles must be at least {least:g}, got {n_part}")
     ens0 = ClassicalEnsemble(
         rng.normal(exp["x0"], exp["sigma_x"], n_part),
         rng.normal(exp["p0"], exp["sigma_p"], n_part),
@@ -205,7 +210,6 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
     exp = cfg["cumulant-compare"]
     hbar = system.hbar
     x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
-    include_curv = bool(exp["include_force_curvature"])
     noise = generate(seed, 0, n_steps, dt)
     psi0 = gaussian_wavefunction(grid, x0, p0, sx, hbar)
     traj = run_conditioned((grid, psi0), system, meas, noise, sample_every=stride)
@@ -214,8 +218,7 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
                             quantum=True, hbar=hbar)
     _, bel_rows, _ = drive(
         belief, n_steps, dt, stride,
-        lambda b, i, t: centroid_step(b, system, meas, dt, noise.increments[i], t,
-                                      include_force_curvature=include_curv),
+        lambda b, i, t: centroid_step(b, system, meas, dt, noise.increments[i], t),
         lambda b, t: [b.x_mean, b.p_mean, b.c_xx, b.c_xp, b.c_pp])
     # Both series start one stride in: the t = 0 rows are the shared start.
     full_rows, bel_rows = traj.moments[1:, :5], bel_rows[1:]
@@ -313,19 +316,10 @@ def run_cooling_experiment(cfg, seed, workers):
     exp = cfg["cooling"]
     # A policy named twice runs once.
     names = list(dict.fromkeys(p.strip() for p in exp["policies"].split(",")))
-    policies = []
-    for kind in names:
-        if kind == "none":
-            policies.append(FeedbackPolicy("none"))
-        elif kind == "direct":
-            policies.append(FeedbackPolicy("direct", gain=exp["direct_gain"],
-                                           smoothing_time=exp["direct_smoothing"],
-                                           u_max=exp["u_max"]))
-        elif kind == "estimator":
-            policies.append(FeedbackPolicy("estimator", gain=exp["estimator_gain"],
-                                           u_max=exp["u_max"]))
-        else:
-            raise ValueError(f"unknown policy kind {kind!r}")
+    gains = {"direct": exp["direct_gain"], "estimator": exp["estimator_gain"]}
+    policies = [FeedbackPolicy(kind, gain=gains.get(kind, 0.0),
+                               smoothing_time=exp["direct_smoothing"], u_max=exp["u_max"])
+                for kind in names]
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
     res = cooling_experiment(state0, system, meas, policies,
                              n_realizations=_n_realizations(run, 2),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QcondError, SystemSpec, gaussian_wavefunction, wavefunction_moments
+from .core import QcondError, SystemSpec, drive, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
 from .noise import generate, stack_increments
 from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
@@ -36,7 +36,6 @@ __all__ = [
     "FeedbackPolicy",
     "CoolingResult",
     "ClosedLoopRun",
-    "estimator_control",
     "run_closed_loop",
     "cooling_experiment",
     "paired_gap",
@@ -59,47 +58,30 @@ class FeedbackPolicy:
     def __post_init__(self):
         if self.kind not in ("none", "direct", "estimator"):
             raise ValueError(f"unknown feedback kind {self.kind!r}")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
-
-    def clamp(self, u: float) -> float:
-        return float(np.clip(u, -self.u_max, self.u_max))
+        if not self.u_max > 0:   # NaN fails too
+            raise ValueError(f"u_max must be positive, got {self.u_max:g}")
 
 
-def _direct_update(policy: FeedbackPolicy, dt):
-    """Direct controller as a step function (dy, ...) -> u = clamp(-gain * EMA of dy/dt)."""
-    if policy.smoothing_time < 5.0 * dt:
-        raise ValueError(f"smoothing_time must be at least 5*dt = {5.0 * dt:g}, "
-                         f"got {policy.smoothing_time:g}")
-    alpha = dt / policy.smoothing_time
-    smoothed = 0.0
-
-    def update(dy, *_):
-        nonlocal smoothed
-        smoothed += alpha * (dy / dt - smoothed)
-        return policy.clamp(-policy.gain * smoothed)
-
-    return update
+def _control_arrays(policies: list, dt):
+    """(P,) arrays (rate, gain, u_max); the EMA rate is dt / smoothing_time for direct, else 0."""
+    for pol in policies:
+        if pol.kind == "direct" and not pol.smoothing_time >= 5.0 * dt:
+            raise ValueError(f"smoothing_time must be at least 5*dt = {5.0 * dt:g}, "
+                             f"got {pol.smoothing_time:g}")
+    rate = [dt / pol.smoothing_time if pol.kind == "direct" else 0.0 for pol in policies]
+    return (np.array(rate), np.array([pol.gain for pol in policies]),
+            np.array([pol.u_max for pol in policies]))
 
 
-def _estimator_update(policy: FeedbackPolicy, system, meas, dt, belief, grid_span):
-    """Estimator controller as a step function (dy, u applied over the step, t) -> u."""
-    def update(dy, u, t):
-        nonlocal belief
-        dw_b = meas.innovation(dy, belief.x_mean, dt)
-        belief = centroid_step(belief, system.with_control(u), meas, dt, dw_b, t - dt)
-        if belief.c_xx > grid_span**2:
-            raise FilterDivergenceError(
-                f"belief position variance {belief.c_xx:.3e} exceeds grid scale"
-            )
-        return estimator_control(belief, policy)
+def _control_law(signal, dy, dt, rate, gain, u_max):
+    """Controls clip(-gain * signal, +-u_max) after the record increments dy.
 
-    return update
-
-
-def estimator_control(belief: GaussianBelief, policy: FeedbackPolicy) -> float:
-    """Momentum-damping force from the current belief."""
-    return policy.clamp(-policy.gain * belief.p_mean)
+    signal holds one value per (path, policy): the EMA of dy/dt in direct
+    columns, which this advances in place; the belief momentum in estimator
+    columns and 0 in none columns, which rate 0 leaves as they are.
+    """
+    signal += rate * (dy / dt - signal)
+    return np.clip(-gain * signal, -u_max, u_max)
 
 
 @dataclass(frozen=True)
@@ -129,44 +111,50 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
     hbar = system.hbar
     increments = stack_increments(noise)
     dt = noise[0].dt
+    law = _control_arrays(policies, dt)
+    psi0 = gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)
     if belief0 is None:
         belief0 = GaussianBelief(x0, p0, sigma_x**2, 0.0, hbar**2 / (4 * sigma_x**2),
                                  quantum=True, hbar=hbar)
-    grid_span = grid.x_max - grid.x_min
 
-    def policy_update(pol):
-        if pol.kind == "direct":
-            return _direct_update(pol, dt)
-        if pol.kind == "estimator":
-            return _estimator_update(pol, system, meas, dt, belief0, grid_span)
-        return lambda *_: 0.0
-
-    # Rows are (path, policy) in row-major order; updates and u_apply follow them.
+    # Rows are (path, policy) in row-major order.  The controls u act
+    # during the next step (nothing is known at t = 0); the stepper reads
+    # them through a view, so writing u in place sets every row's potential.
     rows = (len(noise), len(policies))
-    updates = [policy_update(pol) for _ in noise for pol in policies]
-
-    psi = np.broadcast_to(gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
-                          rows + (grid.n_points,)).copy()
+    u = np.zeros(rows)
+    signal = np.zeros(rows)
+    beliefs = {(r, j): belief0 for r in range(rows[0])
+               for j, pol in enumerate(policies) if pol.kind == "estimator"}
+    psi = np.broadcast_to(psi0, rows + (grid.n_points,)).copy()
     stepper = PureStepper(grid, system, meas, dt)
+    stepper.control = u[..., None]
     scoring_system = system.with_control(0.0)
 
-    n_steps = increments.shape[0]
-    n_samples = n_steps // sample_stride
-    times = dt * sample_stride * (1 + np.arange(n_samples))
-    energy = np.empty((len(updates), n_samples))
-
-    u_apply = [0.0] * len(updates)     # one-step actuation delay: nothing known at t=0
-    for i in range(n_steps):
-        stepper.control = np.array(u_apply).reshape(rows + (1,))
+    def step(psi, i, t):
         # One increment per path, shared by its policy rows.
-        psi, dy = stepper.conditioned(psi, i * dt, increments[i][:, None])
-        t = (i + 1) * dt
-        u_apply = [update(dy_row, u, t) for update, dy_row, u in zip(updates, dy.ravel(), u_apply)]
-        if (i + 1) % sample_stride == 0:
-            energy[:, (i + 1) // sample_stride - 1] = [
-                wavefunction_moments(grid, row, hbar, scoring_system, t).energy
+        psi, dy = stepper.conditioned(psi, t, increments[i][:, None])
+        for (r, j), belief in beliefs.items():
+            dw_b = meas.innovation(dy[r, j], belief.x_mean, dt)
+            # Begun at (i + 1) * dt - dt, which can differ from t = i * dt in the last bit.
+            belief = centroid_step(belief, system.with_control(u[r, j]), meas, dt, dw_b,
+                                   (i + 1) * dt - dt)
+            if belief.c_xx > (grid.x_max - grid.x_min)**2:
+                raise FilterDivergenceError(
+                    f"belief position variance {belief.c_xx:.3e} exceeds grid scale")
+            beliefs[r, j] = belief
+            signal[r, j] = belief.p_mean
+        u[...] = _control_law(signal, dy, dt, *law)
+        return psi
+
+    def sample(psi, t):
+        return [wavefunction_moments(grid, row, hbar, scoring_system, t).energy
                 for row in psi.reshape(-1, grid.n_points)]
-    return ClosedLoopRun(times, energy.reshape(rows + (n_samples,)), np.array(u_apply).reshape(rows))
+
+    _, energy, _ = drive(psi, increments.shape[0], dt, sample_stride, step, sample)
+    # Drop drive's t = 0 row; one C-contiguous row of samples per (path, policy).
+    energy = np.ascontiguousarray(energy[1:].T).reshape(rows + (-1,))
+    times = dt * sample_stride * (1 + np.arange(energy.shape[-1]))
+    return ClosedLoopRun(times, energy, u)
 
 
 @dataclass(frozen=True)
@@ -208,6 +196,8 @@ def cooling_experiment(state0_params, system, meas, policies: list,
     reruns its streams one at a time, so the accepted and retried
     indices are those of a stream-by-stream loop.
     """
+    # Every stream starts from one packet: a misfit aborts once, unretried.
+    gaussian_wavefunction(*state0_params, system.hbar)
     n_steps = int(round(horizon / dt))
     chunk = realizations_per_batch(len(policies), state0_params[0].n_points)
     accepted = []    # (stream index, ClosedLoopRun, its row) per accepted realization

@@ -459,7 +459,7 @@ def moyal_rhs(w: WignerGrid, system: SystemSpec, t=0.0) -> np.ndarray:
     dvdx = -system.force(x, t)  # dV/dx including drive and control
     rhs = -(p_row / system.mass) * d_dx + dvdx[:, None] * d_dp
 
-    v3 = system.potential_third_derivative(x)
+    v3 = -system.force_curvature(x)  # d3V/dx3, the only surviving quantum correction
     if np.any(v3 != 0.0) and system.hbar != 0.0:
         d3_dp3 = np.fft.fftshift(
             np.fft.ifft((1j * kp) ** 3 * f_p, axis=1).real, axes=1

@@ -376,11 +376,18 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (PASSIVITY, "measurement.k=0", "measurement.k"),
     (CUMULANT, "measurement.k=0", "measurement.k"),
     (COOLING, "measurement.k=0", "measurement.k"),
+    # Fewer particles than ESS floor / resample fraction = 20 reach the floor unresampled.
+    (PASSIVITY, "passivity.n_particles=0", "passivity.n_particles"),
+    (PASSIVITY, "passivity.n_particles=19", "passivity.n_particles"),
+    # NaN fails every comparison, so the bounds are written to reject it.
+    (COOLING, "cooling.u_max=nan", "nan"),
+    (COOLING, "cooling.direct_smoothing=nan", "nan"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
         "qct-scan-no-step", "qct-scan-negative-k", "conditioned-k0", "passivity-k0",
-        "cumulant-k0", "cooling-k0"])
+        "cumulant-k0", "cooling-k0", "passivity-particles-0", "passivity-particles-19",
+        "cooling-umax-nan", "cooling-smoothing-nan"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
@@ -432,6 +439,20 @@ def test_numerical_abort_exit_code(tmp_path):
     bad = ISOLATED.replace("x0 = 0.5", "x0 = 6.5")
     cfg = _write(tmp_path, bad)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("override, message", [
+    ("cooling.x0=9.5", "exceeds grid"),
+    ("cooling.sigma_x=0.1", "must exceed 2*dx"),
+    ("cooling.sigma_x=0", "must exceed 2*dx"),
+], ids=["x0-off-grid", "sigma-below-2dx", "sigma-zero"])
+def test_misfit_cooling_packet_aborts_unretried(tmp_path, capsys, recwarn, override, message):
+    """Every stream starts from one packet, so a packet that does not fit the
+    grid aborts once, with no retried stream."""
+    cfg = _write(tmp_path, COOLING)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == 3
+    assert message in capsys.readouterr().err
+    assert not [w for w in recwarn if "aborted" in str(w.message)]
 
 
 def test_isolated_lyapunov_pairs_abort_in_the_outer_buffer(tmp_path, capsys):

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from qcond import feedback
-from qcond.core import PositionGrid, QcondError, SystemSpec
-from qcond.cumulant import GaussianBelief
-from qcond.feedback import (
-    FeedbackPolicy,
-    cooling_experiment,
-    estimator_control,
-    paired_gap,
-    run_closed_loop,
-)
+from qcond.core import PositionGrid, QcondError, SystemSpec, gaussian_wavefunction
+from qcond.cumulant import GaussianBelief, centroid_step
+from qcond.feedback import FeedbackPolicy, cooling_experiment, paired_gap, run_closed_loop
 from qcond.noise import generate
-from qcond.qdyn import MeasurementSpec
+from qcond.qdyn import MeasurementSpec, PureStepper
 
 # Quartic-well plant with a soft harmonic floor; gains fixed by grid search
 # (see configs in qcond.experiments): the direct law u = -g * I_smooth damps
@@ -36,9 +30,11 @@ def test_policy_validation():
 
 
 def _direct_controls(record_increments, policy, dt):
-    """u series of the direct controller over a record; u_n uses increments through n."""
-    update = feedback._direct_update(policy, dt)
-    return np.array([update(dy) for dy in record_increments])
+    """u series of the direct law over a record; u_n uses increments through n."""
+    law = feedback._control_arrays([policy], dt)
+    smoothed = np.zeros(1)
+    return np.array([feedback._control_law(smoothed, dy, dt, *law)[0]
+                     for dy in record_increments])
 
 
 def test_direct_control_zero_record():
@@ -65,16 +61,26 @@ def test_direct_control_clamps():
 
 
 def test_direct_control_requires_smoothing():
-    with pytest.raises(ValueError):
-        feedback._direct_update(FeedbackPolicy("direct", smoothing_time=1e-3), 1e-3)
+    with pytest.raises(ValueError, match="smoothing_time must be at least 5"):
+        feedback._control_arrays([FeedbackPolicy("none"),
+                                  FeedbackPolicy("direct", smoothing_time=1e-3)], 1e-3)
 
 
-def test_estimator_control_arithmetic():
-    bel = GaussianBelief(0.0, 2.0, 0.1, 0.0, 0.1, quantum=True)
-    assert estimator_control(bel, FeedbackPolicy("estimator", gain=1.5, u_max=10)) == -3.0
-    assert estimator_control(bel, FeedbackPolicy("estimator", gain=1.5, u_max=1.0)) == -1.0
-    bel0 = GaussianBelief(1.0, 0.0, 0.1, 0.0, 0.1, quantum=True)
-    assert estimator_control(bel0, FeedbackPolicy("estimator", gain=1.5, u_max=10)) == 0.0
+def test_estimator_law_sets_final_control():
+    """After one step an estimator row's control is -gain * p of its belief,
+    clamped at +-u_max, and 0 at zero gain.  The first step runs under zero
+    control, so every row sees the record of one uncontrolled step."""
+    dt = 1e-3
+    noise = [generate(3, 0, 1, dt)]
+    psi0 = gaussian_wavefunction(GRID, 1.5, 0.0, 0.5)
+    _, dy = PureStepper(GRID, PLANT, MEAS, dt).conditioned(psi0[None], 0.0, noise[0].increments)
+    bel0 = GaussianBelief(1.5, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2), quantum=True)
+    p = centroid_step(bel0, PLANT, MEAS, dt, MEAS.innovation(dy[0], 1.5, dt)).p_mean
+    assert p < -1e-3   # the quartic well's force pushes the packet back
+    policies = [FeedbackPolicy("estimator", gain=g, u_max=u_max)
+                for g, u_max in ((1.5, 10.0), (1.5, 1e-3), (-1.5, 1e-3), (0.0, 10.0))]
+    run = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, sample_stride=1)
+    assert run.final_control[0].tolist() == [-1.5 * p, 1e-3, -1e-3, 0.0]
 
 
 def test_zero_gain_identical_to_none():
