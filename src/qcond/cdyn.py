@@ -153,7 +153,7 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: Nois
     """Full conditioned run, resampled before any step whose ESS is below
     RESAMPLE_ESS_FRACTION of the particle count.
 
-    The trajectory's purity column holds the ensemble's ESS.
+    The trajectory, a batch of one, holds the ensemble's ESS in its purity column.
     """
     dt = noise.dt
     dys = np.empty(noise.n_steps)
@@ -166,4 +166,4 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: Nois
 
     times, rows, _ = drive(ens0, noise.n_steps, dt, sample_every, step,
                            lambda ens, t: astuple(ensemble_moments(ens, system, t)))
-    return ConditionedTrajectory(times, rows, MeasurementRecord(dt, dys))
+    return ConditionedTrajectory(times, rows[None], MeasurementRecord(dt, dys[None]))

@@ -43,8 +43,15 @@ class ConfigError(Exception):
     pass
 
 
+def _number(raw: str):
+    """float(raw), refusing NaN: it would pass every range check written as a comparison."""
+    if np.isnan(value := float(raw)):
+        raise ValueError(f"{raw.strip()!r} is not a number")
+    return value
+
+
 def _floats_list(raw: str):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    return [_number(tok) for tok in raw.replace(",", " ").split()]
 
 
 def _boolean(raw: str):
@@ -59,73 +66,54 @@ def _boolean(raw: str):
 # Section schemas: key -> (parser, default); REQUIRED means no default.
 REQUIRED = object()
 
+# The Gaussian start packet of the wavefunction, density and particle runs.
+PACKET = {"x0": (_number, 0.0), "p0": (_number, 0.0), "sigma_x": (_number, REQUIRED)}
+
 SCHEMA = {
     "experiment": {"name": (str.strip, REQUIRED)},
     "system": {
-        "mass": (float, REQUIRED),
-        "hbar": (float, 1.0),
+        "mass": (_number, REQUIRED),
+        "hbar": (_number, 1.0),
         "potential_coeffs": (_floats_list, REQUIRED),
-        "drive_amplitude": (float, 0.0),
-        "drive_frequency": (float, 0.0),
+        "drive_amplitude": (_number, 0.0),
+        "drive_frequency": (_number, 0.0),
     },
     "grid": {
-        "x_min": (float, REQUIRED),
-        "x_max": (float, REQUIRED),
+        "x_min": (_number, REQUIRED),
+        "x_max": (_number, REQUIRED),
         "n_points": (int, 128),
     },
-    "measurement": {"k": (float, REQUIRED)},
+    "measurement": {"k": (_number, REQUIRED)},
     "run": {
-        "dt": (float, REQUIRED),
-        "horizon": (float, REQUIRED),
+        "dt": (_number, REQUIRED),
+        "horizon": (_number, REQUIRED),
         "n_realizations": (int, 1),
         "master_seed": (int, DEFAULT_SEED),
         "sample_stride": (int, 10),
     },
-    "isolated": {
-        "x0": (float, 0.0),
-        "p0": (float, 0.0),
-        "sigma_x": (float, REQUIRED),
-    },
-    "conditioned": {
-        "x0": (float, 0.0),
-        "p0": (float, 0.0),
-        "sigma_x": (float, REQUIRED),
-    },
-    "passivity": {
-        "n_particles": (int, 512),
-        "x0": (float, 0.0),
-        "p0": (float, 0.0),
-        "sigma_x": (float, REQUIRED),
-        "sigma_p": (float, REQUIRED),
-    },
-    "cumulant-compare": {
-        "x0": (float, 0.0),
-        "p0": (float, 0.0),
-        "sigma_x": (float, REQUIRED),
-    },
+    "isolated": PACKET,
+    "conditioned": PACKET,
+    "passivity": {**PACKET, "n_particles": (int, 512), "sigma_p": (_number, REQUIRED)},
+    "cumulant-compare": PACKET,
     "qct-scan": {
-        "x0": (float, REQUIRED),
-        "p0": (float, 0.0),
-        "action": (float, 0.0),   # 0 = derive from the undriven orbit
-        "threshold": (float, 10.0),
+        "x0": (_number, REQUIRED),
+        "p0": (_number, 0.0),
+        "action": (_number, 0.0),   # 0 = derive from the undriven orbit
+        "threshold": (_number, 10.0),
     },
     "lyapunov": {
-        "x0": (float, 0.0),
-        "p0": (float, 0.0),
-        "sigma_x": (float, REQUIRED),
-        "delta0": (float, REQUIRED),
+        **PACKET,
+        "delta0": (_number, REQUIRED),
         "renormalize": (_boolean, False),
-        "renorm_threshold": (float, 0.0),
+        "renorm_threshold": (_number, 0.0),
     },
     "cooling": {
-        "x0": (float, 0.0),
-        "p0": (float, 0.0),
-        "sigma_x": (float, REQUIRED),
+        **PACKET,
         "policies": (str.strip, "none,direct,estimator"),
-        "direct_gain": (float, -1.0),
-        "direct_smoothing": (float, 0.8),
-        "estimator_gain": (float, 3.0),
-        "u_max": (float, 5.0),
+        "direct_gain": (_number, -1.0),
+        "direct_smoothing": (_number, 0.8),
+        "estimator_gain": (_number, 3.0),
+        "u_max": (_number, 5.0),
     },
 }
 

@@ -388,30 +388,35 @@ def quantum_moments(state: QuantumState, system: SystemSpec = None, time=0.0) ->
 
 
 def wavefunction_moments(grid: PositionGrid, psi, hbar, system: SystemSpec = None, time=0.0) -> MomentSet:
-    """MomentSet of a pure state given directly as a wavefunction."""
+    """MomentSet of the wavefunction psi, or of a batch (..., n) of them.
+
+    Every field has the batch shape psi.shape[:-1] (floats for one state),
+    and each row equals the moments of that row alone, bit for bit.
+    """
     x, dx = grid.x, grid.dx
     dens = np.abs(psi) ** 2
-    norm = float(np.sum(dens) * dx)
-    x_mean = float(np.sum(x * dens) * dx / norm)
-    c_xx = float(np.sum((x - x_mean) ** 2 * dens) * dx / norm)
+    norm = dens.sum(-1) * dx
+    x_mean = (x * dens).sum(-1) * dx / norm
+    c_xx = ((x - x_mean[..., None]) ** 2 * dens).sum(-1) * dx / norm
 
     p = grid.momenta(hbar)
     phi = np.fft.fft(psi)
     pdens = np.abs(phi) ** 2 * dx**2 / (2.0 * np.pi * hbar)
     dp = 2.0 * np.pi * hbar / (grid.n_points * dx)
-    p_mean = float(np.sum(p * pdens) * dp / norm)
-    p2 = float(np.sum(p**2 * pdens) * dp / norm)
-    c_pp = p2 - p_mean**2
+    p_mean = (p * pdens).sum(-1) * dp / norm
+    p2 = (p**2 * pdens).sum(-1) * dp / norm
+    # libm pow, as a Python float square: np.square rounds some values apart.
+    c_pp = p2 - np.float_power(p_mean, 2)
 
     ppsi = np.fft.ifft(p * phi)
-    xp_sym = float(np.real(np.sum(psi.conj() * x * ppsi) * dx) / norm)
+    xp_sym = ((psi.conj() * x * ppsi).sum(-1) * dx).real / norm
     c_xp = xp_sym - x_mean * p_mean
 
-    energy = np.nan
+    energy = np.full(norm.shape, np.nan)[()]
     if system is not None:
-        v_mean = float(np.sum(system.potential(x, time) * dens) * dx / norm)
+        v_mean = (system.potential(x, time) * dens).sum(-1) * dx / norm
         energy = p2 / (2.0 * system.mass) + v_mean
-    return MomentSet(x_mean, p_mean, c_xx, c_xp, c_pp, 1.0, energy)
+    return MomentSet(x_mean, p_mean, c_xx, c_xp, c_pp, np.ones(norm.shape)[()], energy)
 
 
 def ensemble_moments(ens: ClassicalEnsemble, system: SystemSpec = None, time=0.0) -> MomentSet:

@@ -5,7 +5,7 @@ mapping (see qcond.cli for the file format), runs the corresponding
 simulation, and returns CSV-ready series plus a metadata summary.
 Trajectory realizations run on a worker pool that returns results in
 job order, each on the noise stream of its own index, so the emitted
-bytes never depend on worker count or scheduling.
+bytes never depend on worker count, batch chunking or scheduling.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from .core import (
 from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, liouville_step,
                    run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
-from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
+from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, ensemble_lyapunov
 from .noise import generate, parallel_map, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
-from .qdyn import MeasurementSpec, run_conditioned, run_isolated
+from .qdyn import MeasurementSpec, run_conditioned, run_isolated, stream_chunks
 from .cdyn import newton_trajectory
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
@@ -107,7 +107,7 @@ def run_isolated_experiment(cfg, seed, workers):
     exp = cfg["isolated"]
     state = gaussian_state(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
     traj = run_isolated(state, system, dt, n_steps, sample_every=stride)
-    table = np.column_stack([traj.times, traj.moments])
+    table = np.column_stack([traj.times, traj.moments[0]])
     series = [CsvSeries("isolated_moments", TRAJECTORY_COLUMNS, table)]
     return ExperimentResult(series, {"n_steps": n_steps})
 
@@ -115,27 +115,27 @@ def run_isolated_experiment(cfg, seed, workers):
 # --- conditioned --------------------------------------------------------------
 
 
-def _conditioned_one(job):
-    grid, system, meas, exp, dt, n_steps, stride, seed, stream = job
-    psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
-    noise = generate(seed, stream, n_steps, dt)
-    return run_conditioned((grid, psi0), system, meas, noise, sample_every=stride)
+def _conditioned_chunk(job):
+    streams, grid, psi0, system, meas, dt, n_steps, stride, seed = job
+    noise = [generate(seed, k, n_steps, dt) for k in streams]
+    return run_conditioned(grid, psi0, system, meas, noise, sample_every=stride)
 
 
 def run_conditioned_experiment(cfg, seed, workers):
     system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["conditioned"]
     n_real = _n_realizations(cfg["run"], 1)
-
-    jobs = [(grid, system, meas, exp, dt, n_steps, stride, seed, idx) for idx in range(n_real)]
-    trajs = parallel_map(_conditioned_one, jobs, workers)
-
-    mean = np.mean(np.stack([traj.moments for traj in trajs]), axis=0)
+    psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
+    jobs = [(streams, grid, psi0, system, meas, dt, n_steps, stride, seed)
+            for streams in stream_chunks(n_real, workers, 1, grid.n_points)]
+    trajs = parallel_map(_conditioned_chunk, jobs, workers)
+    times = trajs[0].times
+    moments = np.concatenate([traj.moments for traj in trajs])
     series = [CsvSeries("conditioned_mean", TRAJECTORY_COLUMNS,
-                        np.column_stack([trajs[0].times, mean]))]
+                        np.column_stack([times, moments.mean(axis=0)]))]
     series += [CsvSeries(f"conditioned_traj_{idx:03d}", TRAJECTORY_COLUMNS,
-                         np.column_stack([traj.times, traj.moments]))
-               for idx, traj in enumerate(trajs)]
+                         np.column_stack([times, rows]))
+               for idx, rows in enumerate(moments)]
     return ExperimentResult(series, {"n_realizations": n_real})
 
 
@@ -176,7 +176,7 @@ def run_passivity_experiment(cfg, seed, workers):
     trajs = parallel_map(_passivity_one, jobs, workers)
     times = trajs[0].times
     # raw moments so realizations average like the underlying distribution
-    mom = np.stack([traj.moments for traj in trajs])
+    mom = np.concatenate([traj.moments for traj in trajs])
     x, p = mom[..., 0], mom[..., 1]
     raws = np.stack([x, p, mom[..., 2] + x**2, mom[..., 3] + x * p, mom[..., 4] + p**2], axis=-1)
     mean = raws.mean(axis=0)
@@ -212,7 +212,7 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
     x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
     noise = generate(seed, 0, n_steps, dt)
     psi0 = gaussian_wavefunction(grid, x0, p0, sx, hbar)
-    traj = run_conditioned((grid, psi0), system, meas, noise, sample_every=stride)
+    traj = run_conditioned(grid, psi0, system, meas, [noise], sample_every=stride)
 
     belief = GaussianBelief(x0, p0, sx**2, 0.0, hbar**2 / (4 * sx**2),
                             quantum=True, hbar=hbar)
@@ -221,7 +221,7 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
         lambda b, i, t: centroid_step(b, system, meas, dt, noise.increments[i], t),
         lambda b, t: [b.x_mean, b.p_mean, b.c_xx, b.c_xp, b.c_pp])
     # Both series start one stride in: the t = 0 rows are the shared start.
-    full_rows, bel_rows = traj.moments[1:, :5], bel_rows[1:]
+    full_rows, bel_rows = traj.moments[0, 1:, :5], bel_rows[1:]
     rows = np.column_stack([traj.times[1:], full_rows, bel_rows])
     report = belief_vs_full_compare(full_rows, bel_rows)
     cols = ("t [time]",
@@ -317,14 +317,19 @@ def run_cooling_experiment(cfg, seed, workers):
     # A policy named twice runs once.
     names = list(dict.fromkeys(p.strip() for p in exp["policies"].split(",")))
     gains = {"direct": exp["direct_gain"], "estimator": exp["estimator_gain"]}
-    policies = [FeedbackPolicy(kind, gain=gains.get(kind, 0.0),
-                               smoothing_time=exp["direct_smoothing"], u_max=exp["u_max"])
-                for kind in names]
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
-    res = cooling_experiment(state0, system, meas, policies,
-                             n_realizations=_n_realizations(run, 2),
-                             horizon=run["horizon"], dt=dt, master_seed=seed,
-                             sample_stride=stride)
+    try:
+        policies = [FeedbackPolicy(kind, gain=gains.get(kind, 0.0),
+                                   smoothing_time=exp["direct_smoothing"], u_max=exp["u_max"])
+                    for kind in names]
+        res = cooling_experiment(state0, system, meas, policies,
+                                 n_realizations=_n_realizations(run, 2),
+                                 horizon=run["horizon"], dt=dt, master_seed=seed,
+                                 sample_stride=stride)
+    except PolicyValueError as err:   # name the key that set the policy field
+        field, problem = err.args
+        key = {"u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]
+        raise ValueError(f"cooling.{key} {problem}") from err
     root_n = np.sqrt(res.stream_indices.size)
     # Realizations add in order along axis 0, and each steady column reduces
     # as a 1-D array: steady.mean(axis=0) sums in another order and differs

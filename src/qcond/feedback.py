@@ -46,6 +46,13 @@ class FilterDivergenceError(QcondError):
     """Estimator covariance blew past the physical scale of the problem."""
 
 
+class PolicyValueError(ValueError):
+    """A FeedbackPolicy field out of range; args are (field name, problem)."""
+
+    def __str__(self):
+        return " ".join(self.args)
+
+
 @dataclass(frozen=True)
 class FeedbackPolicy:
     """Control law selector: kind in {none, direct, estimator}."""
@@ -59,15 +66,15 @@ class FeedbackPolicy:
         if self.kind not in ("none", "direct", "estimator"):
             raise ValueError(f"unknown feedback kind {self.kind!r}")
         if not self.u_max > 0:   # NaN fails too
-            raise ValueError(f"u_max must be positive, got {self.u_max:g}")
+            raise PolicyValueError("u_max", f"must be positive, got {self.u_max:g}")
 
 
 def _control_arrays(policies: list, dt):
     """(P,) arrays (rate, gain, u_max); the EMA rate is dt / smoothing_time for direct, else 0."""
     for pol in policies:
         if pol.kind == "direct" and not pol.smoothing_time >= 5.0 * dt:
-            raise ValueError(f"smoothing_time must be at least 5*dt = {5.0 * dt:g}, "
-                             f"got {pol.smoothing_time:g}")
+            raise PolicyValueError("smoothing_time", f"must be at least 5*dt = {5.0 * dt:g}, "
+                                                     f"got {pol.smoothing_time:g}")
     rate = [dt / pol.smoothing_time if pol.kind == "direct" else 0.0 for pol in policies]
     return (np.array(rate), np.array([pol.gain for pol in policies]),
             np.array([pol.u_max for pol in policies]))
@@ -147,12 +154,11 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
         return psi
 
     def sample(psi, t):
-        return [wavefunction_moments(grid, row, hbar, scoring_system, t).energy
-                for row in psi.reshape(-1, grid.n_points)]
+        return wavefunction_moments(grid, psi, hbar, scoring_system, t).energy
 
     _, energy, _ = drive(psi, increments.shape[0], dt, sample_stride, step, sample)
     # Drop drive's t = 0 row; one C-contiguous row of samples per (path, policy).
-    energy = np.ascontiguousarray(energy[1:].T).reshape(rows + (-1,))
+    energy = np.ascontiguousarray(np.moveaxis(energy[1:], 0, -1))
     times = dt * sample_stride * (1 + np.arange(energy.shape[-1]))
     return ClosedLoopRun(times, energy, u)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import PositionGrid, SystemSpec, gaussian_wavefunction
 from .noise import generate, parallel_map, stack_increments
-from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
+from .qdyn import MeasurementSpec, PureStepper, stream_chunks
 from . import cdyn
 
 __all__ = [
@@ -229,17 +229,14 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     """Stream-indexed realizations of paired_run as one batch of R pairs.
 
     Consecutive stream indices run as the rows of one paired_run batch,
-    in chunks of at most ceil(R / workers) streams that fit
-    qdyn.realizations_per_batch.  Each row is bit-identical to its
+    in the chunks of qdyn.stream_chunks.  Each row is bit-identical to its
     stream run alone, so any worker count produces identical output.
     """
     n_real = cfg.n_realizations
     if n_real < 2:
         raise ValueError(f"need at least 2 realizations for ensemble statistics, got {n_real}")
-    size = min(-(-n_real // max(1, workers)),
-               realizations_per_batch(2, state0_params[0].n_points))
-    jobs = [(range(start, min(start + size, n_real)), state0_params, system, meas, cfg,
-             master_seed) for start in range(0, n_real, size)]
+    jobs = [(streams, state0_params, system, meas, cfg, master_seed)
+            for streams in stream_chunks(n_real, workers, 2, state0_params[0].n_points)]
     results = parallel_map(_realization_chunk, jobs, workers)
     return PairedRunResult(
         results[0].times,

@@ -58,7 +58,7 @@ from .core import (
     quantum_moments,
     WignerGrid,
 )
-from .noise import NoisePath
+from .noise import stack_increments
 
 __all__ = [
     "MeasurementSpec",
@@ -72,6 +72,7 @@ __all__ = [
     "run_isolated",
     "ConditionedTrajectory",
     "realizations_per_batch",
+    "stream_chunks",
 ]
 
 # Complex state held by one batch of independent realizations.  Stepping
@@ -130,14 +131,10 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Record increments dy_n = <x>_n dt + dW_n / sqrt(8k) (units length*time)."""
+    """Record increments dy_n = <x>_n dt + dW_n / sqrt(8k) (units length*time), (R, n_steps)."""
 
     dt: float
     increments: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.size
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +255,6 @@ class DensityStepper(_Stepper):
         """Probability in the outer grid buffer."""
         return float(np.sum(rho.diagonal().real.take(self.outer_index)) * self.grid.dx)
 
-    def mean_x(self, state: QuantumState) -> float:
-        dens = state.rho.diagonal().real
-        return float(np.sum(self.x * dens) / np.sum(dens))
-
     # -- public steps ----------------------------------------------------------
 
     def isolated(self, state: QuantumState, t=0.0) -> QuantumState:
@@ -277,13 +270,10 @@ class DensityStepper(_Stepper):
         _check_support(self._outer_mass(rho), t)
         return QuantumState(self.grid, rho, state.hbar)
 
-    def conditioned(self, state: QuantumState, t: float, dw: float, x_mean=None):
-        """One measurement-conditioned step; returns (state', dy).
-
-        x_mean, if given, is ``mean_x(state)`` already computed by the caller.
-        """
-        if x_mean is None:
-            x_mean = self.mean_x(state)
+    def conditioned(self, state: QuantumState, t: float, dw: float):
+        """One measurement-conditioned step; returns (state', dy)."""
+        dens = state.rho.diagonal().real
+        x_mean = float(np.sum(self.x * dens) / np.sum(dens))
         dy = self.meas.record(x_mean, dw, self.dt)
         m = self.meas.multiplier(self.x - x_mean, dw, self.dt)
         rho = state.rho * np.outer(m, m)
@@ -346,17 +336,26 @@ def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
     return max(1, BATCH_BYTES // (rows_per_realization * n_points * 16))
 
 
+def stream_chunks(n_streams: int, workers: int, rows_per_realization: int, n_points: int) -> list:
+    """Consecutive stream ranges, one batch job each: ceil(n_streams / workers)
+    streams at most, and no more than realizations_per_batch."""
+    size = min(-(-n_streams // max(1, workers)),
+               realizations_per_batch(rows_per_realization, n_points))
+    return [range(start, min(start + size, n_streams)) for start in range(0, n_streams, size)]
+
+
 # ---------------------------------------------------------------------------
 # Trajectories
 
 
 @dataclass(frozen=True)
 class ConditionedTrajectory:
-    """Sampled moments of one trajectory plus its measurement record.
+    """Sampled moments of R trajectories plus their measurement record.
 
-    moments is (n_samples, 7), one row per entry of times, in MomentSet
-    field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the effective
-    sample size for a classical ensemble) and energy.
+    moments is a C-contiguous (R, n_samples, 7), one row per entry of times,
+    in MomentSet field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the
+    effective sample size for a classical ensemble) and energy.  An isolated
+    run or a particle filter is a batch of one.
     """
 
     times: np.ndarray
@@ -364,68 +363,61 @@ class ConditionedTrajectory:
     record: MeasurementRecord = None
 
 
-def _stepper_and_sample(state0, system, meas, dt):
-    """(stepper, state, moment row sampler) for a QuantumState or a wavefunction as (grid, psi).
+def _run_measured(grid, psi0, system, meas, dt, increments, sample_every, innovation):
+    """Conditioned trajectories of one batch row per column of the (n_steps, R)
+    increments; innovation(stepper, psi, increments[i]) gives step i's (dW, <x> or None)."""
+    n_steps, n_rows = increments.shape
+    stepper = PureStepper(grid, system, meas, dt)
+    psi = np.broadcast_to(psi0, (n_rows, grid.n_points)).copy()
+    dys = np.empty((n_rows, n_steps))
 
-    The moment functions are looked up when called, so a rebinding of the
-    module attribute (as span tracing does) takes effect here too.
-    """
-    if isinstance(state0, tuple):
-        grid, psi = state0
-        return (PureStepper(grid, system, meas, dt), psi,
-                lambda psi, t: astuple(wavefunction_moments(grid, psi, system.hbar, system, t)))
-    return (DensityStepper(state0.grid, system, meas, dt), state0,
-            lambda state, t: astuple(quantum_moments(state, system, t)))
+    def step(psi, i, t):
+        dw, x_mean = innovation(stepper, psi, increments[i])
+        psi, dys[:, i] = stepper.conditioned(psi, t, dw, x_mean)
+        return psi
 
+    def sample(psi, t):   # one moments call per sample, looked up then (span tracing rebinds it)
+        return np.stack(astuple(wavefunction_moments(grid, psi, system.hbar, system, t)), axis=-1)
 
-def _run_measured(state0, system, meas, dt, n_steps, sample_every, innovation):
-    """Conditioned trajectory; innovation(stepper, state, i) gives step i's (dW, <x> or None)."""
-    stepper, state, sample = _stepper_and_sample(state0, system, meas, dt)
-    dys = np.empty(n_steps)
-
-    def step(state, i, t):
-        dw, x_mean = innovation(stepper, state, i)
-        state, dys[i] = stepper.conditioned(state, t, dw, x_mean)
-        return state
-
-    times, rows, _ = drive(state, n_steps, dt, sample_every, step, sample)
-    return ConditionedTrajectory(times, rows, MeasurementRecord(dt, dys))
+    times, rows, _ = drive(psi, n_steps, dt, sample_every, step, sample)
+    # C-contiguous (R, n_samples, 7): a strided view reorders the sums of a mean over R.
+    return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)),
+                                 MeasurementRecord(dt, dys))
 
 
-def run_conditioned(state0, system, meas, noise: NoisePath,
+def run_conditioned(grid, psi0, system, meas, noise: list,
                     sample_every=1) -> ConditionedTrajectory:
-    """Integrate the conditioned evolution over a full noise path.
-
-    state0 may be a QuantumState (density path) or a wavefunction array
-    packaged as (grid, psi) (wavefunction path).
-    """
-    return _run_measured(state0, system, meas, noise.dt, noise.n_steps, sample_every,
-                         lambda stepper, state, i: (noise.increments[i], None))
+    """Conditioned trajectories from the wavefunction psi0, one batch row per
+    path in the list ``noise``; each row is bit-identical to its path run alone."""
+    return _run_measured(grid, psi0, system, meas, noise[0].dt, stack_increments(noise),
+                         sample_every, lambda stepper, psi, dw: (dw, None))
 
 
-def run_isolated(state0, system, dt, n_steps, sample_every=1) -> ConditionedTrajectory:
-    """Unitary evolution of a QuantumState or (grid, psi), no measurement."""
-    stepper, state, sample = _stepper_and_sample(state0, system, None, dt)
-    times, rows, _ = drive(state, n_steps, dt, sample_every,
-                           lambda state, i, t: stepper.isolated(state, t), sample)
-    return ConditionedTrajectory(times, rows)
+def run_isolated(state0: QuantumState, system, dt, n_steps,
+                 sample_every=1) -> ConditionedTrajectory:
+    """Unitary evolution of a density matrix, no measurement: a batch of one."""
+    stepper = DensityStepper(state0.grid, system, None, dt)
+    times, rows, _ = drive(state0, n_steps, dt, sample_every,
+                           lambda state, i, t: stepper.isolated(state, t),
+                           lambda state, t: astuple(quantum_moments(state, system, t)))
+    return ConditionedTrajectory(times, rows[None])
 
 
-def filter_with_record(state0, system, meas, record: MeasurementRecord,
+def filter_with_record(grid, psi0, system, meas, record: MeasurementRecord,
                        sample_every=1) -> ConditionedTrajectory:
-    """Re-integrate the conditioned evolution from a known record.
+    """Re-integrate the conditioned evolution of psi0 from a known (R, n_steps) record.
 
-    The innovation is reconstructed step by step from the filter's own
+    The innovation is reconstructed step by step from each row's own
     running mean, dW = sqrt(8k)(dy - <x> dt), exactly inverting the
     record generation arithmetic; fed its own record from the same
-    initial state this reproduces the generating trajectory.
+    initial state this reproduces the generating trajectories.
     """
-    def innovation(stepper, state, i):
-        x_mean = stepper.mean_x(state)
-        return meas.innovation(record.increments[i], x_mean, record.dt), x_mean
+    def innovation(stepper, psi, dy):
+        x_mean = stepper.mean_x(psi)
+        return meas.innovation(dy, x_mean, record.dt), x_mean
 
-    return _run_measured(state0, system, meas, record.dt, record.n_steps, sample_every,
-                         innovation)
+    return _run_measured(grid, psi0, system, meas, record.dt, record.increments.T,
+                         sample_every, innovation)
 
 
 # ---------------------------------------------------------------------------

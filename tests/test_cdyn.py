@@ -120,7 +120,7 @@ def test_ks_passivity_noise_average(harmonic):
     for r in range(n_real):
         noise = generate(5, r, n_steps, dt)
         traj = run_conditioned_classical(ens0, harmonic, meas, noise, sample_every=n_steps)
-        row = traj.moments[-1]
+        row = traj.moments[0, -1]
         finals[r] = [row[0], row[1], row[2] + row[0] ** 2, row[3] + row[0] * row[1], row[4] + row[1] ** 2]
     ens = ens0
     t = 0.0
@@ -148,24 +148,24 @@ def test_classical_trajectory_rows_are_ensemble_moments(harmonic):
     meas = MeasurementSpec(1.0)
     noise = generate(9, 0, n_steps, dt)
     traj = run_conditioned_classical(ens, harmonic, meas, noise, sample_every=stride)
-    assert traj.moments.shape == (n_steps // stride + 1, 7)
+    assert traj.moments.shape == (1, n_steps // stride + 1, 7)
 
     samples = [(0.0, ens)]
     for i in range(n_steps):
         if ens.ess() < RESAMPLE_ESS_FRACTION * n_part:
             ens = resample(ens)
         ens, dy = ks_step(ens, harmonic, meas, dt, noise.increments[i], i * dt)
-        assert dy == traj.record.increments[i]
+        assert dy == traj.record.increments[0, i]
         if (i + 1) % stride == 0:
             samples.append(((i + 1) * dt, ens))
     np.testing.assert_array_equal(traj.times, [t for t, _ in samples])
-    for row, (t, e) in zip(traj.moments, samples):
+    for row, (t, e) in zip(traj.moments[0], samples):
         np.testing.assert_array_equal(row, astuple(ensemble_moments(e, harmonic, t)))
         assert row[5] == e.ess()
         w = e.w / np.sum(e.w)
         energy = np.dot(w, e.p**2 / (2.0 * harmonic.mass) + harmonic.potential(e.x, t))
         assert row[6] == pytest.approx(energy, rel=1e-12)
-    assert traj.moments[0, 5] == pytest.approx(n_part)
+    assert traj.moments[0, 0, 5] == pytest.approx(n_part)
 
 
 def test_ks_clip_rate_small_at_default_dt(harmonic):

@@ -318,17 +318,21 @@ def test_metadata_reruns_bit_identically(tmp_path, text):
 
 
 def test_determinism_across_workers_and_reruns(tmp_path):
-    cfg = _write(tmp_path, HARMONIC_LYAP)
-    outs = []
-    for tag, workers in (("a", "1"), ("b", "2"), ("c", "1")):
-        out = str(tmp_path / tag)
-        assert main(["--config", cfg, "--out", out, "--workers", workers]) == EXIT_OK
-        outs.append(out)
-    ref = {f: open(os.path.join(outs[0], f), "rb").read()
-           for f in os.listdir(outs[0]) if f.endswith(".csv")}
-    for out in outs[1:]:
-        for fname, blob in ref.items():
-            assert open(os.path.join(out, fname), "rb").read() == blob
+    # Conditioned streams run in chunks set by the worker count: 5, 3 + 2 and 2 + 2 + 1.
+    conditioned = CONDITIONED.replace("horizon = 0.05", "horizon = 0.05\nn_realizations = 5")
+    for name, text, workers in (("lyapunov", HARMONIC_LYAP, ("1", "2", "1")),
+                                ("conditioned", conditioned, ("1", "2", "3", "1"))):
+        cfg = _write(tmp_path, text, f"{name}.ini")
+        outs = []
+        for run, count in enumerate(workers):
+            out = str(tmp_path / f"{name}-{run}")
+            assert main(["--config", cfg, "--out", out, "--workers", count]) == EXIT_OK
+            outs.append(out)
+        ref = {f: open(os.path.join(outs[0], f), "rb").read()
+               for f in os.listdir(outs[0]) if f.endswith(".csv")}
+        for out in outs[1:]:
+            for fname, blob in ref.items():
+                assert open(os.path.join(out, fname), "rb").read() == blob
 
 
 def test_unknown_key_rejected_with_name(tmp_path, capsys):
@@ -382,12 +386,19 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     # NaN fails every comparison, so the bounds are written to reject it.
     (COOLING, "cooling.u_max=nan", "nan"),
     (COOLING, "cooling.direct_smoothing=nan", "nan"),
+    (COOLING, "measurement.k=nan", "measurement.k"),
+    (COOLING, "cooling.x0=nan", "cooling.x0"),
+    (COOLING, "cooling.direct_gain=nan", "cooling.direct_gain"),
+    # The policy checks report the cooling key that set the field.
+    (COOLING, "cooling.u_max=0", "cooling.u_max"),
+    (COOLING, "cooling.direct_smoothing=0.001", "cooling.direct_smoothing"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
         "qct-scan-no-step", "qct-scan-negative-k", "conditioned-k0", "passivity-k0",
         "cumulant-k0", "cooling-k0", "passivity-particles-0", "passivity-particles-19",
-        "cooling-umax-nan", "cooling-smoothing-nan"])
+        "cooling-umax-nan", "cooling-smoothing-nan", "measurement-k-nan", "cooling-x0-nan",
+        "cooling-direct-gain-nan", "cooling-umax-0", "cooling-smoothing-key"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)

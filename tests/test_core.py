@@ -1,5 +1,7 @@
 """Core types: construction, moments, transforms."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from qcond.core import (
     gaussian_state,
     gaussian_wavefunction,
     quantum_moments,
+    wavefunction_moments,
     wigner_moments,
     wigner_transform,
 )
@@ -111,6 +114,34 @@ def test_moments_energy_gaussian_harmonic(grid):
     sys_ = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
     m = quantum_moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0), sys_, 0.0)
     assert m.energy == pytest.approx(0.625, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_points", [128, 256, 512])
+def test_batched_wavefunction_moments_equal_per_row_calls(n_points):
+    """wavefunction_moments of an (R, P, n) batch equals the call on each row
+    alone, bit for bit, energy included under a driven quartic potential.
+    At n = 128 the packets at x0 = 0.3, sigma_x = 1.5 with p0 = 2.508 and
+    2.569 have p_mean values whose libm square and np.square give c_pp
+    values one ulp apart, so c_pp checks which square the batch takes.
+    One row gives floats."""
+    grid = PositionGrid(-10.0, 10.0, n_points)
+    driven = SystemSpec(mass=1.3, hbar=1.0, potential_coeffs=(0, 0.1, -1.0, 0.05, 0.25),
+                        drive_amplitude=0.4, drive_frequency=1.3)
+    rng = np.random.default_rng(n_points)
+    psi = np.array([[gaussian_wavefunction(grid, x0, p0, 0.8)
+                     * np.exp(1j * rng.normal(0.0, 0.3, n_points))
+                     for x0, p0 in rng.uniform(-1.0, 1.0, (3, 2)) * (2.0, 1.0)]
+                    for _ in range(7)])
+    psi[0, :2] = [gaussian_wavefunction(grid, 0.3, p0, 1.5) for p0 in (2.508, 2.569)]
+    for system in (driven, None):
+        batch = wavefunction_moments(grid, psi, 1.0, system, 0.37)
+        for field in astuple(batch):
+            assert field.shape == (7, 3)
+        for r in range(7):
+            for j in range(3):
+                alone = astuple(wavefunction_moments(grid, psi[r, j], 1.0, system, 0.37))
+                assert all(isinstance(value, float) for value in alone)
+                assert np.array_equal([f[r, j] for f in astuple(batch)], alone, equal_nan=True)
 
 
 def test_moments_two_point_ensemble():
@@ -233,8 +264,9 @@ def test_drive_samples_every_stride_and_returns_final_state():
 def test_drive_callers_look_up_traced_names(monkeypatch):
     """The trajectory runners look the stepping and moment functions up when
     they call them, so a rebinding of the module or class attribute (as the
-    benchmark's span tracer does) sees every call."""
-    from qcond import cdyn, experiments, qdyn
+    benchmark's span tracer does) sees every call.  A wavefunction batch
+    takes one moment call per sample, whatever its number of rows."""
+    from qcond import cdyn, experiments, feedback, qdyn
     from qcond.noise import generate
 
     calls = {}
@@ -249,6 +281,7 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in ((qdyn, "quantum_moments"), (qdyn, "wavefunction_moments"),
+                        (feedback, "wavefunction_moments"),
                         (qdyn.DensityStepper, "isolated"), (qdyn.PureStepper, "conditioned"),
                         (cdyn, "ks_step"), (cdyn, "ensemble_moments"),
                         (experiments, "liouville_step")):
@@ -263,7 +296,14 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     assert calls == {"isolated": 7, "quantum_moments": 3}
     calls.clear()
     psi0 = gaussian_wavefunction(grid, 0.5, 0.0, 1.0)
-    qdyn.run_conditioned((grid, psi0), harmonic, meas, noise, stride)
+    paths = [noise, generate(3, 1, n_steps, dt)]
+    qdyn.run_conditioned(grid, psi0, harmonic, meas, paths, stride)
+    assert calls == {"conditioned": 7, "wavefunction_moments": 3}
+    calls.clear()
+    policies = [feedback.FeedbackPolicy("none"), feedback.FeedbackPolicy("direct", gain=-1.0,
+                                                                         smoothing_time=0.8)]
+    feedback.run_closed_loop((grid, 0.5, 0.0, 1.0), harmonic, meas, policies, paths, stride)
+    # Its t = 0 sample is taken, then dropped.
     assert calls == {"conditioned": 7, "wavefunction_moments": 3}
     calls.clear()
     rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from qcond.core import (
     QuantumState,
     SupportEscapeError,
     SystemSpec,
+    drive,
     gaussian_state,
     gaussian_wavefunction,
     quantum_moments,
@@ -301,36 +302,85 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
 
 
 def test_trajectory_loop_density_twin(harmonic):
-    """run_conditioned, filter_with_record and run_isolated from (grid, psi)
-    and from the density matrix of the same packet, on the same noise, give
-    the same moment series.  The two paths apply the same maps through
-    differently shaped FFTs, so they differ by roundoff only: about 6e-13
-    on moments of order 1 here, checked at 1e-10.
+    """The pure and the density stepper, driven through core.drive from the
+    same packet on the same noise, give the same moment series, conditioned
+    and isolated.  The two paths apply the same maps through differently
+    shaped FFTs, so they differ by roundoff only: about 6e-13 on moments of
+    order 1 here, checked at 1e-10.
     """
     g64 = PositionGrid(-12.0, 12.0, 64)
     dt, n_steps, stride = 2e-3, 500, 25
     meas = MeasurementSpec(1.0)
     psi0 = gaussian_wavefunction(g64, 1.0, 0.3, 0.8, HBAR)
     rho0 = gaussian_state(g64, 1.0, 0.3, 0.8, HBAR)
-    noise = generate(13, 0, n_steps, dt)
+    noise = generate(13, 0, n_steps, dt).increments
+    pstep = PureStepper(g64, harmonic, meas, dt)
+    dstep = DensityStepper(g64, harmonic, meas, dt)
 
-    pure = run_conditioned((g64, psi0), harmonic, meas, noise, sample_every=stride)
-    dens = run_conditioned(rho0, harmonic, meas, noise, sample_every=stride)
-    assert pure.times.size == n_steps // stride + 1
-    np.testing.assert_array_equal(pure.times, dens.times)
-    np.testing.assert_allclose(dens.moments[:, :5], pure.moments[:, :5], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dens.moments[:, 6], pure.moments[:, 6], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dens.moments[:, 5], 1.0, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dens.record.increments, pure.record.increments, rtol=0, atol=1e-12)
+    def pure_sample(psi, t):
+        return astuple(wavefunction_moments(g64, psi, HBAR, harmonic, t))
 
-    f_pure = filter_with_record((g64, psi0), harmonic, meas, pure.record, sample_every=stride)
-    f_dens = filter_with_record(rho0, harmonic, meas, pure.record, sample_every=stride)
-    np.testing.assert_allclose(f_dens.moments[:, :5], f_pure.moments[:, :5], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(f_dens.moments[:, :5], dens.moments[:, :5], rtol=0, atol=1e-10)
+    def dens_sample(state, t):
+        return astuple(quantum_moments(state, harmonic, t))
 
-    i_pure = run_isolated((g64, psi0), harmonic, dt, n_steps, sample_every=stride)
-    i_dens = run_isolated(rho0, harmonic, dt, n_steps, sample_every=stride)
-    np.testing.assert_allclose(i_dens.moments[:, :5], i_pure.moments[:, :5], rtol=0, atol=1e-10)
+    dys = {"pure": [], "dens": []}
+
+    def conditioned(stepper, key):
+        def step(state, i, t):
+            state, dy = stepper.conditioned(state, t, noise[i])
+            dys[key].append(dy)
+            return state
+        return step
+
+    p_times, pure, _ = drive(psi0, n_steps, dt, stride, conditioned(pstep, "pure"), pure_sample)
+    d_times, dens, _ = drive(rho0, n_steps, dt, stride, conditioned(dstep, "dens"), dens_sample)
+    assert p_times.size == n_steps // stride + 1
+    np.testing.assert_array_equal(p_times, d_times)
+    np.testing.assert_allclose(dens[:, :5], pure[:, :5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dens[:, 6], pure[:, 6], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dens[:, 5], 1.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dys["dens"], dys["pure"], rtol=0, atol=1e-12)
+
+    # The record-driven wavefunction filter retraces the noise-driven run.
+    traj = run_conditioned(g64, psi0, harmonic, meas, [generate(13, 0, n_steps, dt)],
+                           sample_every=stride)
+    np.testing.assert_array_equal(traj.moments[0], pure)
+    refiltered = filter_with_record(g64, psi0, harmonic, meas, traj.record, sample_every=stride)
+    np.testing.assert_allclose(refiltered.moments[0, :, :5], dens[:, :5], rtol=0, atol=1e-10)
+
+    _, i_pure, _ = drive(psi0, n_steps, dt, stride, lambda psi, i, t: pstep.isolated(psi, t),
+                         pure_sample)
+    _, i_dens, _ = drive(rho0, n_steps, dt, stride, lambda st, i, t: dstep.isolated(st, t),
+                         dens_sample)
+    np.testing.assert_allclose(i_dens[:, :5], i_pure[:, :5], rtol=0, atol=1e-10)
+    i_run = run_isolated(rho0, harmonic, dt, n_steps, sample_every=stride)
+    np.testing.assert_array_equal(i_run.moments[0], i_dens)
+
+
+def test_batch_runs_equal_one_path_runs(grid):
+    """run_conditioned over R paths, and filter_with_record over their
+    (R, n_steps) record, give row for row the moments and record of R
+    one-path runs, bit for bit, under a driven quartic potential."""
+    driven = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5, 0, 0.02),
+                        drive_amplitude=0.4, drive_frequency=1.3)
+    meas = MeasurementSpec(1.0)
+    dt, n_steps, stride = 1e-3, 120, 20
+    psi0 = gaussian_wavefunction(grid, 1.0, 0.2, 0.8, HBAR)
+    psi_off = gaussian_wavefunction(grid, 1.3, 0.0, 0.8, HBAR)
+    noise = [generate(21, k, n_steps, dt) for k in range(4)]
+    batch = run_conditioned(grid, psi0, driven, meas, noise, sample_every=stride)
+    assert batch.moments.shape == (4, n_steps // stride + 1, 7)
+    assert batch.moments.flags.c_contiguous
+    assert batch.record.increments.shape == (4, n_steps)
+    refiltered = filter_with_record(grid, psi_off, driven, meas, batch.record, sample_every=stride)
+    for r, path in enumerate(noise):
+        alone = run_conditioned(grid, psi0, driven, meas, [path], sample_every=stride)
+        assert np.array_equal(batch.moments[r], alone.moments[0])
+        assert np.array_equal(batch.record.increments[r], alone.record.increments[0])
+        f_alone = filter_with_record(grid, psi_off, driven, meas, alone.record,
+                                     sample_every=stride)
+        assert np.array_equal(refiltered.moments[r], f_alone.moments[0])
+        assert np.array_equal(refiltered.record.increments[r], f_alone.record.increments[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -416,11 +466,9 @@ def test_noise_average_recovers_unconditional(grid, harmonic):
     n_real = 160
     meas = MeasurementSpec(1.0)
     psi0 = gaussian_wavefunction(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
-    finals = np.empty((n_real, 5))
-    for r in range(n_real):
-        noise = generate(31, r, n_steps, dt)
-        traj = run_conditioned((grid, psi0), harmonic, meas, noise, sample_every=n_steps)
-        finals[r] = _raw_moments(traj.moments[-1, :5])
+    noise = [generate(31, r, n_steps, dt) for r in range(n_real)]
+    traj = run_conditioned(grid, psi0, harmonic, meas, noise, sample_every=n_steps)
+    finals = np.array([_raw_moments(row[-1, :5]) for row in traj.moments])
     state = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     stepper = DensityStepper(grid, harmonic, meas, dt)
     t = 0.0
@@ -474,9 +522,9 @@ def test_filter_self_consistency(grid, harmonic):
     meas = MeasurementSpec(1.0)
     psi0 = gaussian_wavefunction(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     noise = generate(7, 3, 1500, dt)
-    traj = run_conditioned((grid, psi0), harmonic, meas, noise, sample_every=10)
-    refiltered = filter_with_record((grid, psi0), harmonic, meas, traj.record, sample_every=10)
-    assert np.max(np.abs(traj.moments[:, 0] - refiltered.moments[:, 0])) < 1e-10
+    traj = run_conditioned(grid, psi0, harmonic, meas, [noise], sample_every=10)
+    refiltered = filter_with_record(grid, psi0, harmonic, meas, traj.record, sample_every=10)
+    assert np.max(np.abs(traj.moments[0, :, 0] - refiltered.moments[0, :, 0])) < 1e-10
 
 
 def test_filter_converges_from_wrong_start(grid, harmonic):
@@ -485,10 +533,10 @@ def test_filter_converges_from_wrong_start(grid, harmonic):
     sigma = 1 / np.sqrt(2)
     psi_true = gaussian_wavefunction(grid, 1.0, 0.0, sigma, HBAR)
     noise = generate(7, 5, 4000, dt)
-    traj = run_conditioned((grid, psi_true), harmonic, meas, noise, sample_every=40)
+    traj = run_conditioned(grid, psi_true, harmonic, meas, [noise], sample_every=40)
     psi_off = gaussian_wavefunction(grid, 1.0 + 0.5 * sigma, 0.0, sigma, HBAR)
-    est = filter_with_record((grid, psi_off), harmonic, meas, traj.record, sample_every=40)
-    err = np.abs(est.moments[:, 0] - traj.moments[:, 0])
+    est = filter_with_record(grid, psi_off, harmonic, meas, traj.record, sample_every=40)
+    err = np.abs(est.moments[0, :, 0] - traj.moments[0, :, 0])
     # envelope decreases: compare block maxima
     blocks = np.array_split(err, 5)
     peaks = [b.max() for b in blocks]
@@ -499,10 +547,10 @@ def test_filter_converges_from_wrong_start(grid, harmonic):
 def test_filter_requires_nonzero_strength(grid, harmonic):
     from qcond.qdyn import MeasurementRecord
 
-    rec = MeasurementRecord(1e-3, np.zeros(10))
-    state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
+    rec = MeasurementRecord(1e-3, np.zeros((1, 10)))
+    psi = gaussian_wavefunction(grid, 0.0, 0.0, 1.0, HBAR)
     with pytest.raises(MeasurementError):
-        filter_with_record(state, harmonic, MeasurementSpec(0.0), rec)
+        filter_with_record(grid, psi, harmonic, MeasurementSpec(0.0), rec)
 
 
 # --- Moyal / Wigner picture -------------------------------------------------------
