@@ -20,13 +20,14 @@ energy bounded over the long horizons the Lyapunov harness needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple
 
 import numpy as np
 
 from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, drive, ensemble_moments
 from .qdyn import ConditionedTrajectory, MeasurementRecord, MeasurementSpec
-from .noise import NoisePath
+from .noise import stack_increments
 
 __all__ = [
     "liouville_step",
@@ -57,11 +58,14 @@ def liouville_step(ens: ClassicalEnsemble, system: SystemSpec, dt, t=0.0) -> Cla
 
 
 class WeightClipCounter:
-    """Tracks how often the linearized weight update had to be clipped at 0."""
+    """Particle-filter events: clipped weight updates (ks_step), and the
+    resamples and lowest pre-resample ESS of run_conditioned_classical."""
 
     def __init__(self):
         self.updates = 0
         self.clipped = 0
+        self.resamples = 0
+        self.min_ess = np.inf
 
     def rate(self) -> float:
         return self.clipped / self.updates if self.updates else 0.0
@@ -69,26 +73,29 @@ class WeightClipCounter:
 
 def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
             dt, dw, t=0.0, clip_counter: WeightClipCounter = None):
-    """One conditioned classical step; returns (ensemble', dy).
+    """One conditioned classical step of every row; returns (ensemble', dy).
 
+    dw and dy hold one increment per row of the (..., N) ensemble.
     Innovation weighting happens at the pre-drift positions (Ito
     convention), then the particles are advected.
     """
     ess = ens.ess()
-    if ess < ESS_HARD_FLOOR:
+    low = np.flatnonzero(ess < ESS_HARD_FLOOR)
+    if low.size:
         raise DegenerateEnsembleError(
-            f"effective sample size {ess:.2f} below {ESS_HARD_FLOOR}; resample first"
+            f"effective sample size {np.ravel(ess)[low[0]]:.2f} of row {low[0]} below "
+            f"{ESS_HARD_FLOOR}; resample first"
         )
-    x_mean = float(np.dot(ens.w, ens.x))
+    x_mean = np.vecdot(ens.w, ens.x)
     dy = meas.record(x_mean, dw, dt)
 
-    w = ens.w * (1.0 + meas.sqrt8k * (ens.x - x_mean) * dw)
+    w = ens.w * (1.0 + meas.sqrt8k * (ens.x - x_mean[..., None]) * np.asarray(dw)[..., None])
     if clip_counter is not None:
         clip_counter.updates += w.size
-        clip_counter.clipped += int(np.sum(w < 0.0))
+        clip_counter.clipped += int(np.count_nonzero(w < 0.0))
     w = np.clip(w, 0.0, None)
-    total = float(np.sum(w))
-    if total <= 0.0:
+    total = np.sum(w, axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise DegenerateEnsembleError("all weights clipped to zero in one update")
     w = w / total
 
@@ -98,7 +105,7 @@ def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
 
 def ks_filter_step(ens, system, meas, dt, dy, t=0.0, clip_counter=None):
     """Conditioned step driven by a known record increment instead of dW."""
-    dw = meas.innovation(dy, float(np.dot(ens.w, ens.x)), dt)
+    dw = meas.innovation(dy, np.vecdot(ens.w, ens.x), dt)
     return ks_step(ens, system, meas, dt, dw, t, clip_counter)
 
 
@@ -134,36 +141,58 @@ def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps):
     # Unrolled force avoids per-step attribute lookups on long horizons.
     f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + u
     if lam != 0.0:
-        f -= lam * np.cos(omega * t)
+        f -= lam * math.cos(omega * t)
     for i in range(1, n_steps + 1):
         p_half = p + 0.5 * dt * f
         x = x + dt * p_half / m
         t = i * dt
         f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + u
         if lam != 0.0:
-            f -= lam * np.cos(omega * t)
+            f -= lam * math.cos(omega * t)
         p = p_half + 0.5 * dt * f
         xs[i], ps[i] = x, p
     times = dt * np.arange(n_steps + 1)
     return times, xs, ps
 
 
-def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: NoisePath,
-                              sample_every=1, resample_rng=None, clip_counter=None):
-    """Full conditioned run, resampled before any step whose ESS is below
-    RESAMPLE_ESS_FRACTION of the particle count.
+def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: list,
+                              sample_every=1, resample_rngs=None, clip_counter=None):
+    """Conditioned particle filters from ens0, one batch row per path in the
+    list ``noise``; each row is bit-identical to its path run alone.
 
-    The trajectory, a batch of one, holds the ensemble's ESS in its purity column.
+    Before a step, each row whose ESS is below RESAMPLE_ESS_FRACTION of the
+    particle count is resampled with its own generator, resample_rngs[r]
+    (the deterministic midpoint offset without one).  The trajectory holds
+    each row's ESS in its purity column.
     """
-    dt = noise.dt
-    dys = np.empty(noise.n_steps)
+    dt = noise[0].dt
+    increments = stack_increments(noise)
+    n_steps, n_rows = increments.shape
+    shape = (n_rows, ens0.n_particles)
+    ens = ClassicalEnsemble(*(np.broadcast_to(a, shape).copy() for a in (ens0.x, ens0.p, ens0.w)))
+    rngs = resample_rngs or [None] * n_rows
+    floor = RESAMPLE_ESS_FRACTION * ens0.n_particles
+    dys = np.empty((n_rows, n_steps))
 
     def step(ens, i, t):
-        if ens.ess() < RESAMPLE_ESS_FRACTION * ens0.n_particles:
-            ens = resample(ens, resample_rng)
-        ens, dys[i] = ks_step(ens, system, meas, dt, noise.increments[i], t, clip_counter)
+        ess = ens.ess()
+        low = np.flatnonzero(ess < floor)
+        if clip_counter is not None:
+            clip_counter.resamples += low.size
+            clip_counter.min_ess = min(clip_counter.min_ess, float(ess.min()))
+        if low.size:
+            x, p, w = ens.x.copy(), ens.p.copy(), ens.w.copy()
+            for r in low:
+                row = resample(ClassicalEnsemble(x[r], p[r], w[r]), rngs[r])
+                x[r], p[r], w[r] = row.x, row.p, row.w
+            ens = ClassicalEnsemble(x, p, w)
+        ens, dys[:, i] = ks_step(ens, system, meas, dt, increments[i], t, clip_counter)
         return ens
 
-    times, rows, _ = drive(ens0, noise.n_steps, dt, sample_every, step,
-                           lambda ens, t: astuple(ensemble_moments(ens, system, t)))
-    return ConditionedTrajectory(times, rows[None], MeasurementRecord(dt, dys[None]))
+    def sample(ens, t):
+        return np.stack(astuple(ensemble_moments(ens, system, t)), axis=-1)
+
+    times, rows, _ = drive(ens, n_steps, dt, sample_every, step, sample)
+    # C-contiguous (R, n_samples, 7), as qdyn's runs return.
+    return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)),
+                                 MeasurementRecord(dt, dys))

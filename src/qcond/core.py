@@ -295,7 +295,11 @@ def gaussian_state(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0) -> Qua
 
 @dataclass(frozen=True)
 class ClassicalEnsemble:
-    """Weighted phase-space particles representing f(x, p) = sum_i w_i d(x-x_i) d(p-p_i)."""
+    """Weighted phase-space particles representing f(x, p) = sum_i w_i d(x-x_i) d(p-p_i).
+
+    x, p and w share one shape (..., N): a batch of ensembles of N particles
+    each, one per row along the last axis.
+    """
 
     x: np.ndarray
     p: np.ndarray
@@ -305,8 +309,8 @@ class ClassicalEnsemble:
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        if not (x.shape == p.shape == w.shape) or x.ndim != 1:
-            raise ValueError("x, p, w must be equal-length 1-D arrays")
+        if not x.shape == p.shape == w.shape:
+            raise ValueError("x, p, w must be arrays of one shape")
         if x.size == 0:
             raise DegenerateEnsembleError("empty ensemble")
         if np.any(w < 0):
@@ -317,11 +321,11 @@ class ClassicalEnsemble:
 
     @property
     def n_particles(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
 
-    def ess(self) -> float:
-        """Effective sample size 1 / sum w_i^2 (weights assumed normalised)."""
-        return float(1.0 / np.sum(self.w**2))
+    def ess(self):
+        """Effective sample size 1 / sum w_i^2 of each row (weights assumed normalised)."""
+        return 1.0 / np.sum(self.w**2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +424,23 @@ def wavefunction_moments(grid: PositionGrid, psi, hbar, system: SystemSpec = Non
 
 
 def ensemble_moments(ens: ClassicalEnsemble, system: SystemSpec = None, time=0.0) -> MomentSet:
-    w = ens.w / np.sum(ens.w)
-    x_mean = float(np.dot(w, ens.x))
-    p_mean = float(np.dot(w, ens.p))
-    c_xx = float(np.dot(w, (ens.x - x_mean) ** 2))
-    c_pp = float(np.dot(w, (ens.p - p_mean) ** 2))
-    c_xp = float(np.dot(w, (ens.x - x_mean) * (ens.p - p_mean)))
-    energy = np.nan
+    """MomentSet of the ensemble, or of each row of a batch (..., N) of them.
+
+    Every field has the batch shape ens.x.shape[:-1] (NumPy floats for one
+    ensemble), and each row equals the moments of that row alone, bit for bit.
+    """
+    w = ens.w / np.sum(ens.w, axis=-1, keepdims=True)
+    # vecdot reduces each row as np.dot does one; (w * x).sum(-1) rounds apart.
+    x_mean = np.vecdot(w, ens.x)
+    p_mean = np.vecdot(w, ens.p)
+    dx = ens.x - x_mean[..., None]
+    dp = ens.p - p_mean[..., None]
+    c_xx = np.vecdot(w, dx**2)
+    c_pp = np.vecdot(w, dp**2)
+    c_xp = np.vecdot(w, dx * dp)
+    energy = np.full(x_mean.shape, np.nan)[()]
     if system is not None:
-        energy = float(
-            np.dot(w, ens.p**2 / (2.0 * system.mass) + system.potential(ens.x, time))
-        )
+        energy = np.vecdot(w, ens.p**2 / (2.0 * system.mass) + system.potential(ens.x, time))
     return MomentSet(x_mean, p_mean, c_xx, c_xp, c_pp, ens.ess(), energy)
 
 

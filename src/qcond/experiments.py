@@ -23,15 +23,15 @@ from .core import (
     gaussian_state,
     gaussian_wavefunction,
 )
-from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, liouville_step,
-                   run_conditioned_classical)
+from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, liouville_step,
+                   newton_trajectory, run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, ensemble_lyapunov
 from .noise import generate, parallel_map, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
-from .qdyn import MeasurementSpec, run_conditioned, run_isolated, stream_chunks
-from .cdyn import newton_trajectory
+from .qdyn import (MeasurementSpec, realizations_per_batch, run_conditioned, run_isolated,
+                   stream_chunks)
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
 
@@ -82,7 +82,10 @@ def _setup(cfg):
         drive_frequency=s["drive_frequency"],
     )
     grid = PositionGrid(g["x_min"], g["x_max"], int(g["n_points"])) if g else None
-    meas = MeasurementSpec(cfg["measurement"]["k"]) if "measurement" in cfg else None
+    try:
+        meas = MeasurementSpec(cfg["measurement"]["k"]) if "measurement" in cfg else None
+    except ValueError as err:
+        raise ValueError(f"measurement.k: {err}") from err
     name = cfg["experiment"]["name"]
     if name in RECORD_EXPERIMENTS and meas.strength == 0.0:
         raise ValueError(f"measurement.k must be positive for {name}, which conditions "
@@ -126,8 +129,8 @@ def run_conditioned_experiment(cfg, seed, workers):
     exp = cfg["conditioned"]
     n_real = _n_realizations(cfg["run"], 1)
     psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
-    jobs = [(streams, grid, psi0, system, meas, dt, n_steps, stride, seed)
-            for streams in stream_chunks(n_real, workers, 1, grid.n_points)]
+    chunks = stream_chunks(n_real, workers, realizations_per_batch(1, grid.n_points))
+    jobs = [(streams, grid, psi0, system, meas, dt, n_steps, stride, seed) for streams in chunks]
     trajs = parallel_map(_conditioned_chunk, jobs, workers)
     times = trajs[0].times
     moments = np.concatenate([traj.moments for traj in trajs])
@@ -142,11 +145,14 @@ def run_conditioned_experiment(cfg, seed, workers):
 # --- passivity ------------------------------------------------------------------
 
 
-def _passivity_one(job):
-    system, meas, ens0, dt, n_steps, stride, seed, stream = job
-    noise = generate(seed, stream, n_steps, dt)
-    return run_conditioned_classical(ens0, system, meas, noise, sample_every=stride,
-                                     resample_rng=substream_rng(seed, stream, "resample"))
+def _passivity_chunk(job):
+    streams, system, meas, ens0, dt, n_steps, stride, seed = job
+    counter = WeightClipCounter()
+    traj = run_conditioned_classical(
+        ens0, system, meas, [generate(seed, k, n_steps, dt) for k in streams],
+        sample_every=stride, resample_rngs=[substream_rng(seed, k, "resample") for k in streams],
+        clip_counter=counter)
+    return traj, counter
 
 
 def _raw_moment_row(m):
@@ -172,8 +178,11 @@ def run_passivity_experiment(cfg, seed, workers):
         rng.normal(exp["p0"], exp["sigma_p"], n_part),
         np.full(n_part, 1.0 / n_part),
     )
-    jobs = [(system, meas, ens0, dt, n_steps, stride, seed, idx) for idx in range(n_real)]
-    trajs = parallel_map(_passivity_one, jobs, workers)
+    # A filter batch costs numpy call overhead per step, not memory traffic,
+    # so its chunks take no batch-size cap: one chunk per worker.
+    jobs = [(streams, system, meas, ens0, dt, n_steps, stride, seed)
+            for streams in stream_chunks(n_real, workers)]
+    trajs, counters = zip(*parallel_map(_passivity_chunk, jobs, workers))
     times = trajs[0].times
     # raw moments so realizations average like the underlying distribution
     mom = np.concatenate([traj.moments for traj in trajs])
@@ -198,7 +207,10 @@ def run_passivity_experiment(cfg, seed, workers):
             "z_x [1]", "z_p [1]", "z_xx [1]", "z_xp [1]", "z_pp [1]")
     table = np.column_stack([times, mean, ref, z])
     meta = {"max_z": float(z_sampled[worst]), "max_z_time": float(times[worst[0]]),
-            "n_realizations": n_real}
+            "n_realizations": n_real,
+            "weight_clip_rate": sum(c.clipped for c in counters) / sum(c.updates for c in counters),
+            "n_resamples": sum(c.resamples for c in counters),
+            "min_ess": min(c.min_ess for c in counters)}
     return ExperimentResult([CsvSeries("passivity_moments", cols, table)], meta)
 
 

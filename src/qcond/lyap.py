@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import PositionGrid, SystemSpec, gaussian_wavefunction
 from .noise import generate, parallel_map, stack_increments
-from .qdyn import MeasurementSpec, PureStepper, stream_chunks
+from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch, stream_chunks
 from . import cdyn
 
 __all__ = [
@@ -235,8 +235,8 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     n_real = cfg.n_realizations
     if n_real < 2:
         raise ValueError(f"need at least 2 realizations for ensemble statistics, got {n_real}")
-    jobs = [(streams, state0_params, system, meas, cfg, master_seed)
-            for streams in stream_chunks(n_real, workers, 2, state0_params[0].n_points)]
+    chunks = stream_chunks(n_real, workers, realizations_per_batch(2, state0_params[0].n_points))
+    jobs = [(streams, state0_params, system, meas, cfg, master_seed) for streams in chunks]
     results = parallel_map(_realization_chunk, jobs, workers)
     return PairedRunResult(
         results[0].times,

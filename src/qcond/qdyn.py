@@ -102,8 +102,8 @@ class MeasurementSpec:
     sqrt8k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError(f"measurement strength must be >= 0, got {self.strength}")
+        if not 0 <= self.strength < np.inf:   # NaN fails too
+            raise ValueError(f"measurement strength must be finite and >= 0, got {self.strength}")
         object.__setattr__(self, "sqrt8k", np.sqrt(8.0 * self.strength))
 
     def backaction_diffusion(self, hbar: float) -> float:
@@ -336,11 +336,11 @@ def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
     return max(1, BATCH_BYTES // (rows_per_realization * n_points * 16))
 
 
-def stream_chunks(n_streams: int, workers: int, rows_per_realization: int, n_points: int) -> list:
+def stream_chunks(n_streams: int, workers: int, most: int = None) -> list:
     """Consecutive stream ranges, one batch job each: ceil(n_streams / workers)
-    streams at most, and no more than realizations_per_batch."""
-    size = min(-(-n_streams // max(1, workers)),
-               realizations_per_batch(rows_per_realization, n_points))
+    streams at most, and no more than ``most`` (realizations_per_batch for
+    wavefunction rows)."""
+    size = min(-(-n_streams // max(1, workers)), most or n_streams)
     return [range(start, min(start + size, n_streams)) for start in range(0, n_streams, size)]
 
 
@@ -355,7 +355,7 @@ class ConditionedTrajectory:
     moments is a C-contiguous (R, n_samples, 7), one row per entry of times,
     in MomentSet field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the
     effective sample size for a classical ensemble) and energy.  An isolated
-    run or a particle filter is a batch of one.
+    run is a batch of one.
     """
 
     times: np.ndarray

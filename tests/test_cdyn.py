@@ -116,12 +116,10 @@ def test_ks_passivity_noise_average(harmonic):
     )
     meas = MeasurementSpec(1.0)
     n_real, n_steps, dt = 120, 400, 1e-3
-    finals = np.empty((n_real, 5))
-    for r in range(n_real):
-        noise = generate(5, r, n_steps, dt)
-        traj = run_conditioned_classical(ens0, harmonic, meas, noise, sample_every=n_steps)
-        row = traj.moments[0, -1]
-        finals[r] = [row[0], row[1], row[2] + row[0] ** 2, row[3] + row[0] * row[1], row[4] + row[1] ** 2]
+    noise = [generate(5, r, n_steps, dt) for r in range(n_real)]
+    traj = run_conditioned_classical(ens0, harmonic, meas, noise, sample_every=n_steps)
+    x, p, c_xx, c_xp, c_pp = traj.moments[:, -1, :5].T
+    finals = np.column_stack([x, p, c_xx + x**2, c_xp + x * p, c_pp + p**2])
     ens = ens0
     t = 0.0
     for _ in range(n_steps):
@@ -147,7 +145,7 @@ def test_classical_trajectory_rows_are_ensemble_moments(harmonic):
                             np.full(n_part, 1 / n_part))
     meas = MeasurementSpec(1.0)
     noise = generate(9, 0, n_steps, dt)
-    traj = run_conditioned_classical(ens, harmonic, meas, noise, sample_every=stride)
+    traj = run_conditioned_classical(ens, harmonic, meas, [noise], sample_every=stride)
     assert traj.moments.shape == (1, n_steps // stride + 1, 7)
 
     samples = [(0.0, ens)]
@@ -177,9 +175,41 @@ def test_ks_clip_rate_small_at_default_dt(harmonic):
     meas = MeasurementSpec(1.0)
     counter = WeightClipCounter()
     noise = generate(17, 0, 2000, 1e-3)
-    run_conditioned_classical(ens, harmonic, meas, noise, sample_every=2000,
+    run_conditioned_classical(ens, harmonic, meas, [noise], sample_every=2000,
                               clip_counter=counter)
     assert counter.rate() < 1e-4
+
+
+def test_batched_filter_rows_match_each_path_alone(harmonic):
+    """Each row of a batched particle filter is bit-identical to its path
+    run alone, with rows that resample on different steps, each with its
+    own generator; the counters add up over the rows."""
+    rng = np.random.default_rng(6)
+    n_part, n_steps, stride, dt = 100, 300, 50, 1e-3
+    ens0 = ClassicalEnsemble(rng.normal(1.0, 0.7, n_part), rng.normal(0.0, 0.7, n_part),
+                             np.full(n_part, 1 / n_part))
+    meas = MeasurementSpec(4.0)
+    streams = range(3)
+    noise = [generate(13, k, n_steps, dt) for k in streams]
+    counter = WeightClipCounter()
+    batch = run_conditioned_classical(ens0, harmonic, meas, noise, stride,
+                                      [substream_rng(13, k, "resample") for k in streams], counter)
+    assert batch.moments.shape == (3, n_steps // stride + 1, 7)
+    assert batch.moments.flags.c_contiguous
+    alone_counters = []
+    for k in streams:
+        alone_counters.append(WeightClipCounter())
+        alone = run_conditioned_classical(ens0, harmonic, meas, [noise[k]], stride,
+                                          [substream_rng(13, k, "resample")], alone_counters[-1])
+        np.testing.assert_array_equal(batch.times, alone.times)
+        np.testing.assert_array_equal(batch.moments[k], alone.moments[0])
+        np.testing.assert_array_equal(batch.record.increments[k], alone.record.increments[0])
+    assert counter.resamples == sum(c.resamples for c in alone_counters)
+    assert counter.clipped == sum(c.clipped for c in alone_counters)
+    assert counter.min_ess == min(c.min_ess for c in alone_counters)
+    # Rows that resample a different number of times: on some step one row
+    # resamples and another does not.
+    assert len({c.resamples for c in alone_counters}) > 1
 
 
 def test_ks_localizes_onto_record_source(harmonic):

@@ -387,6 +387,9 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (COOLING, "cooling.u_max=nan", "nan"),
     (COOLING, "cooling.direct_smoothing=nan", "nan"),
     (COOLING, "measurement.k=nan", "measurement.k"),
+    # An infinite strength makes every multiplier NaN.
+    (COOLING, "measurement.k=inf", "measurement.k"),
+    (PASSIVITY, "measurement.k=inf", "measurement.k"),
     (COOLING, "cooling.x0=nan", "cooling.x0"),
     (COOLING, "cooling.direct_gain=nan", "cooling.direct_gain"),
     # The policy checks report the cooling key that set the field.
@@ -397,14 +400,22 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
         "qct-scan-no-step", "qct-scan-negative-k", "conditioned-k0", "passivity-k0",
         "cumulant-k0", "cooling-k0", "passivity-particles-0", "passivity-particles-19",
-        "cooling-umax-nan", "cooling-smoothing-nan", "measurement-k-nan", "cooling-x0-nan",
-        "cooling-direct-gain-nan", "cooling-umax-0", "cooling-smoothing-key"])
+        "cooling-umax-nan", "cooling-smoothing-nan", "measurement-k-nan", "cooling-k-inf",
+        "passivity-k-inf", "cooling-x0-nan", "cooling-direct-gain-nan", "cooling-umax-0",
+        "cooling-smoothing-key"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+def test_infinite_u_max_runs_unclamped(tmp_path):
+    """u_max = inf is the unclamped control law, not a non-finite value to reject."""
+    cfg = _write(tmp_path, COOLING)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1",
+                 "--set", "cooling.u_max=inf"]) == EXIT_OK
 
 
 def test_seed_precedence(tmp_path, monkeypatch):

@@ -308,7 +308,7 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     calls.clear()
     rng = np.random.default_rng(0)
     ens = ClassicalEnsemble(rng.normal(0, 1, 64), rng.normal(0, 1, 64), np.full(64, 1 / 64))
-    cdyn.run_conditioned_classical(ens, harmonic, meas, noise, stride)
+    cdyn.run_conditioned_classical(ens, harmonic, meas, [noise], stride)
     assert calls == {"ks_step": 7, "ensemble_moments": 3}
     calls.clear()
     cfg = {"experiment": {"name": "passivity"},
@@ -320,6 +320,6 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
            "passivity": {"n_particles": 64, "x0": 0.5, "p0": 0.0, "sigma_x": 1.0,
                          "sigma_p": 1.0}}
     experiments.run_passivity_experiment(cfg, 5, workers=1)
-    # Two filtered realizations and one Liouville reference; the
-    # reference's moments go through experiments' own ensemble_moments.
-    assert calls == {"ks_step": 14, "ensemble_moments": 6, "liouville_step": 7}
+    # Two filtered realizations as one batch, and one Liouville reference;
+    # the reference's moments go through experiments' own ensemble_moments.
+    assert calls == {"ks_step": 7, "ensemble_moments": 3, "liouville_step": 7}
