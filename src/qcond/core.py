@@ -12,7 +12,7 @@ units; ``hbar`` is an explicit parameter, never assumed to be 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +158,10 @@ class SystemSpec:
 
     def with_control(self, u) -> "SystemSpec":
         """Copy of this spec with the control force set to ``u``."""
-        return replace(self, control_offset=float(u))
+        # The fields are validated already: copy them past __init__ and __post_init__.
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__, control_offset=float(u))
+        return spec
 
 
 # ---------------------------------------------------------------------------

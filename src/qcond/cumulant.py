@@ -29,7 +29,7 @@ conditioned state to roundoff when both consume the same noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,8 +124,8 @@ def centroid_step(belief: GaussianBelief, system: SystemSpec, meas: MeasurementS
     cxp3 = cxp2 + 0.5 * dt * g2 * cxx2
     cpp2 = cpp1 + dt * g2 * cxp2 + (0.5 * dt * g2) ** 2 * cxx2
 
-    out = replace(belief, x_mean=float(x), p_mean=float(p),
-                  c_xx=float(cxx2), c_xp=float(cxp3), c_pp=float(cpp2))
+    out = GaussianBelief(float(x), float(p), float(cxx2), float(cxp3), float(cpp2),
+                         belief.quantum, belief.hbar)
     out.validate()
     return out
 

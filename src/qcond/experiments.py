@@ -139,7 +139,8 @@ def run_conditioned_experiment(cfg, seed, workers):
     series += [CsvSeries(f"conditioned_traj_{idx:03d}", TRAJECTORY_COLUMNS,
                          np.column_stack([times, rows]))
                for idx, rows in enumerate(moments)]
-    return ExperimentResult(series, {"n_realizations": n_real})
+    return ExperimentResult(series, {"n_realizations": n_real,
+                                     "max_outer_mass": max(t.max_outer_mass for t in trajs)})
 
 
 # --- passivity ------------------------------------------------------------------
@@ -315,6 +316,7 @@ def run_lyapunov_experiment(cfg, seed, workers):
         "merged_realizations": [int(i) for i in np.nonzero(series_out.merged)[0]],
         "renormalizations": series_out.renormalizations.tolist(),
         "band_definition": "stddev over per-realization lambda(t), merged excluded",
+        "max_outer_mass": series_out.max_outer_mass,
     }
     return ExperimentResult(out, meta)
 
@@ -359,7 +361,7 @@ def run_cooling_experiment(cfg, seed, workers):
         np.array([[j, col.mean(), col.std(ddof=1) / root_n] for j, col in enumerate(steady.T)]),
     ))
     meta = {"policies": names, "stream_indices": res.stream_indices.tolist(),
-            "retried_streams": list(res.retried_streams)}
+            "retried_streams": list(res.retried_streams), "max_outer_mass": res.max_outer_mass}
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             if a < b:

@@ -30,7 +30,7 @@ import numpy as np
 from .core import QcondError, SystemSpec, drive, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
 from .noise import generate, stack_increments
-from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
+from .qdyn import MeasurementOverflowError, MeasurementSpec, PureStepper, realizations_per_batch
 
 __all__ = [
     "FeedbackPolicy",
@@ -97,11 +97,14 @@ class ClosedLoopRun:
 
     For R noise paths and P policies, energy is (R, P, n_samples) and
     final_control, the last control each loop computed, is (R, P).
+    max_outer_mass is the largest probability any row held in the outer
+    grid buffer after any step.
     """
 
     times: np.ndarray
     energy: np.ndarray
     final_control: np.ndarray
+    max_outer_mass: float
 
 
 def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
@@ -139,7 +142,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
 
     def step(psi, i, t):
         # One increment per path, shared by its policy rows.
-        psi, dy = stepper.conditioned(psi, t, increments[i][:, None])
+        psi, dy = stepper.conditioned(psi, t, increments[i][:, None], stepper.x_mean)
         for (r, j), belief in beliefs.items():
             dw_b = meas.innovation(dy[r, j], belief.x_mean, dt)
             # Begun at (i + 1) * dt - dt, which can differ from t = i * dt in the last bit.
@@ -160,7 +163,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
     # Drop drive's t = 0 row; one C-contiguous row of samples per (path, policy).
     energy = np.ascontiguousarray(np.moveaxis(energy[1:], 0, -1))
     times = dt * sample_stride * (1 + np.arange(energy.shape[-1]))
-    return ClosedLoopRun(times, energy, u)
+    return ClosedLoopRun(times, energy, u, stepper.max_outer_mass)
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,15 @@ class CoolingResult:
     """Energy traces of the accepted realizations of a cooling comparison.
 
     For N accepted realizations of P policies, energy is (N, P,
-    n_samples), row n on noise stream stream_indices[n].
+    n_samples), row n on noise stream stream_indices[n].  max_outer_mass
+    is the largest outer-buffer probability over the accepted runs.
     """
 
     times: np.ndarray
     energy: np.ndarray
     stream_indices: np.ndarray
     retried_streams: tuple
+    max_outer_mass: float
 
     @property
     def steady(self) -> np.ndarray:
@@ -225,6 +230,8 @@ def cooling_experiment(state0_params, system, meas, policies: list,
         check_budget(streams[0])
         try:
             run = closed_loops(streams)
+        except MeasurementOverflowError:
+            raise   # set by measurement.k and run.dt, not by the stream: no retry
         except QcondError:
             # Some row aborted: rerun the chunk one stream at a time.
             for index in streams:
@@ -242,6 +249,7 @@ def cooling_experiment(state0_params, system, meas, policies: list,
         energy=np.stack([run.energy[row] for _, run, row in accepted]),
         stream_indices=np.array([index for index, _, _ in accepted]),
         retried_streams=tuple(retried),
+        max_outer_mass=max(run.max_outer_mass for _, run, _ in accepted),
     )
 
 

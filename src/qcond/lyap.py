@@ -20,7 +20,7 @@ would otherwise saturate at the attractor size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,9 @@ class PairedRunResult:
     """Divergence series of a batch of R fiducial/perturbed pairs.
 
     delta and lam are (R, n_samples); merged (bool) and renormalizations
-    (Benettin resets per pair) are (R,).
+    (Benettin resets per pair) are (R,).  max_outer_mass is the largest
+    outer-grid-buffer probability of any wavefunction after any step (None
+    for a classical run).
     """
 
     times: np.ndarray
@@ -88,6 +90,7 @@ class PairedRunResult:
     lam: np.ndarray
     merged: np.ndarray
     renormalizations: np.ndarray
+    max_outer_mass: float = None
 
     @property
     def n_renormalizations(self) -> int:
@@ -114,10 +117,9 @@ def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
 def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) -> PairedRunResult:
     """Sample Delta and lambda of a batch of fiducial/perturbed pairs, with renormalization.
 
-    step(i, t, x_mean) advances every pair over step i from time t; x_mean
-    is the current (n_pairs, 2) centroids when the loop has read them
-    since the last step, else None.  centroids() returns the (fiducial,
-    perturbed) position means of every pair as an (n_pairs, 2) array;
+    step(i, t) advances every pair over step i from time t.  centroids()
+    returns the (fiducial, perturbed) position means of every pair as an
+    (n_pairs, 2) array;
     reset(over, sign, d) puts the perturbed member of every pair in the
     mask ``over`` back at separation d0 along sign, from its current
     separation d (sign and d hold one value per masked pair).
@@ -134,17 +136,15 @@ def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) 
     log_growth = np.zeros(n_pairs)
     n_renorm = np.zeros(n_pairs, dtype=int)
     merged = np.zeros(n_pairs, dtype=bool)
-    known = None
     isample = 0
     for i in range(cfg.n_steps):
-        step(i, i * dt, known)
-        known = None
+        step(i, i * dt)
         t = (i + 1) * dt
         need_sample = (i + 1) % stride == 0
         if not (renormalize or need_sample):
             continue
-        known = centroids()
-        xf, xp = known[:, 0], known[:, 1]
+        centroid = centroids()
+        xf, xp = centroid[:, 0], centroid[:, 1]
         d = abs(xp - xf)
         if need_sample:
             delta[:, isample] = d
@@ -161,7 +161,6 @@ def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) 
                 sign = np.where(xp[over] >= xf[over], 1.0, -1.0)
                 reset(over, sign, d[over])
                 n_renorm += over
-                known = None
     return PairedRunResult(times, delta, lam, merged, n_renorm)
 
 
@@ -186,18 +185,22 @@ def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
     psi = np.broadcast_to(pair, (len(noise),) + pair.shape).copy()
     stepper = PureStepper(grid, system, meas, cfg.dt)
 
-    def step(i, t, x_mean):
+    def step(i, t):
         nonlocal psi
         if stepper.k > 0:
             # One increment per pair, shared by its two members.
-            psi, _ = stepper.conditioned(psi, t, increments[i][:, None], x_mean)
+            psi, _ = stepper.conditioned(psi, t, increments[i][:, None], stepper.x_mean)
         else:
             psi = stepper.isolated(psi, t)
 
     def reset(over, sign, d):
         psi[over, 1] = _shift_wavefunction(grid, psi[over, 0], (sign * d0)[:, None], hbar)
+        # Only the replaced rows: a pair's bits must not depend on its batch-mates.
+        stepper.x_mean[over, 1] = stepper.mean_x(psi[over, 1])
 
-    return _divergence_loop(cfg, len(noise), step, lambda: stepper.mean_x(psi), reset)
+    # Every step leaves the centroids it read off the new state in stepper.x_mean.
+    result = _divergence_loop(cfg, len(noise), step, lambda: stepper.x_mean, reset)
+    return replace(result, max_outer_mass=stepper.max_outer_mass)
 
 
 def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> PairedRunResult:
@@ -206,7 +209,7 @@ def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> Pai
     x = np.array([[x0, x0 + d0]], dtype=float)
     p = np.array([[p0, p0]], dtype=float)
 
-    def step(i, t, _):
+    def step(i, t):
         nonlocal x, p
         x, p = cdyn._leapfrog(x, p, system, cfg.dt, t)
 
@@ -244,6 +247,7 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
         np.concatenate([r.lam for r in results]),
         np.concatenate([r.merged for r in results]),
         np.concatenate([r.renormalizations for r in results]),
+        max(r.max_outer_mass for r in results),
     )
 
 

@@ -37,6 +37,22 @@ Both the density-matrix stepper and a pure-state (wavefunction) stepper
 are provided.  They realize the same measurement map, so a pure initial
 state evolved either way gives identical trajectories up to roundoff;
 the wavefunction path is the cheap one for large conditioned ensembles.
+
+Every position-diagonal factor of a step is a static profile times
+exp(c x), with one c per batch row.  The drive A cos(wt) x and the
+control -u x are the only time-dependent terms of the potential and are
+linear in x, so the half phase is the cached exp(-i V0 dt / 2hbar) times
+exp(c x) with c = -i dt/2hbar (A cos(wt) - u).  On the uniform grid
+exp(c x_j) is geometric in j and comes from two tables of about sqrt(n)
+exponentials per row.  Expanding the square, M is the cached
+exp(-2k x^2 dt) times the real exp(beta x), beta = sqrt(2k) dW + 4k <x> dt,
+up to a constant per row.  The wavefunction step drops that constant
+and normalizes once, after the unitary.  The one |psi|^2 it forms there
+gives the norm, the outer-buffer mass of the support check and the <x>
+of the new state, which the caller passes back into the next step.  The
+unnormalized |psi|^2 grows by exp(2 |beta| max|x|) at most, so a step
+with |beta| max|x| above EXPONENT_BOUND raises MeasurementOverflowError
+instead of overflowing.
 """
 
 from __future__ import annotations
@@ -77,8 +93,9 @@ __all__ = [
 
 # Complex state held by one batch of independent realizations.  Stepping
 # realizations as rows of one PureStepper batch pays the per-step Python
-# overhead once: at n = 256 a conditioned step costs 87 us for one row and
-# 14-16 us per row from 8 rows (32 KiB) up.  Larger batches gain nothing:
+# overhead once: at n = 256 a conditioned step costs 43 us for one row, 10 us
+# per row at 8 rows (32 KiB) and 7-8 us per row at 16 and 32 rows (best of 9
+# runs of 300 steps, one core).  Larger batches gain nothing:
 # a 40-realization n = 512 Lyapunov run on one core took 11-13 s with
 # 64 KiB batches and 12-16 s with 128 KiB, 256 KiB or one 640 KiB batch.
 BATCH_BYTES = 64 * 1024
@@ -86,6 +103,15 @@ BATCH_BYTES = 64 * 1024
 
 class MeasurementError(QcondError):
     """Measurement/record bookkeeping misuse (e.g. record at k = 0)."""
+
+
+class MeasurementOverflowError(QcondError):
+    """One step's measurement update is too strong for the grid's floating range."""
+
+
+# Largest |beta| max|x| of a wavefunction step's real factor exp(beta x): the
+# unnormalized |psi|^2 then grows by at most exp(600), below the float range.
+EXPONENT_BOUND = 300.0
 
 
 @dataclass(frozen=True)
@@ -127,6 +153,11 @@ class MeasurementSpec:
         """exp(sqrt(2k) u dW - 2k u^2 dt) at offsets u = x - <x> from the mean."""
         # sqrt(2k) = sqrt(8k) / 2 exactly: scaling by 4 and by 1/2 is exact.
         return np.exp(0.5 * self.sqrt8k * u * dw - 2.0 * self.strength * u**2 * dt)
+
+    def multiplier_slope(self, x_mean, dw, dt):
+        """beta = sqrt(2k) dW + 4k <x> dt: multiplier(x - <x>, dW, dt) is
+        multiplier(x, 0, dt) exp(beta x) times a constant per <x> and dW."""
+        return 0.5 * self.sqrt8k * dw + 4.0 * self.strength * x_mean * dt
 
 
 @dataclass(frozen=True)
@@ -171,10 +202,15 @@ class _Stepper:
         self.x = grid.x
         p = grid.momenta(system.hbar)
         self.kinetic_phase = np.exp(-1j * p**2 * self.dt / (2.0 * system.mass * system.hbar))
-        # Static part of the potential; drive and control are added per step.
+        # Half-step phase of the static potential; drive and control are linear
+        # in x and enter per step through _linear_factor.
         c0, c1, c2, c3, c4 = system.potential_coeffs
         x = self.x
-        self.v_static = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+        v_static = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+        self.static_phase = np.exp(-0.5j * v_static * self.dt / system.hbar)
+        # _linear_factor's two tables: x_j = x[a m] + dx b for j = a m + b, m ~ sqrt(n).
+        self._table_m = 1 << (grid.n_points.bit_length() // 2)
+        self._table_x = np.concatenate([x[::self._table_m], grid.dx * np.arange(self._table_m)])
         self.outer_index = np.flatnonzero(grid.outer_buffer_mask)
         self.meas = MeasurementSpec(0.0) if meas is None else meas
         self.k = self.meas.strength
@@ -182,15 +218,32 @@ class _Stepper:
         # potential as the -control * x term.
         self.control = system.control_offset
 
+    def _linear_factor(self, c) -> np.ndarray:
+        """exp(c x) on the grid for a scalar c or a (..., 1) column of them.
+
+        On the uniform grid exp(c x_j) is geometric in j, so it is the outer
+        product of exp(c x[a m]) and exp(c dx b): 2 sqrt(n) exponentials per
+        row instead of n.
+        """
+        table = np.exp(c * self._table_x)
+        q = self.grid.n_points // self._table_m
+        return (table[..., :q, None] * table[..., None, q:]).reshape(table.shape[:-1] + (-1,))
+
     def half_potential_phase(self, t_mid: float) -> np.ndarray:
-        """exp(-i V(x, t_mid) dt / 2 hbar) under the current control."""
-        v = self.v_static
-        if self.system.drive_amplitude != 0.0:
-            v = v + self.system.drive_amplitude * np.cos(self.system.drive_frequency * t_mid) * self.x
+        """exp(-i V(x, t_mid) dt / 2 hbar) under the current control.
+
+        The static phase times _linear_factor(-i dt / 2 hbar (A cos(w t_mid) - u));
+        without drive or control it is the static phase itself.
+        """
+        drive = self.system.drive_amplitude != 0.0
         # A (B, 1) control column gives each row of a batch its own potential.
-        if isinstance(self.control, np.ndarray) or self.control != 0.0:
-            v = v - self.control * self.x
-        return np.exp(-0.5j * v * self.dt / self.system.hbar)
+        controlled = isinstance(self.control, np.ndarray) or self.control != 0.0
+        if not (drive or controlled):
+            return self.static_phase
+        slope = -self.control
+        if drive:
+            slope = slope + self.system.drive_amplitude * np.cos(self.system.drive_frequency * t_mid)
+        return self.static_phase * self._linear_factor(-0.5j * self.dt / self.system.hbar * slope)
 
 
 class DensityStepper(_Stepper):
@@ -289,7 +342,16 @@ class PureStepper(_Stepper):
     Ideal (efficiency-one) measurement keeps pure states pure, and the
     multiplicative measurement map used here acts identically on
     |psi><psi| and on psi, so this path reproduces the density stepper
-    exactly while costing O(n) instead of O(n^2) per step.
+    to roundoff while costing O(n) instead of O(n^2) per step.
+
+    A conditioned step multiplies by exp(-2k x^2 dt) exp(beta x), beta =
+    sqrt(2k) dW + 4k <x> dt, which is the measurement multiplier up to one
+    constant per row; runs the split-operator unitary with the factored
+    half phase; and normalizes after the unitary.  One |psi|^2 of the new
+    state gives its norm, the outer-buffer mass of the support check and
+    its <x>, which the step leaves in ``x_mean`` for the caller to pass back
+    into the next step.  The step refuses a beta with |beta| max|x| above
+    EXPONENT_BOUND, where the unnormalized |psi|^2 could overflow.
 
     psi may be a batch of shape (..., n).  dW is a scalar (one increment
     for every row) or an array that broadcasts against the batch shape
@@ -298,37 +360,64 @@ class PureStepper(_Stepper):
     values.  Each row comes out bit-identical to stepping it alone.
     """
 
+    def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
+        super().__init__(grid, system, meas, dt)
+        # The multiplier at <x> = 0 and dW = 0: exp(-2k x^2 dt).
+        self.gauss = self.meas.multiplier(self.x, 0.0, self.dt)
+        self._x_abs_max = float(np.max(np.abs(self.x)))
+        # vecdot(_weights, |psi|^2) gives each row's norm, first moment and outer-buffer mass.
+        self._weights = np.stack([np.ones_like(self.x), self.x,
+                                  grid.outer_buffer_mask.astype(float)])
+        # <x> of every row of the state the last step returned (None before any step).
+        self.x_mean = None
+        # Largest outer-buffer mass of any row after any step so far.
+        self.max_outer_mass = 0.0
+
     def _unitary(self, psi: np.ndarray, t: float) -> np.ndarray:
         pv = self.half_potential_phase(t + 0.5 * self.dt)
-        psi = pv * psi
-        psi = np.fft.ifft(self.kinetic_phase * np.fft.fft(psi))
-        return pv * psi
+        phi = np.fft.fft(pv * psi)
+        np.multiply(self.kinetic_phase, phi, out=phi)
+        psi = np.fft.ifft(phi)
+        return np.multiply(pv, psi, out=psi)
 
-    def _supported(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """psi, once no row holds more than the tolerance in the outer grid buffer."""
-        mass_out = (np.abs(psi.take(self.outer_index, axis=-1)) ** 2).sum(-1) * self.grid.dx
-        _check_support(float(mass_out.max()), t)
-        return psi
+    def _density_pass(self, psi: np.ndarray, t: float):
+        """Norm of every row of psi; sets x_mean, checks and records the outer-buffer mass."""
+        moments = np.vecdot(self._weights, (np.abs(psi) ** 2)[..., None, :])
+        norm = moments[..., 0]
+        worst = float((moments[..., 2] / norm).max())
+        _check_support(worst, t)
+        self.max_outer_mass = max(self.max_outer_mass, worst)
+        self.x_mean = moments[..., 1] / norm
+        return norm
 
     def mean_x(self, psi: np.ndarray):
         dens = np.abs(psi) ** 2
         return (self.x * dens).sum(-1) / dens.sum(-1)
 
     def isolated(self, psi: np.ndarray, t=0.0) -> np.ndarray:
-        return self._supported(self._unitary(psi, t), t)
+        psi = self._unitary(psi, t)
+        self._density_pass(psi, t)
+        return psi
 
     def conditioned(self, psi: np.ndarray, t: float, dw, x_mean=None):
         """One conditioned step of every row; returns (psi', dy per row).
 
-        x_mean, if given, is ``mean_x(psi)`` already computed by the caller.
+        x_mean is ``mean_x(psi)``, None to compute it here; after a step
+        ``self.x_mean`` holds it for psi'.
         """
         if x_mean is None:
             x_mean = self.mean_x(psi)
         dy = self.meas.record(x_mean, dw, self.dt)
-        u = self.x - x_mean[..., None]
-        psi = psi * self.meas.multiplier(u, np.asarray(dw)[..., None], self.dt)
-        psi = psi / np.sqrt((np.abs(psi) ** 2).sum(-1, keepdims=True) * self.grid.dx)
-        return self._supported(self._unitary(psi, t), t), dy
+        beta = self.meas.multiplier_slope(x_mean, dw, self.dt)
+        reach = float(np.max(np.abs(beta))) * self._x_abs_max
+        if not reach <= EXPONENT_BOUND:   # NaN fails too
+            raise MeasurementOverflowError(
+                f"measurement update exp(beta x) reaches exp({reach:.3g}) on the grid, past "
+                f"exp({EXPONENT_BOUND:g}): measurement.k = {self.k:g} is too strong for "
+                f"run.dt = {self.dt:g}; lower either")
+        psi = self._unitary(psi * (np.exp(beta[..., None] * self.x) * self.gauss), t)
+        scale = np.sqrt(1.0 / (self._density_pass(psi, t) * self.grid.dx))
+        return np.multiply(psi, scale[..., None], out=psi), dy
 
 
 def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
@@ -355,25 +444,30 @@ class ConditionedTrajectory:
     moments is a C-contiguous (R, n_samples, 7), one row per entry of times,
     in MomentSet field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the
     effective sample size for a classical ensemble) and energy.  An isolated
-    run is a batch of one.
+    run is a batch of one.  max_outer_mass is the largest probability any
+    wavefunction row held in the outer grid buffer after any step.
     """
 
     times: np.ndarray
     moments: np.ndarray
     record: MeasurementRecord = None
+    max_outer_mass: float = None
 
 
 def _run_measured(grid, psi0, system, meas, dt, increments, sample_every, innovation):
     """Conditioned trajectories of one batch row per column of the (n_steps, R)
-    increments; innovation(stepper, psi, increments[i]) gives step i's (dW, <x> or None)."""
+    increments; innovation(increments[i], x_mean) gives step i's dW from the
+    rows' current <x>."""
     n_steps, n_rows = increments.shape
     stepper = PureStepper(grid, system, meas, dt)
     psi = np.broadcast_to(psi0, (n_rows, grid.n_points)).copy()
     dys = np.empty((n_rows, n_steps))
 
     def step(psi, i, t):
-        dw, x_mean = innovation(stepper, psi, increments[i])
-        psi, dys[:, i] = stepper.conditioned(psi, t, dw, x_mean)
+        x_mean = stepper.x_mean
+        if x_mean is None:
+            x_mean = stepper.mean_x(psi)
+        psi, dys[:, i] = stepper.conditioned(psi, t, innovation(increments[i], x_mean), x_mean)
         return psi
 
     def sample(psi, t):   # one moments call per sample, looked up then (span tracing rebinds it)
@@ -382,7 +476,7 @@ def _run_measured(grid, psi0, system, meas, dt, increments, sample_every, innova
     times, rows, _ = drive(psi, n_steps, dt, sample_every, step, sample)
     # C-contiguous (R, n_samples, 7): a strided view reorders the sums of a mean over R.
     return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)),
-                                 MeasurementRecord(dt, dys))
+                                 MeasurementRecord(dt, dys), stepper.max_outer_mass)
 
 
 def run_conditioned(grid, psi0, system, meas, noise: list,
@@ -390,7 +484,7 @@ def run_conditioned(grid, psi0, system, meas, noise: list,
     """Conditioned trajectories from the wavefunction psi0, one batch row per
     path in the list ``noise``; each row is bit-identical to its path run alone."""
     return _run_measured(grid, psi0, system, meas, noise[0].dt, stack_increments(noise),
-                         sample_every, lambda stepper, psi, dw: (dw, None))
+                         sample_every, lambda dw, x_mean: dw)
 
 
 def run_isolated(state0: QuantumState, system, dt, n_steps,
@@ -412,12 +506,8 @@ def filter_with_record(grid, psi0, system, meas, record: MeasurementRecord,
     record generation arithmetic; fed its own record from the same
     initial state this reproduces the generating trajectories.
     """
-    def innovation(stepper, psi, dy):
-        x_mean = stepper.mean_x(psi)
-        return meas.innovation(dy, x_mean, record.dt), x_mean
-
-    return _run_measured(grid, psi0, system, meas, record.dt, record.increments.T,
-                         sample_every, innovation)
+    return _run_measured(grid, psi0, system, meas, record.dt, record.increments.T, sample_every,
+                         lambda dy, x_mean: meas.innovation(dy, x_mean, record.dt))
 
 
 # ---------------------------------------------------------------------------

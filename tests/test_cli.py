@@ -477,6 +477,36 @@ def test_misfit_cooling_packet_aborts_unretried(tmp_path, capsys, recwarn, overr
     assert not [w for w in recwarn if "aborted" in str(w.message)]
 
 
+def test_overflowing_measurement_step_aborts_unretried(tmp_path, capsys, recwarn):
+    """A measurement too strong for dt on the grid (k = 1e8 on the cooling
+    plant) exits 3 naming measurement.k and run.dt, and retries no stream:
+    no other stream would step it."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cooling_quartic.ini")
+    args = ["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    for item in ("measurement.k=1e8", "run.horizon=0.2", "run.n_realizations=2"):
+        args += ["--set", item]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "measurement.k = 1e+08" in err and "run.dt = 0.001" in err
+    assert not [w for w in recwarn if "aborted" in str(w.message)]
+
+
+@pytest.mark.parametrize("text", [CONDITIONED, HARMONIC_LYAP, COOLING],
+                         ids=["conditioned", "lyapunov", "cooling"])
+def test_max_outer_mass_reported_for_any_worker_count(tmp_path, text):
+    """conditioned, lyapunov and cooling report the largest outer-buffer
+    mass of the run, a maximum over pool chunks that no chunking moves."""
+    cfg = _write(tmp_path, text)
+    seen = []
+    for workers in ("1", "2", "3"):
+        out = str(tmp_path / workers)
+        assert main(["--config", cfg, "--out", out, "--workers", workers,
+                     "--set", "run.n_realizations=3"]) == EXIT_OK
+        seen.append(json.load(open(os.path.join(out, "metadata.json")))["result"]["max_outer_mass"])
+    assert 0.0 < seen[0] < 1e-6
+    assert seen == [seen[0]] * 3
+
+
 def test_isolated_lyapunov_pairs_abort_in_the_outer_buffer(tmp_path, capsys):
     """At k = 0 the pairs step isolated; a packet with mass in the outer grid
     buffer aborts there as it does at k > 0, instead of wrapping around."""

@@ -1,6 +1,6 @@
 """Core types: construction, moments, transforms."""
 
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -50,6 +50,19 @@ def test_effective_potential_includes_drive_and_control():
     # force is the exact negative gradient
     expected_f = -(x + 2.0 * np.cos(3.0 * t) - 0.7)
     assert spec.force(x, t) == pytest.approx(expected_f, rel=1e-14)
+
+
+def test_with_control_equals_a_validated_copy():
+    """with_control skips re-validation but builds the spec replace() builds."""
+    spec = SystemSpec(mass=2.0, hbar=0.5, potential_coeffs=(0, 0.1, 0.5),
+                      drive_amplitude=2.0, drive_frequency=3.0)
+    for u in (0.7, np.float64(-1.5), 0):
+        copy = spec.with_control(u)
+        assert copy == replace(spec, control_offset=float(u))
+        assert type(copy.control_offset) is float
+        assert spec.control_offset == 0.0
+    with pytest.raises(FrozenInstanceError):
+        copy.mass = 1.0
 
 
 # --- gaussian_state -----------------------------------------------------------

@@ -22,6 +22,7 @@ from qcond.noise import generate
 from qcond.qdyn import (
     DensityStepper,
     MeasurementError,
+    MeasurementOverflowError,
     MeasurementSpec,
     PureStepper,
     evolve_moyal,
@@ -301,6 +302,85 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
             step(np.stack([inside, edge, inside]))
 
 
+# --- factored diagonal factors and the carried mean --------------------------
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+@pytest.mark.parametrize("drive", [0.0, 7.155])
+@pytest.mark.parametrize("control", [0.0, 0.9, "column"])
+def test_factored_factors_match_direct_formulas(n, drive, control):
+    """The half phase, a static profile times exp(c x) from two tables, is
+    exp(-i V dt / 2 hbar) with V formed in full, to 1e-13.  One conditioned
+    step, with the multiplier exp(-2k x^2 dt) exp(beta x) and the norm taken
+    after the unitary, matches the direct multiplier exp(sqrt(2k) u dW -
+    2k u^2 dt), u = x - <x>, normalized before the unitary, to 1e-13
+    relative."""
+    grid = PositionGrid(-20.0, 20.0, n)
+    sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, -1.6, 0, 0.004),
+                      drive_amplitude=drive, drive_frequency=2.428)
+    meas = MeasurementSpec(0.5)
+    dt, t = 2e-3, 0.37
+    stepper = PureStepper(grid, sys_, meas, dt)
+    stepper.control = np.array([[-4.0], [0.0], [4.5]]) if control == "column" else control
+    psi = np.stack([gaussian_wavefunction(grid, x0, 0.3, 1.5, HBAR) for x0 in (-3.0, 0.5, 4.0)])
+    t_mid = t + 0.5 * dt
+    phase = np.exp(-0.5j * (sys_.potential(grid.x, t_mid) - stepper.control * grid.x) * dt / HBAR)
+    assert np.max(np.abs(stepper.half_potential_phase(t_mid) - phase)) <= 1e-13
+
+    dw = np.array([0.05, -0.03, 0.02])
+    x_mean = stepper.mean_x(psi)
+    got, dy = stepper.conditioned(psi, t, dw, x_mean)
+    want = psi * meas.multiplier(grid.x - x_mean[:, None], dw[:, None], dt)
+    want /= np.sqrt((np.abs(want) ** 2).sum(-1, keepdims=True) * grid.dx)
+    want = phase * np.fft.ifft(stepper.kinetic_phase * np.fft.fft(phase * want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(dy, meas.record(x_mean, dw, dt))
+
+
+def test_static_phase_is_the_direct_exponential(grid, harmonic):
+    """Without drive or control the half phase is exp(-0.5j V dt / hbar)
+    itself, no factor multiplied in, so the density stepper's static phase
+    matrix keeps its bits."""
+    stepper = DensityStepper(grid, harmonic, None, 1e-3)
+    p0 = np.exp(-0.5j * harmonic.potential(grid.x) * 1e-3 / HBAR)
+    assert np.array_equal(stepper.half_potential_phase(0.3), p0)
+    assert np.array_equal(stepper._phase_matrix(0.3), np.outer(p0, p0.conj()))
+
+
+def test_step_carries_mean_and_outer_mass_of_new_state(grid, harmonic):
+    """The <x> a step leaves in x_mean is mean_x of the state it returned, to
+    1e-14 relative, for conditioned and isolated steps; max_outer_mass is the
+    largest outer-buffer probability of any row after any step."""
+    dt = 1e-3
+    stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), dt)
+    psi = np.stack([gaussian_wavefunction(grid, x0, 0.4, 0.8, HBAR) for x0 in (-2.0, 1.0, 6.0)])
+    noise = generate(5, 0, 200, dt)
+    outer = grid.outer_buffer_mask
+    worst = 0.0
+    for i in range(201):
+        if i < 200:
+            psi, _ = stepper.conditioned(psi, i * dt, noise.increments[i], stepper.x_mean)
+        else:
+            psi = stepper.isolated(psi, i * dt)
+        np.testing.assert_allclose(stepper.x_mean, stepper.mean_x(psi), rtol=1e-14, atol=0)
+        mass = (np.abs(psi[:, outer]) ** 2).sum(-1) / (np.abs(psi) ** 2).sum(-1)
+        worst = max(worst, mass.max())
+    assert 0.0 < worst < 1e-6
+    assert stepper.max_outer_mass == pytest.approx(worst, rel=1e-12)
+
+
+def test_overflowing_measurement_step_is_refused(grid, harmonic):
+    """A step whose real factor exp(beta x) would pass exp(EXPONENT_BOUND)
+    on the grid raises, naming the keys that set it, instead of stepping."""
+    psi = gaussian_wavefunction(grid, 1.5, 0.0, 0.7, HBAR)
+    PureStepper(grid, harmonic, MeasurementSpec(1e3), 1e-3).conditioned(psi, 0.0, 0.0)
+    stepper = PureStepper(grid, harmonic, MeasurementSpec(1e8), 1e-3)
+    with pytest.raises(MeasurementOverflowError, match=r"measurement\.k = 1e\+08 .*run\.dt = 0\.001"):
+        stepper.conditioned(psi, 0.0, 0.0)
+    with pytest.raises(MeasurementOverflowError):
+        stepper.conditioned(psi, 0.0, np.nan, 0.0)
+
+
 def test_trajectory_loop_density_twin(harmonic):
     """The pure and the density stepper, driven through core.drive from the
     same packet on the same noise, give the same moment series, conditioned
@@ -327,7 +407,9 @@ def test_trajectory_loop_density_twin(harmonic):
 
     def conditioned(stepper, key):
         def step(state, i, t):
-            state, dy = stepper.conditioned(state, t, noise[i])
+            # The wavefunction stepper takes back the <x> its last step left, as run_conditioned does.
+            carried = (stepper.x_mean,) if key == "pure" else ()
+            state, dy = stepper.conditioned(state, t, noise[i], *carried)
             dys[key].append(dy)
             return state
         return step
