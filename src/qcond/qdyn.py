@@ -208,10 +208,10 @@ class _Stepper:
         x = self.x
         v_static = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
         self.static_phase = np.exp(-0.5j * v_static * self.dt / system.hbar)
-        # _linear_factor's two tables: x_j = x[a m] + dx b for j = a m + b, m ~ sqrt(n).
+        # _linear_factor's two tables: x_j = x[a m] + dx b for j = a m + b, with
+        # m ~ sqrt(n) a power of two, so it divides the power-of-two n.
         self._table_m = 1 << (grid.n_points.bit_length() // 2)
         self._table_x = np.concatenate([x[::self._table_m], grid.dx * np.arange(self._table_m)])
-        self.outer_index = np.flatnonzero(grid.outer_buffer_mask)
         self.meas = MeasurementSpec(0.0) if meas is None else meas
         self.k = self.meas.strength
         # Feedback loops override this per step; the value enters the
@@ -258,6 +258,7 @@ class DensityStepper(_Stepper):
         # Phase matrix of a static potential, valid for the control _phase_key.
         self._phase_key = None
         self._phase = None
+        self.outer_index = np.flatnonzero(grid.outer_buffer_mask)
 
     @cached_property
     def _decoherence(self) -> np.ndarray:
