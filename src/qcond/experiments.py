@@ -91,6 +91,11 @@ def _setup(cfg):
         raise ValueError(f"measurement.k must be positive for {name}, which conditions "
                          "on the measurement record")
     dt = run["dt"]
+    # A measurement narrower than the grid spacing collapses the state onto one node.
+    if grid is not None and meas is not None and 4.0 * meas.strength * dt * grid.dx**2 > 1.0:
+        raise ValueError(f"measurement.k = {meas.strength:g} with run.dt = {dt:g} resolves "
+                         f"1/sqrt(4 k dt) = {(4.0 * meas.strength * dt) ** -0.5:.3g}, below the "
+                         f"grid spacing {grid.dx:.3g}; lower measurement.k or run.dt")
     stride = int(run.get("sample_stride", 1))
     return system, grid, meas, dt, int(round(run["horizon"] / dt)), stride
 

@@ -30,7 +30,7 @@ import numpy as np
 from .core import QcondError, SystemSpec, drive, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
 from .noise import generate, stack_increments
-from .qdyn import MeasurementOverflowError, MeasurementSpec, PureStepper, realizations_per_batch
+from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 
 __all__ = [
     "FeedbackPolicy",
@@ -230,8 +230,6 @@ def cooling_experiment(state0_params, system, meas, policies: list,
         check_budget(streams[0])
         try:
             run = closed_loops(streams)
-        except MeasurementOverflowError:
-            raise   # set by measurement.k and run.dt, not by the stream: no retry
         except QcondError:
             # Some row aborted: rerun the chunk one stream at a time.
             for index in streams:

@@ -38,21 +38,17 @@ are provided.  They realize the same measurement map, so a pure initial
 state evolved either way gives identical trajectories up to roundoff;
 the wavefunction path is the cheap one for large conditioned ensembles.
 
-Every position-diagonal factor of a step is a static profile times
+The half phase of every step is a static profile times
 exp(c x), with one c per batch row.  The drive A cos(wt) x and the
 control -u x are the only time-dependent terms of the potential and are
 linear in x, so the half phase is the cached exp(-i V0 dt / 2hbar) times
 exp(c x) with c = -i dt/2hbar (A cos(wt) - u).  On the uniform grid
 exp(c x_j) is geometric in j and comes from two tables of about sqrt(n)
-exponentials per row.  Expanding the square, M is the cached
-exp(-2k x^2 dt) times the real exp(beta x), beta = sqrt(2k) dW + 4k <x> dt,
-up to a constant per row.  The wavefunction step drops that constant
-and normalizes once, after the unitary.  The one |psi|^2 it forms there
+exponentials per row.  M is formed directly at the offsets x - <x>, so
+its exponent peaks at dW^2 / 4dt and cannot overflow.  The wavefunction
+step normalizes once, after the unitary.  The one |psi|^2 it forms there
 gives the norm, the outer-buffer mass of the support check and the <x>
-of the new state, which the caller passes back into the next step.  The
-unnormalized |psi|^2 grows by exp(2 |beta| max|x|) at most, so a step
-with |beta| max|x| above EXPONENT_BOUND raises MeasurementOverflowError
-instead of overflowing.
+of the new state, which the caller passes back into the next step.
 """
 
 from __future__ import annotations
@@ -105,15 +101,6 @@ class MeasurementError(QcondError):
     """Measurement/record bookkeeping misuse (e.g. record at k = 0)."""
 
 
-class MeasurementOverflowError(QcondError):
-    """One step's measurement update is too strong for the grid's floating range."""
-
-
-# Largest |beta| max|x| of a wavefunction step's real factor exp(beta x): the
-# unnormalized |psi|^2 then grows by at most exp(600), below the float range.
-EXPONENT_BOUND = 300.0
-
-
 @dataclass(frozen=True)
 class MeasurementSpec:
     """Continuous position measurement of strength k (1/(length^2 time)).
@@ -153,11 +140,6 @@ class MeasurementSpec:
         """exp(sqrt(2k) u dW - 2k u^2 dt) at offsets u = x - <x> from the mean."""
         # sqrt(2k) = sqrt(8k) / 2 exactly: scaling by 4 and by 1/2 is exact.
         return np.exp(0.5 * self.sqrt8k * u * dw - 2.0 * self.strength * u**2 * dt)
-
-    def multiplier_slope(self, x_mean, dw, dt):
-        """beta = sqrt(2k) dW + 4k <x> dt: multiplier(x - <x>, dW, dt) is
-        multiplier(x, 0, dt) exp(beta x) times a constant per <x> and dW."""
-        return 0.5 * self.sqrt8k * dw + 4.0 * self.strength * x_mean * dt
 
 
 @dataclass(frozen=True)
@@ -345,14 +327,12 @@ class PureStepper(_Stepper):
     |psi><psi| and on psi, so this path reproduces the density stepper
     to roundoff while costing O(n) instead of O(n^2) per step.
 
-    A conditioned step multiplies by exp(-2k x^2 dt) exp(beta x), beta =
-    sqrt(2k) dW + 4k <x> dt, which is the measurement multiplier up to one
-    constant per row; runs the split-operator unitary with the factored
-    half phase; and normalizes after the unitary.  One |psi|^2 of the new
-    state gives its norm, the outer-buffer mass of the support check and
-    its <x>, which the step leaves in ``x_mean`` for the caller to pass back
-    into the next step.  The step refuses a beta with |beta| max|x| above
-    EXPONENT_BOUND, where the unnormalized |psi|^2 could overflow.
+    A conditioned step multiplies by the measurement multiplier at the
+    offsets x - <x>, runs the split-operator unitary with the factored half
+    phase, and normalizes after the unitary.  One |psi|^2 of the new state
+    gives its norm, the outer-buffer mass of the support check and its
+    <x>, which the step leaves in ``x_mean`` for the caller to pass back
+    into the next step.
 
     psi may be a batch of shape (..., n).  dW is a scalar (one increment
     for every row) or an array that broadcasts against the batch shape
@@ -363,9 +343,6 @@ class PureStepper(_Stepper):
 
     def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
         super().__init__(grid, system, meas, dt)
-        # The multiplier at <x> = 0 and dW = 0: exp(-2k x^2 dt).
-        self.gauss = self.meas.multiplier(self.x, 0.0, self.dt)
-        self._x_abs_max = float(np.max(np.abs(self.x)))
         # vecdot(_weights, |psi|^2) gives each row's norm, first moment and outer-buffer mass.
         self._weights = np.stack([np.ones_like(self.x), self.x,
                                   grid.outer_buffer_mask.astype(float)])
@@ -409,14 +386,8 @@ class PureStepper(_Stepper):
         if x_mean is None:
             x_mean = self.mean_x(psi)
         dy = self.meas.record(x_mean, dw, self.dt)
-        beta = self.meas.multiplier_slope(x_mean, dw, self.dt)
-        reach = float(np.max(np.abs(beta))) * self._x_abs_max
-        if not reach <= EXPONENT_BOUND:   # NaN fails too
-            raise MeasurementOverflowError(
-                f"measurement update exp(beta x) reaches exp({reach:.3g}) on the grid, past "
-                f"exp({EXPONENT_BOUND:g}): measurement.k = {self.k:g} is too strong for "
-                f"run.dt = {self.dt:g}; lower either")
-        psi = self._unitary(psi * (np.exp(beta[..., None] * self.x) * self.gauss), t)
+        u = self.x - x_mean[..., None]
+        psi = self._unitary(psi * self.meas.multiplier(u, np.asarray(dw)[..., None], self.dt), t)
         scale = np.sqrt(1.0 / (self._density_pass(psi, t) * self.grid.dx))
         return np.multiply(psi, scale[..., None], out=psi), dy
 

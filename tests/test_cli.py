@@ -477,18 +477,27 @@ def test_misfit_cooling_packet_aborts_unretried(tmp_path, capsys, recwarn, overr
     assert not [w for w in recwarn if "aborted" in str(w.message)]
 
 
-def test_overflowing_measurement_step_aborts_unretried(tmp_path, capsys, recwarn):
-    """A measurement too strong for dt on the grid (k = 1e8 on the cooling
-    plant) exits 3 naming measurement.k and run.dt, and retries no stream:
-    no other stream would step it."""
+def test_measurement_narrower_than_the_grid_is_a_config_error(tmp_path, capsys):
+    """A measurement whose width 1/sqrt(4 k dt) is below the grid spacing
+    (k = 1e8 on the cooling plant) would collapse the state onto one node:
+    it exits 2 naming measurement.k and run.dt, before any step."""
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cooling_quartic.ini")
-    args = ["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
-    for item in ("measurement.k=1e8", "run.horizon=0.2", "run.n_realizations=2"):
-        args += ["--set", item]
-    assert main(args) == 3
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--set", "measurement.k=1e8"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "measurement.k = 1e+08" in err and "run.dt = 0.001" in err
-    assert not [w for w in recwarn if "aborted" in str(w.message)]
+    assert not out.exists()
+
+
+def test_strong_measurement_of_an_off_centre_packet_runs(tmp_path):
+    """The shipped Duffing Lyapunov run, its packet at x0 = 11, steps at
+    k = 300: the measurement update does not depend on where the packet is."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lyapunov_duffing.ini")
+    args = ["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    for item in ("measurement.k=300", "run.horizon=0.05", "run.sample_stride=40",
+                 "run.n_realizations=2"):
+        args += ["--set", item]
+    assert main(args) == EXIT_OK
 
 
 @pytest.mark.parametrize("text", [CONDITIONED, HARMONIC_LYAP, COOLING],

@@ -22,7 +22,6 @@ from qcond.noise import generate
 from qcond.qdyn import (
     DensityStepper,
     MeasurementError,
-    MeasurementOverflowError,
     MeasurementSpec,
     PureStepper,
     evolve_moyal,
@@ -311,10 +310,9 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
 def test_factored_factors_match_direct_formulas(n, drive, control):
     """The half phase, a static profile times exp(c x) from two tables, is
     exp(-i V dt / 2 hbar) with V formed in full, to 1e-13.  One conditioned
-    step, with the multiplier exp(-2k x^2 dt) exp(beta x) and the norm taken
-    after the unitary, matches the direct multiplier exp(sqrt(2k) u dW -
-    2k u^2 dt), u = x - <x>, normalized before the unitary, to 1e-13
-    relative."""
+    step, with the norm taken after the unitary, matches the multiplier
+    exp(sqrt(2k) u dW - 2k u^2 dt), u = x - <x>, normalized before the
+    unitary, to 1e-13 relative."""
     grid = PositionGrid(-20.0, 20.0, n)
     sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, -1.6, 0, 0.004),
                       drive_amplitude=drive, drive_frequency=2.428)
@@ -369,16 +367,27 @@ def test_step_carries_mean_and_outer_mass_of_new_state(grid, harmonic):
     assert stepper.max_outer_mass == pytest.approx(worst, rel=1e-12)
 
 
-def test_overflowing_measurement_step_is_refused(grid, harmonic):
-    """A step whose real factor exp(beta x) would pass exp(EXPONENT_BOUND)
-    on the grid raises, naming the keys that set it, instead of stepping."""
-    psi = gaussian_wavefunction(grid, 1.5, 0.0, 0.7, HBAR)
-    PureStepper(grid, harmonic, MeasurementSpec(1e3), 1e-3).conditioned(psi, 0.0, 0.0)
-    stepper = PureStepper(grid, harmonic, MeasurementSpec(1e8), 1e-3)
-    with pytest.raises(MeasurementOverflowError, match=r"measurement\.k = 1e\+08 .*run\.dt = 0\.001"):
-        stepper.conditioned(psi, 0.0, 0.0)
-    with pytest.raises(MeasurementOverflowError):
-        stepper.conditioned(psi, 0.0, np.nan, 0.0)
+def test_off_centre_packet_steps_under_strong_measurement():
+    """A packet far from x = 0 under a strong measurement (the Duffing
+    Lyapunov grid, packet at x0 = 11, k = 300) steps as the multiplier
+    normalized before the unitary does: M is formed at the offsets
+    x - <x>, so its exponent stays small wherever the packet sits."""
+    grid = PositionGrid(-40.0, 40.0, 512)
+    sys_ = SystemSpec(mass=1.0, hbar=2.0, potential_coeffs=(0, 0, -1.6, 0, 0.004),
+                      drive_amplitude=7.155, drive_frequency=2.428)
+    meas, dt = MeasurementSpec(300.0), 6.25e-4
+    stepper = PureStepper(grid, sys_, meas, dt)
+    psi = want = gaussian_wavefunction(grid, 11.0, 0.0, 2.0, 2.0)
+    noise = generate(3, 0, 40, dt)
+    for i, dw in enumerate(noise.increments):
+        t = i * dt
+        psi, _ = stepper.conditioned(psi, t, dw, stepper.x_mean)
+        want = want * meas.multiplier(grid.x - stepper.mean_x(want), dw, dt)
+        want /= np.sqrt((np.abs(want) ** 2).sum() * grid.dx)
+        phase = stepper.half_potential_phase(t + 0.5 * dt)
+        want = phase * np.fft.ifft(stepper.kinetic_phase * np.fft.fft(phase * want))
+    assert np.max(np.abs(psi - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(stepper.x_mean - 11.0) < 1.0
 
 
 def test_trajectory_loop_density_twin(harmonic):
