@@ -89,7 +89,7 @@ __all__ = [
 
 # Complex state held by one batch of independent realizations.  Stepping
 # realizations as rows of one PureStepper batch pays the per-step Python
-# overhead once: at n = 256 a conditioned step costs 43 us for one row, 10 us
+# overhead once: at n = 256 a conditioned step costs 43 us for one row, 11 us
 # per row at 8 rows (32 KiB) and 7-8 us per row at 16 and 32 rows (best of 9
 # runs of 300 steps, one core).  Larger batches gain nothing:
 # a 40-realization n = 512 Lyapunov run on one core took 11-13 s with

@@ -395,6 +395,9 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     # The policy checks report the cooling key that set the field.
     (COOLING, "cooling.u_max=0", "cooling.u_max"),
     (COOLING, "cooling.direct_smoothing=0.001", "cooling.direct_smoothing"),
+    # A measurement narrower than the grid spacing would collapse the state onto one node.
+    (COOLING, "measurement.k=1e8", "measurement.k = 1e+08 with run.dt = 0.001"),
+    (HARMONIC_LYAP, "measurement.k=1e6", "measurement.k = 1e+06 with run.dt = 0.002"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
@@ -402,7 +405,7 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "cumulant-k0", "cooling-k0", "passivity-particles-0", "passivity-particles-19",
         "cooling-umax-nan", "cooling-smoothing-nan", "measurement-k-nan", "cooling-k-inf",
         "passivity-k-inf", "cooling-x0-nan", "cooling-direct-gain-nan", "cooling-umax-0",
-        "cooling-smoothing-key"])
+        "cooling-smoothing-key", "cooling-k-below-grid", "lyapunov-k-below-grid"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
@@ -475,18 +478,6 @@ def test_misfit_cooling_packet_aborts_unretried(tmp_path, capsys, recwarn, overr
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == 3
     assert message in capsys.readouterr().err
     assert not [w for w in recwarn if "aborted" in str(w.message)]
-
-
-def test_measurement_narrower_than_the_grid_is_a_config_error(tmp_path, capsys):
-    """A measurement whose width 1/sqrt(4 k dt) is below the grid spacing
-    (k = 1e8 on the cooling plant) would collapse the state onto one node:
-    it exits 2 naming measurement.k and run.dt, before any step."""
-    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cooling_quartic.ini")
-    out = tmp_path / "o"
-    assert main(["--config", cfg, "--out", str(out), "--set", "measurement.k=1e8"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "measurement.k = 1e+08" in err and "run.dt = 0.001" in err
-    assert not out.exists()
 
 
 def test_strong_measurement_of_an_off_centre_packet_runs(tmp_path):
