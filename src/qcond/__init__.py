@@ -17,10 +17,8 @@ from .core import (
     QuantumState,
     SupportEscapeError,
     SystemSpec,
-    WignerGrid,
     gaussian_state,
     gaussian_wavefunction,
-    wigner_transform,
 )
 from .noise import NoisePath, generate, substream_rng
 from .qdyn import (
@@ -29,7 +27,6 @@ from .qdyn import (
     MeasurementSpec,
     PureStepper,
     filter_with_record,
-    moyal_rhs,
 )
 from .cdyn import ks_step, liouville_step, newton_trajectory, resample
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step

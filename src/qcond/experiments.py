@@ -28,10 +28,9 @@ from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, lio
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, ensemble_lyapunov
-from .noise import generate, parallel_map, substream_rng
+from .noise import generate, parallel_map, stream_chunks, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
-from .qdyn import (MeasurementSpec, realizations_per_batch, run_conditioned, run_isolated,
-                   stream_chunks)
+from .qdyn import MeasurementSpec, realizations_per_batch, run_conditioned, run_isolated
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
 
@@ -123,20 +122,18 @@ def run_isolated_experiment(cfg, seed, workers):
 # --- conditioned --------------------------------------------------------------
 
 
-def _conditioned_chunk(job):
-    streams, grid, psi0, system, meas, dt, n_steps, stride, seed = job
-    noise = [generate(seed, k, n_steps, dt) for k in streams]
-    return run_conditioned(grid, psi0, system, meas, noise, sample_every=stride)
-
-
 def run_conditioned_experiment(cfg, seed, workers):
     system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["conditioned"]
     n_real = _n_realizations(cfg["run"], 1)
     psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
+
+    def run_chunk(streams):
+        noise = [generate(seed, k, n_steps, dt) for k in streams]
+        return run_conditioned(grid, psi0, system, meas, noise, sample_every=stride)
+
     chunks = stream_chunks(n_real, workers, realizations_per_batch(1, grid.n_points))
-    jobs = [(streams, grid, psi0, system, meas, dt, n_steps, stride, seed) for streams in chunks]
-    trajs = parallel_map(_conditioned_chunk, jobs, workers)
+    trajs = parallel_map(run_chunk, chunks, workers)
     times = trajs[0].times
     moments = np.concatenate([traj.moments for traj in trajs])
     series = [CsvSeries("conditioned_mean", TRAJECTORY_COLUMNS,
@@ -149,16 +146,6 @@ def run_conditioned_experiment(cfg, seed, workers):
 
 
 # --- passivity ------------------------------------------------------------------
-
-
-def _passivity_chunk(job):
-    streams, system, meas, ens0, dt, n_steps, stride, seed = job
-    counter = WeightClipCounter()
-    traj = run_conditioned_classical(
-        ens0, system, meas, [generate(seed, k, n_steps, dt) for k in streams],
-        sample_every=stride, resample_rngs=[substream_rng(seed, k, "resample") for k in streams],
-        clip_counter=counter)
-    return traj, counter
 
 
 def _raw_moment_row(m):
@@ -184,11 +171,19 @@ def run_passivity_experiment(cfg, seed, workers):
         rng.normal(exp["p0"], exp["sigma_p"], n_part),
         np.full(n_part, 1.0 / n_part),
     )
+
+    def run_chunk(streams):
+        counter = WeightClipCounter()
+        traj = run_conditioned_classical(
+            ens0, system, meas, [generate(seed, k, n_steps, dt) for k in streams],
+            sample_every=stride,
+            resample_rngs=[substream_rng(seed, k, "resample") for k in streams],
+            clip_counter=counter)
+        return traj, counter
+
     # A filter batch costs numpy call overhead per step, not memory traffic,
     # so its chunks take no batch-size cap: one chunk per worker.
-    jobs = [(streams, system, meas, ens0, dt, n_steps, stride, seed)
-            for streams in stream_chunks(n_real, workers)]
-    trajs, counters = zip(*parallel_map(_passivity_chunk, jobs, workers))
+    trajs, counters = zip(*parallel_map(run_chunk, stream_chunks(n_real, workers), workers))
     times = trajs[0].times
     # raw moments so realizations average like the underlying distribution
     mom = np.concatenate([traj.moments for traj in trajs])
@@ -344,7 +339,7 @@ def run_cooling_experiment(cfg, seed, workers):
         res = cooling_experiment(state0, system, meas, policies,
                                  n_realizations=_n_realizations(run, 2),
                                  horizon=run["horizon"], dt=dt, master_seed=seed,
-                                 sample_stride=stride)
+                                 sample_stride=stride, workers=workers)
     except PolicyValueError as err:   # name the key that set the policy field
         field, problem = err.args
         key = {"u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]

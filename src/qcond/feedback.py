@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import QcondError, SystemSpec, drive, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
-from .noise import generate, stack_increments
+from .noise import generate, parallel_map, stack_increments, stream_chunks
 from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 
 __all__ = [
@@ -196,52 +196,49 @@ MAX_RETRIES = 3
 
 def cooling_experiment(state0_params, system, meas, policies: list,
                        n_realizations: int, horizon: float, dt: float,
-                       master_seed: int, sample_stride=10) -> CoolingResult:
+                       master_seed: int, sample_stride=10, workers=1) -> CoolingResult:
     """Common-random-number comparison of feedback policies.
 
     Every policy sees the same per-realization noise path, so policy
-    differences are paired samples.  Consecutive stream indices run as
-    one closed-loop batch (qdyn.realizations_per_batch).  A realization
-    on which any policy aborts is rerun for all policies under a fresh
-    stream index (logged), keeping the pairing intact: an aborted batch
-    reruns its streams one at a time, so the accepted and retried
-    indices are those of a stream-by-stream loop.
+    differences are paired samples.  Consecutive stream indices run as one
+    closed-loop batch (qdyn.realizations_per_batch) on a pool of ``workers``
+    processes.  A realization on which any policy aborts is rerun for all
+    policies under a fresh stream index (logged), keeping the pairing intact.
+    The accepted and retried indices are those of a stream-by-stream loop.
     """
     # Every stream starts from one packet: a misfit aborts once, unretried.
     gaussian_wavefunction(*state0_params, system.hbar)
     n_steps = int(round(horizon / dt))
-    chunk = realizations_per_batch(len(policies), state0_params[0].n_points)
+    batch = realizations_per_batch(len(policies), state0_params[0].n_points)
+
+    def run_chunk(streams):
+        """(run, row) per stream, or the abort message of a stream that aborts alone."""
+        try:
+            noise = [generate(master_seed, k, n_steps, dt) for k in streams]
+            run = run_closed_loop(state0_params, system, meas, policies, noise, sample_stride)
+        except QcondError as err:
+            if len(streams) == 1:
+                return [str(err)]
+            # Some row aborted: rerun the batch one stream at a time.
+            return [outcome for index in streams for outcome in run_chunk([index])]
+        return [(run, row) for row in range(len(streams))]
+
     accepted = []    # (stream index, ClosedLoopRun, its row) per accepted realization
     retried = []
-
-    def closed_loops(streams):
-        noise = [generate(master_seed, k, n_steps, dt) for k in streams]
-        return run_closed_loop(state0_params, system, meas, policies, noise, sample_stride)
-
-    def check_budget(index):
-        if index - len(accepted) > MAX_RETRIES * max(1, n_realizations):
-            raise QcondError("too many aborted closed-loop realizations")
-
-    next_index = 0
     while len(accepted) < n_realizations:
-        # Never more streams than still needed, so the serial order is kept.
-        streams = range(next_index, next_index + min(chunk, n_realizations - len(accepted)))
-        next_index = streams.stop
-        check_budget(streams[0])
-        try:
-            run = closed_loops(streams)
-        except QcondError:
-            # Some row aborted: rerun the chunk one stream at a time.
-            for index in streams:
-                check_budget(index)
-                try:
-                    accepted.append((index, closed_loops([index]), 0))
-                except QcondError as err:
-                    warnings.warn(f"realization {index} aborted ({err}); "
+        # A round takes only the streams still needed, so the serial order is kept.
+        first = len(accepted) + len(retried)
+        chunks = stream_chunks(n_realizations - len(accepted), workers, batch, first)
+        for streams, outcomes in zip(chunks, parallel_map(run_chunk, chunks, workers)):
+            for index, outcome in zip(streams, outcomes):
+                if len(retried) > MAX_RETRIES * max(1, n_realizations):
+                    raise QcondError("too many aborted closed-loop realizations")
+                if isinstance(outcome, str):
+                    warnings.warn(f"realization {index} aborted ({outcome}); "
                                   "retrying with fresh stream")
                     retried.append(index)
-        else:
-            accepted.extend((index, run, row) for row, index in enumerate(streams))
+                else:
+                    accepted.append((index, *outcome))
     return CoolingResult(
         times=accepted[0][1].times,
         energy=np.stack([run.energy[row] for _, run, row in accepted]),

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PositionGrid, SystemSpec, gaussian_wavefunction
-from .noise import generate, parallel_map, stack_increments
-from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch, stream_chunks
+from .noise import generate, parallel_map, stack_increments, stream_chunks
+from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 from . import cdyn
 
 __all__ = [
@@ -221,26 +221,24 @@ def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> Pai
     return _divergence_loop(cfg, 1, step, lambda: x, reset)
 
 
-def _realization_chunk(job):
-    streams, state0_params, system, meas, cfg, master_seed = job
-    noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
-    return paired_run(state0_params, system, meas, cfg, noise)
-
-
 def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
                       master_seed: int, workers: int = 1) -> PairedRunResult:
     """Stream-indexed realizations of paired_run as one batch of R pairs.
 
     Consecutive stream indices run as the rows of one paired_run batch,
-    in the chunks of qdyn.stream_chunks.  Each row is bit-identical to its
+    in the chunks of noise.stream_chunks.  Each row is bit-identical to its
     stream run alone, so any worker count produces identical output.
     """
     n_real = cfg.n_realizations
     if n_real < 2:
         raise ValueError(f"need at least 2 realizations for ensemble statistics, got {n_real}")
+
+    def run_chunk(streams):
+        noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
+        return paired_run(state0_params, system, meas, cfg, noise)
+
     chunks = stream_chunks(n_real, workers, realizations_per_batch(2, state0_params[0].n_points))
-    jobs = [(streams, state0_params, system, meas, cfg, master_seed) for streams in chunks]
-    results = parallel_map(_realization_chunk, jobs, workers)
+    results = parallel_map(run_chunk, chunks, workers)
     return PairedRunResult(
         results[0].times,
         np.concatenate([r.delta for r in results]),

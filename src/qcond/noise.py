@@ -18,7 +18,8 @@ from multiprocessing import get_context
 
 import numpy as np
 
-__all__ = ["NoisePath", "generate", "parallel_map", "stack_increments", "substream_rng"]
+__all__ = ["NoisePath", "generate", "parallel_map", "stack_increments", "stream_chunks",
+           "substream_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,10 +32,6 @@ class NoisePath:
     stream_index: int
     dt: float
     increments: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.size
 
 
 def _keyed_generator(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -82,12 +79,34 @@ def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.rando
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def stream_chunks(n_streams: int, workers: int, most: int = None, first: int = 0) -> list:
+    """Consecutive ranges of n_streams stream indices from ``first``, one batch
+    job each: ceil(n_streams / workers) streams at most, and no more than
+    ``most`` (qdyn.realizations_per_batch for wavefunction rows)."""
+    size = min(-(-n_streams // max(1, workers)), most or n_streams)
+    stop = first + n_streams
+    return [range(start, min(start + size, stop)) for start in range(first, stop, size)]
+
+
+_pool_fn = None   # parallel_map's fn while its pool is open; the children inherit it
+
+
+def _call_pool_fn(job):
+    return _pool_fn(job)
+
+
 def parallel_map(fn, jobs, workers):
     """[fn(job) for job in jobs], on a fork pool of ``workers`` processes when above 1.
 
-    The pool hands out one job at a time and returns the results in job order.
+    The children inherit fn at the fork, so it may be a closure.  The pool
+    hands out one job at a time and returns the results in job order.
     """
-    if workers and workers > 1 and len(jobs) > 1:
+    global _pool_fn
+    if not (workers and workers > 1 and len(jobs) > 1):
+        return [fn(job) for job in jobs]
+    _pool_fn = fn
+    try:
         with get_context("fork").Pool(workers) as pool:
-            return pool.map(fn, jobs, chunksize=1)
-    return [fn(job) for job in jobs]
+            return pool.map(_call_pool_fn, jobs, chunksize=1)
+    finally:
+        _pool_fn = None

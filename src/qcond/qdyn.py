@@ -11,8 +11,7 @@ form,
 together with the record increment dy = <x> dt + dW / sqrt(8k).  In the
 phase-space picture the double commutator is exactly the momentum
 diffusion D_BA * d^2/dp^2 with D_BA = hbar^2 k, and the innovation term
-is sqrt(8k) (x - <x>) W dW; `moyal_rhs` exposes that picture for
-cross-representation checks.
+is sqrt(8k) (x - <x>) W dW.
 
 Integration scheme
 ------------------
@@ -59,16 +58,13 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    PositionGrid,
     QcondError,
     QuantumState,
     SupportEscapeError,
-    SystemSpec,
     SUPPORT_TOLERANCE,
     drive,
     wavefunction_moments,
     quantum_moments,
-    WignerGrid,
 )
 from .noise import stack_increments
 
@@ -78,13 +74,10 @@ __all__ = [
     "DensityStepper",
     "PureStepper",
     "filter_with_record",
-    "moyal_rhs",
-    "evolve_moyal",
     "run_conditioned",
     "run_isolated",
     "ConditionedTrajectory",
     "realizations_per_batch",
-    "stream_chunks",
 ]
 
 # Complex state held by one batch of independent realizations.  Stepping
@@ -155,7 +148,7 @@ class MeasurementRecord:
 
 
 def _check_support(mass_outside: float, t: float):
-    if mass_outside > SUPPORT_TOLERANCE:
+    if not mass_outside <= SUPPORT_TOLERANCE:   # a NaN state fails too
         raise SupportEscapeError(
             f"probability {mass_outside:.3e} in outer grid buffer at t={t:.6g} "
             f"(tolerance {SUPPORT_TOLERANCE:g}); enlarge the grid"
@@ -397,14 +390,6 @@ def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
     return max(1, BATCH_BYTES // (rows_per_realization * n_points * 16))
 
 
-def stream_chunks(n_streams: int, workers: int, most: int = None) -> list:
-    """Consecutive stream ranges, one batch job each: ceil(n_streams / workers)
-    streams at most, and no more than ``most`` (realizations_per_batch for
-    wavefunction rows)."""
-    size = min(-(-n_streams // max(1, workers)), most or n_streams)
-    return [range(start, min(start + size, n_streams)) for start in range(0, n_streams, size)]
-
-
 # ---------------------------------------------------------------------------
 # Trajectories
 
@@ -480,59 +465,3 @@ def filter_with_record(grid, psi0, system, meas, record: MeasurementRecord,
     """
     return _run_measured(grid, psi0, system, meas, record.dt, record.increments.T, sample_every,
                          lambda dy, x_mean: meas.innovation(dy, x_mean, record.dt))
-
-
-# ---------------------------------------------------------------------------
-# Phase-space (Wigner) picture
-
-
-def moyal_rhs(w: WignerGrid, system: SystemSpec, t=0.0) -> np.ndarray:
-    """Time derivative of the Wigner function under isolated evolution.
-
-    Classical advection plus the single surviving quantum correction for
-    quartic-capped potentials:
-
-        dW/dt = -(p/m) dW/dx + dV/dx dW/dp - (hbar^2/24) d3V/dx3 d3W/dp3
-
-    Derivatives are spectral in both x and p.
-    """
-    grid = w.grid
-    n = grid.n_points
-    x = grid.x
-    vals = w.values  # indexed [x, p], p ascending
-
-    kx = 2.0 * np.pi * np.fft.fftfreq(n, grid.dx)
-    dp = w.dp
-    kp = 2.0 * np.pi * np.fft.fftfreq(n, dp)
-
-    d_dx = np.fft.ifft(1j * kx[:, None] * np.fft.fft(vals, axis=0), axis=0).real
-    f_p = np.fft.fft(np.fft.ifftshift(vals, axes=1), axis=1)
-    d_dp = np.fft.fftshift(np.fft.ifft(1j * kp * f_p, axis=1).real, axes=1)
-
-    p_row = w.p_grid[None, :]
-    dvdx = -system.force(x, t)  # dV/dx including drive and control
-    rhs = -(p_row / system.mass) * d_dx + dvdx[:, None] * d_dp
-
-    v3 = -system.force_curvature(x)  # d3V/dx3, the only surviving quantum correction
-    if np.any(v3 != 0.0) and system.hbar != 0.0:
-        d3_dp3 = np.fft.fftshift(
-            np.fft.ifft((1j * kp) ** 3 * f_p, axis=1).real, axes=1
-        )
-        rhs = rhs - (system.hbar**2 / 24.0) * v3[:, None] * d3_dp3
-    return rhs
-
-
-def evolve_moyal(w: WignerGrid, system: SystemSpec, t0: float, t1: float, dt: float) -> WignerGrid:
-    """Classical RK4 integration of the truncated phase-space flow (diagnostic)."""
-    vals = w.values.copy()
-    n_steps = int(round((t1 - t0) / dt))
-    t = t0
-    for _ in range(n_steps):
-        cur = WignerGrid(w.grid, w.p_grid, vals, w.hbar)
-        k1 = moyal_rhs(cur, system, t)
-        k2 = moyal_rhs(WignerGrid(w.grid, w.p_grid, vals + 0.5 * dt * k1, w.hbar), system, t + 0.5 * dt)
-        k3 = moyal_rhs(WignerGrid(w.grid, w.p_grid, vals + 0.5 * dt * k2, w.hbar), system, t + 0.5 * dt)
-        k4 = moyal_rhs(WignerGrid(w.grid, w.p_grid, vals + dt * k3, w.hbar), system, t + dt)
-        vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return WignerGrid(w.grid, w.p_grid, vals, w.hbar)

@@ -318,10 +318,13 @@ def test_metadata_reruns_bit_identically(tmp_path, text):
 
 
 def test_determinism_across_workers_and_reruns(tmp_path):
-    # Conditioned streams run in chunks set by the worker count: 5, 3 + 2 and 2 + 2 + 1.
+    # Conditioned and cooling streams run in chunks set by the worker count:
+    # 5, 3 + 2 and 2 + 2 + 1.
     conditioned = CONDITIONED.replace("horizon = 0.05", "horizon = 0.05\nn_realizations = 5")
+    cooling = COOLING.replace("n_realizations = 2", "n_realizations = 5")
     for name, text, workers in (("lyapunov", HARMONIC_LYAP, ("1", "2", "1")),
-                                ("conditioned", conditioned, ("1", "2", "3", "1"))):
+                                ("conditioned", conditioned, ("1", "2", "3", "1")),
+                                ("cooling", cooling, ("1", "2", "3"))):
         cfg = _write(tmp_path, text, f"{name}.ini")
         outs = []
         for run, count in enumerate(workers):

@@ -19,9 +19,9 @@ from qcond.core import (
     gaussian_wavefunction,
     quantum_moments,
     wavefunction_moments,
-    wigner_moments,
-    wigner_transform,
 )
+
+from phase_space import wigner_moments, wigner_transform
 
 
 @pytest.fixture

@@ -104,11 +104,12 @@ def test_policy_rows_match_one_policy_runs():
         assert batch.final_control[0, j] == alone.final_control[0, 0]
 
 
-def test_aborted_realization_is_retried_and_recorded(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aborted_realization_is_retried_and_recorded(monkeypatch, workers):
     """An abort in any policy row reruns the realization for every policy
     under the next stream index, and the result names the retried stream.
     The aborted chunk is rerun one stream at a time, so the indices are those
-    of a stream-by-stream loop."""
+    of a stream-by-stream loop at any worker count."""
     calls = []
 
     def abort_stream_0(*args, **kwargs):
@@ -122,8 +123,10 @@ def test_aborted_realization_is_retried_and_recorded(monkeypatch):
     policies = [FeedbackPolicy("none"), ESTIMATOR]
     with pytest.warns(UserWarning, match="realization 0 aborted"):
         res = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=2,
-                                 horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50)
-    assert calls == [[0, 1], [0], [1], [2]]
+                                 horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50,
+                                 workers=workers)
+    if workers == 1:   # pool children append to their own copy of calls
+        assert calls == [[0, 1], [0], [1], [2]]
     assert res.energy.shape == (2, 2, 4)
     assert res.stream_indices.tolist() == [1, 2]
     assert res.retried_streams == (0,)
@@ -241,7 +244,7 @@ def test_cooling_ordering_paired():
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
     res = cooling_experiment(STATE0, PLANT, MEAS, policies,
                              n_realizations=COOLING_REALIZATIONS, horizon=horizon,
-                             dt=1e-3, master_seed=2024, sample_stride=100)
+                             dt=1e-3, master_seed=2024, sample_stride=100, workers=2)
     steady = res.steady
     gap_nd, se_nd = paired_gap(steady[:, 0], steady[:, 1])
     gap_de, se_de = paired_gap(steady[:, 1], steady[:, 2])

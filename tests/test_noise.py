@@ -89,3 +89,8 @@ def test_parallel_map_slots_results_by_job_index():
     assert [value for value, _ in pooled] == [value for value, _ in serial]
     finished = [stamp for _, stamp in pooled]
     assert finished != sorted(finished), "no later job finished first; the test shows nothing"
+    # A closure job: the pool's children inherit it, and it never goes through pickle.
+    streams = [generate(5, idx, 100, 1e-3) for idx in range(4)]
+    jobs = [range(0, 2), range(2, 4)]
+    sums = parallel_map(lambda job: [float(np.sum(streams[k].increments)) for k in job], jobs, 2)
+    assert sums == [[value for value, _ in serial[job.start:job.stop]] for job in jobs]

@@ -16,20 +16,20 @@ from qcond.core import (
     gaussian_wavefunction,
     quantum_moments,
     wavefunction_moments,
-    wigner_transform,
 )
 from qcond.noise import generate
 from qcond.qdyn import (
     DensityStepper,
     MeasurementError,
+    MeasurementRecord,
     MeasurementSpec,
     PureStepper,
-    evolve_moyal,
     filter_with_record,
-    moyal_rhs,
     run_conditioned,
     run_isolated,
 )
+
+from phase_space import evolve_moyal, moyal_rhs, wigner_transform
 
 HBAR = 1.0
 
@@ -299,6 +299,19 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
         step(np.stack([inside, inside]))
         with pytest.raises(SupportEscapeError):
             step(np.stack([inside, edge, inside]))
+
+
+def test_nan_state_fails_the_support_check(grid, harmonic):
+    """A NaN increment, or a NaN record entry, makes a NaN state with a NaN
+    outer-buffer mass; the check refuses it instead of stepping on."""
+    meas = MeasurementSpec(1.0)
+    psi = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
+    with pytest.raises(SupportEscapeError):
+        PureStepper(grid, harmonic, meas, 1e-3).conditioned(psi, 0.0, np.nan)
+    dy = np.zeros((1, 10))
+    dy[0, 4] = np.nan
+    with pytest.raises(SupportEscapeError):
+        filter_with_record(grid, psi, harmonic, meas, MeasurementRecord(1e-3, dy))
 
 
 # --- factored diagonal factors and the carried mean --------------------------
@@ -636,8 +649,6 @@ def test_filter_converges_from_wrong_start(grid, harmonic):
 
 
 def test_filter_requires_nonzero_strength(grid, harmonic):
-    from qcond.qdyn import MeasurementRecord
-
     rec = MeasurementRecord(1e-3, np.zeros((1, 10)))
     psi = gaussian_wavefunction(grid, 0.0, 0.0, 1.0, HBAR)
     with pytest.raises(MeasurementError):
