@@ -27,7 +27,7 @@ from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, lio
                    newton_trajectory, run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
-from .lyap import LyapunovConfig, ensemble_lyapunov
+from .lyap import LyapunovConfig, check_separation, ensemble_lyapunov
 from .noise import generate, parallel_map, stream_chunks, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
 from .qdyn import MeasurementSpec, realizations_per_batch, run_conditioned, run_isolated
@@ -290,6 +290,7 @@ def run_lyapunov_experiment(cfg, seed, workers):
     system, grid, meas, dt, _, stride = _setup(cfg)
     run = cfg["run"]
     exp = cfg["lyapunov"]
+    check_separation(exp["delta0"], exp["sigma_x"], "lyapunov.delta0")   # before any pool job
     lcfg = LyapunovConfig(
         initial_separation=exp["delta0"],
         horizon=run["horizon"],

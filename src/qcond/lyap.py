@@ -8,14 +8,14 @@ displaced by delta0 in the position mean.  The divergence is
 (the ratio form differs from the bare logarithm by an additive constant
 that dies as 1/t, and makes the isolated-case slope test exact).
 Ensemble statistics run one stream index per realization, and chunks of
-realizations step together as batch rows, so results are independent of
-execution order, chunking and worker count.
+realizations step together as batch rows on core.drive, so results are
+independent of execution order, chunking and worker count.
 
 Finite delta0 stands in for the vanishing-separation limit; optionally a
 Benettin-style renormalization resets the perturbed state to a displaced
-copy of the fiducial whenever the separation exceeds a threshold, which
-is what makes long-horizon plateaus measurable after the separation
-would otherwise saturate at the attractor size.
+copy of the fiducial whenever the separation exceeds a threshold (at the
+start of the next step), which makes long-horizon plateaus measurable
+after the separation would otherwise saturate at the attractor size.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PositionGrid, SystemSpec, gaussian_wavefunction
+from .core import PositionGrid, SystemSpec, drive, gaussian_wavefunction
 from .noise import generate, parallel_map, stack_increments, stream_chunks
 from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
 from . import cdyn
 
 __all__ = [
     "LyapunovConfig",
+    "check_separation",
     "PairedRunResult",
     "paired_run",
     "classical_paired_run",
@@ -42,16 +43,24 @@ __all__ = [
 MERGE_FLOOR_FACTOR = 1e-14
 
 
+def check_separation(d0, sigma_x=np.inf, name="initial_separation"):
+    """Refuse an initial separation d0, called name, not positive or above sigma_x / 10."""
+    if not d0 > 0:   # NaN fails too
+        raise ValueError(f"{name} must be positive, got {d0:g}")
+    if d0 > sigma_x / 10.0:
+        raise ValueError(f"{name} = {d0:g} exceeds sigma_x / 10 = {sigma_x / 10.0:g}")
+
+
 @dataclass(frozen=True)
 class LyapunovConfig:
     """Knobs of one divergence experiment.
 
     initial_separation is applied as a centroid offset of the perturbed
     initial state.  It must sit well above the <x> noise floor of the
-    grid but stay a small fraction of the state width; both are checked
-    where the state is known.  A renorm_threshold turns on Benettin
-    renormalization: a pair separated by more is reset to
-    initial_separation.  None leaves it off.
+    grid but stay a small fraction of the state width: check_separation
+    caps it at sigma_x / 10 where the state is known.  A renorm_threshold
+    turns on Benettin renormalization: a pair separated by more is reset
+    to initial_separation.  None leaves it off.
     """
 
     initial_separation: float
@@ -62,8 +71,7 @@ class LyapunovConfig:
     renorm_threshold: float = None
 
     def __post_init__(self):
-        if not self.initial_separation > 0:
-            raise ValueError("initial_separation must be positive")
+        check_separation(self.initial_separation)
         # A threshold at or below the separation would reset every pair on every step.
         if (self.renorm_threshold is not None
                 and not self.renorm_threshold > self.initial_separation):
@@ -114,54 +122,50 @@ def _shift_wavefunction(grid: PositionGrid, psi, delta, hbar):
     return np.fft.ifft(np.exp(-1j * p * delta / hbar) * np.fft.fft(psi))
 
 
-def _divergence_loop(cfg: LyapunovConfig, n_pairs: int, step, centroids, reset) -> PairedRunResult:
-    """Sample Delta and lambda of a batch of fiducial/perturbed pairs, with renormalization.
+def _drive_pairs(cfg: LyapunovConfig, state, step, centroids, reset) -> PairedRunResult:
+    """Delta and lambda of a batch of fiducial/perturbed pairs run on core.drive.
 
-    step(i, t) advances every pair over step i from time t.  centroids()
-    returns the (fiducial, perturbed) position means of every pair as an
-    (n_pairs, 2) array;
-    reset(over, sign, d) puts the perturbed member of every pair in the
-    mask ``over`` back at separation d0 along sign, from its current
-    separation d (sign and d hold one value per masked pair).
+    step(state, i, t) returns the state after step i; centroids(state) the
+    (R, 2) fiducial and perturbed position means.  reset(state, over, sign, d)
+    returns the state with each pair in the mask ``over`` put back at
+    separation d0 along sign from its separation d (one sign and d per
+    masked pair).  A step first resets the pairs the last one left past
+    renorm_threshold, so each sample reads the separation before any reset.
     """
     d0 = cfg.initial_separation
-    dt = cfg.dt
-    stride = cfg.sample_stride
-    renormalize = cfg.renorm_threshold is not None
-    n_samples = cfg.n_steps // stride
-    times = dt * stride * (1 + np.arange(n_samples))
-    delta = np.full((n_pairs, n_samples), np.nan)
-    lam = np.full((n_pairs, n_samples), np.nan)
-
+    n_pairs = len(centroids(state))
     log_growth = np.zeros(n_pairs)
     n_renorm = np.zeros(n_pairs, dtype=int)
-    merged = np.zeros(n_pairs, dtype=bool)
-    isample = 0
-    for i in range(cfg.n_steps):
-        step(i, i * dt)
-        t = (i + 1) * dt
-        need_sample = (i + 1) % stride == 0
-        if not (renormalize or need_sample):
-            continue
-        centroid = centroids()
-        xf, xp = centroid[:, 0], centroid[:, 1]
+
+    def renormalize(state):
+        xf, xp = centroids(state).T
         d = abs(xp - xf)
-        if need_sample:
-            delta[:, isample] = d
-            close = d < MERGE_FLOOR_FACTOR * d0
-            merged |= close
-            # A merged pair has d = 0 and its lambda stays NaN.
-            with np.errstate(divide="ignore"):
-                lam[:, isample] = np.where(close, np.nan, (log_growth + np.log(d / d0)) / t)
-            isample += 1
-        if renormalize:
-            over = d > cfg.renorm_threshold
-            if over.any():
-                log_growth[over] += np.log(d[over] / d0)
-                sign = np.where(xp[over] >= xf[over], 1.0, -1.0)
-                reset(over, sign, d[over])
-                n_renorm += over
-    return PairedRunResult(times, delta, lam, merged, n_renorm)
+        over = d > cfg.renorm_threshold
+        if over.any():
+            log_growth[over] += np.log(d[over] / d0)
+            n_renorm[over] += 1
+            state = reset(state, over, np.where(xp[over] >= xf[over], 1.0, -1.0), d[over])
+        return state
+
+    def step_pairs(state, i, t):
+        if cfg.renorm_threshold is not None and i > 0:
+            state = renormalize(state)
+        return step(state, i, t)
+
+    def sample(state, t):
+        xf, xp = centroids(state).T
+        return np.concatenate([abs(xp - xf), log_growth])
+
+    times, rows, state = drive(state, cfg.n_steps, cfg.dt, cfg.sample_stride, step_pairs, sample)
+    if cfg.renorm_threshold is not None:
+        renormalize(state)   # counts a pair that crossed on the last step
+    delta, growth = rows[1:, :n_pairs].T, rows[1:, n_pairs:].T   # drop the t = 0 row
+    close = delta < MERGE_FLOOR_FACTOR * d0
+    # A merged pair has d = 0 and its lambda stays NaN.
+    with np.errstate(divide="ignore"):
+        lam = np.where(close, np.nan, (growth + np.log(delta / d0)) / times[1:])
+    return PairedRunResult(cfg.dt * cfg.sample_stride * np.arange(1, len(times)),
+                           delta, lam, close.any(axis=1), n_renorm)
 
 
 def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
@@ -175,50 +179,46 @@ def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
     to isolated evolution of both members (no record).
     """
     grid, x0, p0, sigma_x = state0_params
-    if cfg.initial_separation > sigma_x / 10.0:
-        raise ValueError("initial_separation must not exceed sigma_x / 10")
-    hbar = system.hbar
-    d0 = cfg.initial_separation
+    hbar, d0 = system.hbar, cfg.initial_separation
+    check_separation(d0, sigma_x)
     increments = stack_increments(noise)
     pair = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
                      gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)])
     psi = np.broadcast_to(pair, (len(noise),) + pair.shape).copy()
     stepper = PureStepper(grid, system, meas, cfg.dt)
+    # The t = 0 centroids; every step leaves those of its new state in stepper.x_mean.
+    stepper.x_mean = stepper.mean_x(psi)
 
-    def step(i, t):
-        nonlocal psi
+    def step(psi, i, t):
         if stepper.k > 0:
             # One increment per pair, shared by its two members.
-            psi, _ = stepper.conditioned(psi, t, increments[i][:, None], stepper.x_mean)
-        else:
-            psi = stepper.isolated(psi, t)
+            return stepper.conditioned(psi, t, increments[i][:, None], stepper.x_mean)[0]
+        return stepper.isolated(psi, t)
 
-    def reset(over, sign, d):
+    def reset(psi, over, sign, d):
         psi[over, 1] = _shift_wavefunction(grid, psi[over, 0], (sign * d0)[:, None], hbar)
         # Only the replaced rows: a pair's bits must not depend on its batch-mates.
         stepper.x_mean[over, 1] = stepper.mean_x(psi[over, 1])
+        return psi
 
-    # Every step leaves the centroids it read off the new state in stepper.x_mean.
-    result = _divergence_loop(cfg, len(noise), step, lambda: stepper.x_mean, reset)
+    result = _drive_pairs(cfg, psi, step, lambda psi: stepper.x_mean, reset)
     return replace(result, max_outer_mass=stepper.max_outer_mass)
 
 
 def classical_paired_run(x0, p0, system: SystemSpec, cfg: LyapunovConfig) -> PairedRunResult:
     """Newtonian twin of paired_run (the deterministic strong-QCT limit), a batch of one pair."""
     d0 = cfg.initial_separation
-    x = np.array([[x0, x0 + d0]], dtype=float)
-    p = np.array([[p0, p0]], dtype=float)
 
-    def step(i, t):
-        nonlocal x, p
-        x, p = cdyn._leapfrog(x, p, system, cfg.dt, t)
-
-    def reset(over, sign, d):
+    def reset(state, over, sign, d):
+        x, p = state
         # Reset full phase-space offset along the current separation.
         x[over, 1] = x[over, 0] + sign * d0
         p[over, 1] = p[over, 0] + (p[over, 1] - p[over, 0]) * (d0 / d)
+        return state
 
-    return _divergence_loop(cfg, 1, step, lambda: x, reset)
+    state0 = (np.array([[x0, x0 + d0]], dtype=float), np.array([[p0, p0]], dtype=float))
+    return _drive_pairs(cfg, state0, lambda state, i, t: cdyn._leapfrog(*state, system, cfg.dt, t),
+                        lambda state: state[0], reset)
 
 
 def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
@@ -239,14 +239,9 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
 
     chunks = stream_chunks(n_real, workers, realizations_per_batch(2, state0_params[0].n_points))
     results = parallel_map(run_chunk, chunks, workers)
-    return PairedRunResult(
-        results[0].times,
-        np.concatenate([r.delta for r in results]),
-        np.concatenate([r.lam for r in results]),
-        np.concatenate([r.merged for r in results]),
-        np.concatenate([r.renormalizations for r in results]),
-        max(r.max_outer_mass for r in results),
-    )
+    columns = zip(*[(r.delta, r.lam, r.merged, r.renormalizations) for r in results])
+    return PairedRunResult(results[0].times, *map(np.concatenate, columns),
+                           max(r.max_outer_mass for r in results))
 
 
 @dataclass(frozen=True)

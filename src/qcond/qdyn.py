@@ -149,6 +149,9 @@ class MeasurementRecord:
 
 def _check_support(mass_outside: float, t: float):
     if not mass_outside <= SUPPORT_TOLERANCE:   # a NaN state fails too
+        if not np.isfinite(mass_outside):
+            raise SupportEscapeError(f"state is not finite at t={t:.6g}; look for a "
+                                     "non-finite noise increment or record entry")
         raise SupportEscapeError(
             f"probability {mass_outside:.3e} in outer grid buffer at t={t:.6g} "
             f"(tolerance {SUPPORT_TOLERANCE:g}); enlarge the grid"

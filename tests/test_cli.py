@@ -370,6 +370,9 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (HARMONIC_LYAP, "lyapunov.renormalize=true", "renorm_threshold"),
     (HARMONIC_LYAP.replace("delta0 = 0.05", "delta0 = 0.05\nrenormalize = true"),
      "lyapunov.renorm_threshold=0.05", "renorm_threshold"),
+    # delta0 must be positive and at most sigma_x / 10 = 0.08.
+    (HARMONIC_LYAP, "lyapunov.delta0=-1", "lyapunov.delta0 must be positive"),
+    (HARMONIC_LYAP, "lyapunov.delta0=0.5", "lyapunov.delta0 = 0.5 exceeds sigma_x / 10"),
     # A stride of 0, or a horizon shorter than one stride, samples nothing after t = 0.
     (ISOLATED, "run.sample_stride=0", "run.sample_stride"),
     (HARMONIC_LYAP, "run.sample_stride=0", "run.sample_stride"),
@@ -402,7 +405,8 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (COOLING, "measurement.k=1e8", "measurement.k = 1e+08 with run.dt = 0.001"),
     (HARMONIC_LYAP, "measurement.k=1e6", "measurement.k = 1e+06 with run.dt = 0.002"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
-        "conditioned-0", "renorm-default", "renorm-at-delta0", "isolated-stride-0",
+        "conditioned-0", "renorm-default", "renorm-at-delta0", "delta0-negative",
+        "delta0-above-width", "isolated-stride-0",
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
         "qct-scan-no-step", "qct-scan-negative-k", "conditioned-k0", "passivity-k0",
         "cumulant-k0", "cooling-k0", "passivity-particles-0", "passivity-particles-19",

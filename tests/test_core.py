@@ -279,7 +279,7 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     they call them, so a rebinding of the module or class attribute (as the
     benchmark's span tracer does) sees every call.  A wavefunction batch
     takes one moment call per sample, whatever its number of rows."""
-    from qcond import cdyn, experiments, feedback, qdyn
+    from qcond import cdyn, experiments, feedback, lyap, qdyn
     from qcond.noise import generate
 
     calls = {}
@@ -336,3 +336,10 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     # Two filtered realizations as one batch, and one Liouville reference;
     # the reference's moments go through experiments' own ensemble_moments.
     assert calls == {"ks_step": 7, "ensemble_moments": 3, "liouville_step": 7}
+    calls.clear()
+    # A measured pair batch reads its t = 0 centroids once and steps on drive.
+    count(qdyn.PureStepper, "mean_x")
+    lcfg = lyap.LyapunovConfig(initial_separation=0.05, horizon=n_steps * dt, dt=dt,
+                               sample_stride=stride)
+    lyap.paired_run((grid, 0.5, 0.0, 1.0), harmonic, meas, lcfg, paths)
+    assert calls == {"conditioned": 7, "mean_x": 1}

@@ -39,7 +39,7 @@ def test_separation_capped_by_state_width():
     grid = PositionGrid(-10, 10, 128)
     cfg = LyapunovConfig(initial_separation=0.2, horizon=0.1, dt=1e-3)
     noise = generate(1, 0, cfg.n_steps, cfg.dt)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma_x / 10"):
         paired_run((grid, 0.0, 0.0, 1.0), HARMONIC, MeasurementSpec(1.0), cfg, [noise])
 
 
@@ -101,6 +101,17 @@ def test_classical_duffing_matches_benettin_oracle():
     lam_tangent = _benettin_tangent(2.5, 0.0, DUFFING_CL, 1e-3, 300.0)
     assert lam_paired == pytest.approx(lam_tangent, rel=0.10)
     assert lam_paired > 0.3
+
+
+def test_reset_follows_the_sample_of_its_step():
+    """A pair past the threshold is sampled before it is reset, and a
+    crossing on the last step is still counted.  This orbit crosses only
+    there, at Delta = 2.0036e-5 against a threshold of 2e-5."""
+    cfg = LyapunovConfig(initial_separation=1e-5, horizon=2.515, dt=1e-3,
+                         renorm_threshold=2e-5, sample_stride=1)
+    res = classical_paired_run(2.5, 0.0, DUFFING_CL, cfg)
+    assert res.delta[0, -1] == pytest.approx(2.0036e-5, rel=1e-4)
+    assert res.renormalizations[0] == np.count_nonzero(res.delta[0] > cfg.renorm_threshold) == 1
 
 
 def _benettin_tangent(x0, p0, system, dt, horizon, renorm_every=100):

@@ -303,14 +303,15 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
 
 def test_nan_state_fails_the_support_check(grid, harmonic):
     """A NaN increment, or a NaN record entry, makes a NaN state with a NaN
-    outer-buffer mass; the check refuses it instead of stepping on."""
+    outer-buffer mass; the check refuses it instead of stepping on, and names
+    the non-finite input rather than the grid."""
     meas = MeasurementSpec(1.0)
     psi = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
-    with pytest.raises(SupportEscapeError):
+    with pytest.raises(SupportEscapeError, match="state is not finite at t=0;"):
         PureStepper(grid, harmonic, meas, 1e-3).conditioned(psi, 0.0, np.nan)
     dy = np.zeros((1, 10))
     dy[0, 4] = np.nan
-    with pytest.raises(SupportEscapeError):
+    with pytest.raises(SupportEscapeError, match="not finite at t=0.004; .* record entry"):
         filter_with_record(grid, psi, harmonic, meas, MeasurementRecord(1e-3, dy))
 
 
