@@ -108,7 +108,8 @@ class SystemSpec:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.hbar < 0:
             raise ValueError(f"hbar must be nonnegative, got {self.hbar}")
-        coeffs = tuple(float(c) for c in self.potential_coeffs)
+        # + 0.0 stores a -0.0 as 0.0, so no dropped force term below moves a zero's sign.
+        coeffs = tuple(float(c) + 0.0 for c in self.potential_coeffs)
         if len(coeffs) > 5:
             raise ValueError(
                 "potential capped at quartic order (5 coefficients), "
@@ -116,6 +117,12 @@ class SystemSpec:
             )
         coeffs = coeffs + (0.0,) * (5 - len(coeffs))
         object.__setattr__(self, "potential_coeffs", coeffs)
+        # Horner coefficients (c1, 2 c2, 3 c3, 4 c4) of -F up to the highest
+        # nonzero one past c1: at finite x a dropped term adds an exact zero.
+        terms = [n * c for n, c in enumerate(coeffs)][1:]
+        while len(terms) > 2 and terms[-1] == 0.0:
+            terms.pop()
+        object.__setattr__(self, "_force_terms", tuple(terms))
 
     # -- potential and force -------------------------------------------------
 
@@ -130,9 +137,11 @@ class SystemSpec:
         return v
 
     def force(self, x, t=0.0):
-        """F(x, t) = -dV/dx."""
-        c0, c1, c2, c3, c4 = self.potential_coeffs
-        f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4)))
+        """F(x, t) = -dV/dx, at the potential's degree."""
+        *lower, f = self._force_terms
+        for a in reversed(lower):
+            f = a + x * f
+        f = -f
         if self.drive_amplitude != 0.0:
             f = f - self.drive_amplitude * np.cos(self.drive_frequency * t)
         if self.control_offset != 0.0:

@@ -27,7 +27,7 @@ from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, lio
                    newton_trajectory, run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
-from .lyap import LyapunovConfig, check_separation, ensemble_lyapunov
+from .lyap import LyapunovConfig, check_separation, check_threshold, ensemble_lyapunov
 from .noise import generate, parallel_map, stream_chunks, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
 from .qdyn import MeasurementSpec, realizations_per_batch, run_conditioned, run_isolated
@@ -132,7 +132,7 @@ def run_conditioned_experiment(cfg, seed, workers):
         noise = [generate(seed, k, n_steps, dt) for k in streams]
         return run_conditioned(grid, psi0, system, meas, noise, sample_every=stride)
 
-    chunks = stream_chunks(n_real, workers, realizations_per_batch(1, grid.n_points))
+    chunks = stream_chunks(n_real, realizations_per_batch(psi0.nbytes))
     trajs = parallel_map(run_chunk, chunks, workers)
     times = trajs[0].times
     moments = np.concatenate([traj.moments for traj in trajs])
@@ -141,7 +141,7 @@ def run_conditioned_experiment(cfg, seed, workers):
     series += [CsvSeries(f"conditioned_traj_{idx:03d}", TRAJECTORY_COLUMNS,
                          np.column_stack([times, rows]))
                for idx, rows in enumerate(moments)]
-    return ExperimentResult(series, {"n_realizations": n_real,
+    return ExperimentResult(series, {"n_realizations": n_real, "n_batches": len(chunks),
                                      "max_outer_mass": max(t.max_outer_mass for t in trajs)})
 
 
@@ -181,9 +181,8 @@ def run_passivity_experiment(cfg, seed, workers):
             clip_counter=counter)
         return traj, counter
 
-    # A filter batch costs numpy call overhead per step, not memory traffic,
-    # so its chunks take no batch-size cap: one chunk per worker.
-    trajs, counters = zip(*parallel_map(run_chunk, stream_chunks(n_real, workers), workers))
+    chunks = stream_chunks(n_real, realizations_per_batch(ens0.x.nbytes))
+    trajs, counters = zip(*parallel_map(run_chunk, chunks, workers))
     times = trajs[0].times
     # raw moments so realizations average like the underlying distribution
     mom = np.concatenate([traj.moments for traj in trajs])
@@ -208,7 +207,7 @@ def run_passivity_experiment(cfg, seed, workers):
             "z_x [1]", "z_p [1]", "z_xx [1]", "z_xp [1]", "z_pp [1]")
     table = np.column_stack([times, mean, ref, z])
     meta = {"max_z": float(z_sampled[worst]), "max_z_time": float(times[worst[0]]),
-            "n_realizations": n_real,
+            "n_realizations": n_real, "n_batches": len(chunks),
             "weight_clip_rate": sum(c.clipped for c in counters) / sum(c.updates for c in counters),
             "n_resamples": sum(c.resamples for c in counters),
             "min_ess": min(c.min_ess for c in counters)}
@@ -290,14 +289,17 @@ def run_lyapunov_experiment(cfg, seed, workers):
     system, grid, meas, dt, _, stride = _setup(cfg)
     run = cfg["run"]
     exp = cfg["lyapunov"]
-    check_separation(exp["delta0"], exp["sigma_x"], "lyapunov.delta0")   # before any pool job
+    # Before any pool job, in the config's keys.
+    check_separation(exp["delta0"], exp["sigma_x"], "lyapunov.delta0")
+    threshold = exp["renorm_threshold"] if exp["renormalize"] else None
+    check_threshold(threshold, exp["delta0"], ("lyapunov.renorm_threshold", "lyapunov.delta0"))
     lcfg = LyapunovConfig(
         initial_separation=exp["delta0"],
         horizon=run["horizon"],
         dt=dt,
         n_realizations=_n_realizations(run, 2),
         sample_stride=stride,
-        renorm_threshold=exp["renorm_threshold"] if exp["renormalize"] else None,
+        renorm_threshold=threshold,
     )
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
     series_out = ensemble_lyapunov(state0, system, meas, lcfg, seed, workers=workers or 1)
@@ -318,6 +320,7 @@ def run_lyapunov_experiment(cfg, seed, workers):
         "renormalizations": series_out.renormalizations.tolist(),
         "band_definition": "stddev over per-realization lambda(t), merged excluded",
         "max_outer_mass": series_out.max_outer_mass,
+        "n_batches": series_out.n_batches,
     }
     return ExperimentResult(out, meta)
 
@@ -362,7 +365,8 @@ def run_cooling_experiment(cfg, seed, workers):
         np.array([[j, col.mean(), col.std(ddof=1) / root_n] for j, col in enumerate(steady.T)]),
     ))
     meta = {"policies": names, "stream_indices": res.stream_indices.tolist(),
-            "retried_streams": list(res.retried_streams), "max_outer_mass": res.max_outer_mass}
+            "retried_streams": list(res.retried_streams), "max_outer_mass": res.max_outer_mass,
+            "n_batches": res.n_batches}
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             if a < b:

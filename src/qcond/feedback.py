@@ -172,7 +172,8 @@ class CoolingResult:
 
     For N accepted realizations of P policies, energy is (N, P,
     n_samples), row n on noise stream stream_indices[n].  max_outer_mass
-    is the largest outer-buffer probability over the accepted runs.
+    is the largest outer-buffer probability over the accepted runs, and
+    n_batches counts the stream-batch jobs mapped over all rounds.
     """
 
     times: np.ndarray
@@ -180,6 +181,7 @@ class CoolingResult:
     stream_indices: np.ndarray
     retried_streams: tuple
     max_outer_mass: float
+    n_batches: int
 
     @property
     def steady(self) -> np.ndarray:
@@ -209,7 +211,7 @@ def cooling_experiment(state0_params, system, meas, policies: list,
     # Every stream starts from one packet: a misfit aborts once, unretried.
     gaussian_wavefunction(*state0_params, system.hbar)
     n_steps = int(round(horizon / dt))
-    batch = realizations_per_batch(len(policies), state0_params[0].n_points)
+    batch = realizations_per_batch(len(policies) * state0_params[0].n_points * 16)
 
     def run_chunk(streams):
         """(run, row) per stream, or the abort message of a stream that aborts alone."""
@@ -225,10 +227,12 @@ def cooling_experiment(state0_params, system, meas, policies: list,
 
     accepted = []    # (stream index, ClosedLoopRun, its row) per accepted realization
     retried = []
+    n_batches = 0
     while len(accepted) < n_realizations:
         # A round takes only the streams still needed, so the serial order is kept.
         first = len(accepted) + len(retried)
-        chunks = stream_chunks(n_realizations - len(accepted), workers, batch, first)
+        chunks = stream_chunks(n_realizations - len(accepted), batch, first)
+        n_batches += len(chunks)
         for streams, outcomes in zip(chunks, parallel_map(run_chunk, chunks, workers)):
             for index, outcome in zip(streams, outcomes):
                 if len(retried) > MAX_RETRIES * max(1, n_realizations):
@@ -245,6 +249,7 @@ def cooling_experiment(state0_params, system, meas, policies: list,
         stream_indices=np.array([index for index, _, _ in accepted]),
         retried_streams=tuple(retried),
         max_outer_mass=max(run.max_outer_mass for _, run, _ in accepted),
+        n_batches=n_batches,
     )
 
 

@@ -32,6 +32,7 @@ from . import cdyn
 __all__ = [
     "LyapunovConfig",
     "check_separation",
+    "check_threshold",
     "PairedRunResult",
     "paired_run",
     "classical_paired_run",
@@ -49,6 +50,13 @@ def check_separation(d0, sigma_x=np.inf, name="initial_separation"):
         raise ValueError(f"{name} must be positive, got {d0:g}")
     if d0 > sigma_x / 10.0:
         raise ValueError(f"{name} = {d0:g} exceeds sigma_x / 10 = {sigma_x / 10.0:g}")
+
+
+def check_threshold(threshold, d0, names=("renorm_threshold", "initial_separation")):
+    """Refuse a renormalization threshold (None: off), named names[0], at or
+    below the separation d0, named names[1]: every step would reset every pair."""
+    if threshold is not None and not threshold > d0:   # NaN fails too
+        raise ValueError(f"{names[0]} = {threshold:g} must exceed {names[1]} = {d0:g}")
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,7 @@ class LyapunovConfig:
 
     def __post_init__(self):
         check_separation(self.initial_separation)
-        # A threshold at or below the separation would reset every pair on every step.
-        if (self.renorm_threshold is not None
-                and not self.renorm_threshold > self.initial_separation):
-            raise ValueError(f"renorm_threshold must exceed initial_separation "
-                             f"{self.initial_separation}, got {self.renorm_threshold}")
+        check_threshold(self.renorm_threshold, self.initial_separation)
 
     @property
     def n_steps(self) -> int:
@@ -90,7 +94,8 @@ class PairedRunResult:
     delta and lam are (R, n_samples); merged (bool) and renormalizations
     (Benettin resets per pair) are (R,).  max_outer_mass is the largest
     outer-grid-buffer probability of any wavefunction after any step (None
-    for a classical run).
+    for a classical run).  n_batches counts the stream-batch jobs that ran
+    the pairs.
     """
 
     times: np.ndarray
@@ -99,6 +104,7 @@ class PairedRunResult:
     merged: np.ndarray
     renormalizations: np.ndarray
     max_outer_mass: float = None
+    n_batches: int = 1
 
     @property
     def n_renormalizations(self) -> int:
@@ -237,11 +243,11 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
         noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
         return paired_run(state0_params, system, meas, cfg, noise)
 
-    chunks = stream_chunks(n_real, workers, realizations_per_batch(2, state0_params[0].n_points))
+    chunks = stream_chunks(n_real, realizations_per_batch(2 * state0_params[0].n_points * 16))
     results = parallel_map(run_chunk, chunks, workers)
     columns = zip(*[(r.delta, r.lam, r.merged, r.renormalizations) for r in results])
     return PairedRunResult(results[0].times, *map(np.concatenate, columns),
-                           max(r.max_outer_mass for r in results))
+                           max(r.max_outer_mass for r in results), len(chunks))
 
 
 @dataclass(frozen=True)

@@ -79,13 +79,15 @@ def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.rando
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_chunks(n_streams: int, workers: int, most: int = None, first: int = 0) -> list:
+def stream_chunks(n_streams: int, most: int, first: int = 0) -> list:
     """Consecutive ranges of n_streams stream indices from ``first``, one batch
-    job each: ceil(n_streams / workers) streams at most, and no more than
-    ``most`` (qdyn.realizations_per_batch for wavefunction rows)."""
-    size = min(-(-n_streams // max(1, workers)), most or n_streams)
+    job each, of ``most`` streams (qdyn.realizations_per_batch) but the last.
+
+    The ranges depend on the streams alone, never on the pool size: a run
+    whose streams fit one batch maps one job, which parallel_map runs
+    in-process."""
     stop = first + n_streams
-    return [range(start, min(start + size, stop)) for start in range(first, stop, size)]
+    return [range(start, min(start + most, stop)) for start in range(first, stop, most)]
 
 
 _pool_fn = None   # parallel_map's fn while its pool is open; the children inherit it
@@ -96,7 +98,8 @@ def _call_pool_fn(job):
 
 
 def parallel_map(fn, jobs, workers):
-    """[fn(job) for job in jobs], on a fork pool of ``workers`` processes when above 1.
+    """[fn(job) for job in jobs], on a fork pool of ``workers`` processes (one per
+    job at most) when there are several of each.
 
     The children inherit fn at the fork, so it may be a closure.  The pool
     hands out one job at a time and returns the results in job order.
@@ -106,7 +109,7 @@ def parallel_map(fn, jobs, workers):
         return [fn(job) for job in jobs]
     _pool_fn = fn
     try:
-        with get_context("fork").Pool(workers) as pool:
+        with get_context("fork").Pool(min(workers, len(jobs))) as pool:
             return pool.map(_call_pool_fn, jobs, chunksize=1)
     finally:
         _pool_fn = None

@@ -87,6 +87,11 @@ __all__ = [
 # runs of 300 steps, one core).  Larger batches gain nothing:
 # a 40-realization n = 512 Lyapunov run on one core took 11-13 s with
 # 64 KiB batches and 12-16 s with 128 KiB, 256 KiB or one 640 KiB batch.
+# Particle filters follow the same rule, counted by their positions: at
+# N = 400 a cdyn.ks_step costs per row 22-24 us at 3 rows, 13 at 6, 9 at 12,
+# 7-8 at 20 (64 KiB), 6.5-7 at 25, 6 at 50 and 7 at 100 (best of 15 runs
+# of 300 steps, one core).  Every ensemble maps only the batches its
+# realizations fill, so a run of one batch forks no pool.
 BATCH_BYTES = 64 * 1024
 
 
@@ -388,9 +393,11 @@ class PureStepper(_Stepper):
         return np.multiply(psi, scale[..., None], out=psi), dy
 
 
-def realizations_per_batch(rows_per_realization: int, n_points: int) -> int:
-    """Realizations of rows_per_realization complex rows of n_points that fit in one batch."""
-    return max(1, BATCH_BYTES // (rows_per_realization * n_points * 16))
+def realizations_per_batch(bytes_per_realization: int) -> int:
+    """Realizations that fit in one batch (BATCH_BYTES), each adding
+    bytes_per_realization to the batch's state array: rows x n x 16 for
+    complex wavefunction rows, N x 8 for a filter's particle positions."""
+    return max(1, BATCH_BYTES // bytes_per_realization)
 
 
 # ---------------------------------------------------------------------------

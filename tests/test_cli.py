@@ -318,18 +318,24 @@ def test_metadata_reruns_bit_identically(tmp_path, text):
 
 
 def test_determinism_across_workers_and_reruns(tmp_path):
-    # Conditioned and cooling streams run in chunks set by the worker count:
-    # 5, 3 + 2 and 2 + 2 + 1.
+    # Grids wide enough that a 64 KiB batch holds two realizations: the
+    # streams run as the batches 2 + 1 (lyapunov) and 2 + 2 + 1 at every
+    # worker count, so each count above 1 runs the pool.
+    lyapunov = HARMONIC_LYAP.replace("n_points = 64", "n_points = 1024")
     conditioned = CONDITIONED.replace("horizon = 0.05", "horizon = 0.05\nn_realizations = 5")
+    conditioned = conditioned.replace("n_points = 64", "n_points = 2048")
     cooling = COOLING.replace("n_realizations = 2", "n_realizations = 5")
-    for name, text, workers in (("lyapunov", HARMONIC_LYAP, ("1", "2", "1")),
-                                ("conditioned", conditioned, ("1", "2", "3", "1")),
-                                ("cooling", cooling, ("1", "2", "3"))):
+    cooling = cooling.replace("n_points = 128", "n_points = 512")
+    for name, text, workers, batches in (("lyapunov", lyapunov, ("1", "2", "1"), 2),
+                                         ("conditioned", conditioned, ("1", "2", "3", "1"), 3),
+                                         ("cooling", cooling, ("1", "2", "3"), 3)):
         cfg = _write(tmp_path, text, f"{name}.ini")
         outs = []
         for run, count in enumerate(workers):
             out = str(tmp_path / f"{name}-{run}")
             assert main(["--config", cfg, "--out", out, "--workers", count]) == EXIT_OK
+            meta = json.load(open(os.path.join(out, "metadata.json")))
+            assert meta["result"]["n_batches"] == batches
             outs.append(out)
         ref = {f: open(os.path.join(outs[0], f), "rb").read()
                for f in os.listdir(outs[0]) if f.endswith(".csv")}
@@ -370,6 +376,9 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (HARMONIC_LYAP, "lyapunov.renormalize=true", "renorm_threshold"),
     (HARMONIC_LYAP.replace("delta0 = 0.05", "delta0 = 0.05\nrenormalize = true"),
      "lyapunov.renorm_threshold=0.05", "renorm_threshold"),
+    (HARMONIC_LYAP.replace("delta0 = 0.05", "delta0 = 0.05\nrenormalize = true"),
+     "lyapunov.renorm_threshold=0.01",
+     "lyapunov.renorm_threshold = 0.01 must exceed lyapunov.delta0 = 0.05"),
     # delta0 must be positive and at most sigma_x / 10 = 0.08.
     (HARMONIC_LYAP, "lyapunov.delta0=-1", "lyapunov.delta0 must be positive"),
     (HARMONIC_LYAP, "lyapunov.delta0=0.5", "lyapunov.delta0 = 0.5 exceeds sigma_x / 10"),
@@ -405,7 +414,8 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (COOLING, "measurement.k=1e8", "measurement.k = 1e+08 with run.dt = 0.001"),
     (HARMONIC_LYAP, "measurement.k=1e6", "measurement.k = 1e+06 with run.dt = 0.002"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
-        "conditioned-0", "renorm-default", "renorm-at-delta0", "delta0-negative",
+        "conditioned-0", "renorm-default", "renorm-at-delta0", "renorm-below-delta0",
+        "delta0-negative",
         "delta0-above-width", "isolated-stride-0",
         "lyapunov-stride-0", "cumulant-short-horizon", "qct-scan-stride",
         "qct-scan-no-step", "qct-scan-negative-k", "conditioned-k0", "passivity-k0",
@@ -498,18 +508,24 @@ def test_strong_measurement_of_an_off_centre_packet_runs(tmp_path):
     assert main(args) == EXIT_OK
 
 
-@pytest.mark.parametrize("text", [CONDITIONED, HARMONIC_LYAP, COOLING],
+@pytest.mark.parametrize("text, n_points", [(CONDITIONED, 2048), (HARMONIC_LYAP, 1024),
+                                            (COOLING, 512)],
                          ids=["conditioned", "lyapunov", "cooling"])
-def test_max_outer_mass_reported_for_any_worker_count(tmp_path, text):
+def test_max_outer_mass_reported_for_any_worker_count(tmp_path, text, n_points):
     """conditioned, lyapunov and cooling report the largest outer-buffer
-    mass of the run, a maximum over pool chunks that no chunking moves."""
+    mass of the run, a maximum over pool chunks that no chunking moves.  At
+    these grid sizes a batch holds two realizations, so the three run as
+    2 + 1 and every worker count above 1 runs the pool."""
     cfg = _write(tmp_path, text)
     seen = []
     for workers in ("1", "2", "3"):
         out = str(tmp_path / workers)
         assert main(["--config", cfg, "--out", out, "--workers", workers,
-                     "--set", "run.n_realizations=3"]) == EXIT_OK
-        seen.append(json.load(open(os.path.join(out, "metadata.json")))["result"]["max_outer_mass"])
+                     "--set", "run.n_realizations=3",
+                     "--set", f"grid.n_points={n_points}"]) == EXIT_OK
+        result = json.load(open(os.path.join(out, "metadata.json")))["result"]
+        assert result["n_batches"] == 2
+        seen.append(result["max_outer_mass"])
     assert 0.0 < seen[0] < 1e-6
     assert seen == [seen[0]] * 3
 
@@ -582,3 +598,19 @@ def test_qct_scan_shorter_than_a_stride_runs(tmp_path):
                  "--set", "run.horizon=0.05", "--set", "qct-scan.action=1.0"]) == EXIT_OK
     table = np.loadtxt(os.path.join(out, "qct_margins.csv"), delimiter=",", skiprows=1)
     assert table.shape == (6, 7)
+
+
+def test_passivity_batches_of_twenty_filters_match_at_any_worker_count(tmp_path):
+    """Filters of 400 particles run 20 to a 64 KiB batch: 25 realizations map
+    the batches 20 + 5, and the CSV bytes do not depend on the pool."""
+    cfg = _write(tmp_path, PASSIVITY)
+    blobs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert main(["--config", cfg, "--out", out, "--workers", workers,
+                     "--set", "run.n_realizations=25", "--set", "passivity.n_particles=400",
+                     "--set", "run.horizon=0.1"]) == EXIT_OK
+        assert json.load(open(os.path.join(out, "metadata.json")))["result"]["n_batches"] == 2
+        blobs.append(open(os.path.join(out, "passivity_moments.csv"), "rb").read())
+    assert blobs[0] == blobs[1]
+

@@ -65,6 +65,45 @@ def test_with_control_equals_a_validated_copy():
         copy.mass = 1.0
 
 
+def _quartic_horner_force(spec, x, t):
+    """The full quartic Horner form of -dV/dx, trailing zero terms included."""
+    c0, c1, c2, c3, c4 = spec.potential_coeffs
+    f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4)))
+    if spec.drive_amplitude != 0.0:
+        f = f - spec.drive_amplitude * np.cos(spec.drive_frequency * t)
+    if spec.control_offset != 0.0:
+        f = f + spec.control_offset
+    return f
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["plain", "driven-controlled"])
+@pytest.mark.parametrize("coeffs", [(0, 0, 0.5), (0, 1.5), (0,), (1.0, -2.0, 0.0, 0.3),
+                                    (0, -0.0, -0.0), (0, 0, -1.6, 0, 0.004)],
+                         ids=["harmonic", "linear", "free", "cubic", "signed-zeros", "quartic"])
+def test_force_at_the_plant_degree_equals_the_quartic_form(coeffs, driven):
+    """force skips the zero terms past the potential's degree, and stays bit
+    for bit the full quartic Horner form at every finite x, signed zeros and
+    |x| = 1e150 included, with or without a drive and a control."""
+    x = np.concatenate([[0.0, -0.0, 1e150, -1e150, 5e-324, -1e-300],
+                        np.random.default_rng(4).normal(0.0, 10.0, 200)])
+    spec = SystemSpec(mass=1.0, potential_coeffs=coeffs)
+    if driven:
+        spec = replace(spec, drive_amplitude=7.155, drive_frequency=2.428).with_control(-0.3)
+    with np.errstate(over="ignore", invalid="ignore"):   # the quartic's x**3 at 1e150
+        got, want = spec.force(x, 0.9), _quartic_horner_force(spec, x, 0.9)
+        assert got.shape == x.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+        for xs in x[:6]:   # scalars too, as the Gaussian belief passes them
+            assert np.float64(spec.force(xs, 0.9)).view(np.int64) == \
+                np.float64(_quartic_horner_force(spec, xs, 0.9)).view(np.int64)
+
+
+def test_with_control_keeps_the_force_at_the_plant_degree():
+    harmonic = SystemSpec(mass=1.0, potential_coeffs=(0, 0, 0.5, 0, 0))
+    assert harmonic._force_terms == (0.0, 1.0)
+    assert SystemSpec(mass=1.0, potential_coeffs=(0, 0, 1, 0, 2))._force_terms == (0, 2, 0, 8)
+    assert harmonic.with_control(0.4)._force_terms == (0.0, 1.0)
+
+
 # --- gaussian_state -----------------------------------------------------------
 
 

@@ -109,7 +109,9 @@ def test_aborted_realization_is_retried_and_recorded(monkeypatch, workers):
     """An abort in any policy row reruns the realization for every policy
     under the next stream index, and the result names the retried stream.
     The aborted chunk is rerun one stream at a time, so the indices are those
-    of a stream-by-stream loop at any worker count."""
+    of a stream-by-stream loop at any worker count.  At n = 1024 a batch
+    holds two realizations of two policies, so the first round maps two
+    batches (the pool runs at workers = 2) and the retry round one."""
     calls = []
 
     def abort_stream_0(*args, **kwargs):
@@ -122,13 +124,14 @@ def test_aborted_realization_is_retried_and_recorded(monkeypatch, workers):
     monkeypatch.setattr(feedback, "run_closed_loop", abort_stream_0)
     policies = [FeedbackPolicy("none"), ESTIMATOR]
     with pytest.warns(UserWarning, match="realization 0 aborted"):
-        res = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=2,
-                                 horizon=0.2, dt=1e-3, master_seed=3, sample_stride=50,
-                                 workers=workers)
+        res = cooling_experiment((PositionGrid(-10.0, 10.0, 1024), *STATE0[1:]), PLANT, MEAS,
+                                 policies, n_realizations=3, horizon=0.2, dt=1e-3,
+                                 master_seed=3, sample_stride=50, workers=workers)
     if workers == 1:   # pool children append to their own copy of calls
-        assert calls == [[0, 1], [0], [1], [2]]
-    assert res.energy.shape == (2, 2, 4)
-    assert res.stream_indices.tolist() == [1, 2]
+        assert calls == [[0, 1], [0], [1], [2], [3]]
+    assert res.n_batches == 3
+    assert res.energy.shape == (3, 2, 4)
+    assert res.stream_indices.tolist() == [1, 2, 3]
     assert res.retried_streams == (0,)
 
 

@@ -255,12 +255,14 @@ def test_ensemble_chunks_match_per_stream_runs(workers, monkeypatch):
 
 
 def test_ensemble_deterministic_and_workers_invariant():
-    grid = PositionGrid(-12, 12, 64)
+    # At n = 1024 two pairs fill a batch: the four realizations map two batch jobs.
+    grid = PositionGrid(-12, 12, 1024)
     cfg = LyapunovConfig(initial_separation=0.05, horizon=1.0, dt=1e-3,
                          n_realizations=4, sample_stride=20)
     meas = MeasurementSpec(0.5)
     s1 = ensemble_lyapunov((grid, 1.0, 0.0, 0.8), HARMONIC, meas, cfg, 42, workers=1)
     s2 = ensemble_lyapunov((grid, 1.0, 0.0, 0.8), HARMONIC, meas, cfg, 42, workers=2)
+    assert s1.n_batches == s2.n_batches == 2
     np.testing.assert_array_equal(s1.lam, s2.lam)
     np.testing.assert_array_equal(s1.lam_mean, s2.lam_mean)
     assert s1.lam.shape[0] == 4

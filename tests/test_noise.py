@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qcond.noise import generate, parallel_map, substream_rng
+from qcond.noise import generate, parallel_map, stream_chunks, substream_rng
 
 
 def test_same_key_bit_identical():
@@ -94,3 +94,15 @@ def test_parallel_map_slots_results_by_job_index():
     jobs = [range(0, 2), range(2, 4)]
     sums = parallel_map(lambda job: [float(np.sum(streams[k].increments)) for k in job], jobs, 2)
     assert sums == [[value for value, _ in serial[job.start:job.stop]] for job in jobs]
+
+
+def test_stream_chunks_depend_on_the_streams_alone():
+    """Batches of ``most`` consecutive streams, whatever the pool: a run whose
+    streams fit one batch maps one job, which parallel_map runs in-process."""
+    assert stream_chunks(25, 20) == [range(0, 20), range(20, 25)]
+    assert stream_chunks(5, 2, first=3) == [range(3, 5), range(5, 7), range(7, 8)]
+    assert stream_chunks(6, 20) == [range(0, 6)]
+    assert stream_chunks(20, 20) == [range(0, 20)]
+    with pytest.raises(TypeError):
+        stream_chunks(6, most=20, workers=2)
+
