@@ -45,16 +45,23 @@ RESAMPLE_ESS_FRACTION = 0.5
 
 def _leapfrog(x, p, system: SystemSpec, dt, t):
     """Kick-drift-kick with force evaluated at the step's endpoint times."""
-    p = p + 0.5 * dt * system.force(x, t)
-    x = x + dt * p / system.mass
-    p = p + 0.5 * dt * system.force(x, t + dt)
-    return x, p
+    h = 0.5 * dt
+    p_half = system.force(x, t)   # a new array: the kick updates it in place
+    p_half *= h
+    p_half += p
+    x_new = dt * p_half
+    x_new /= system.mass
+    x_new += x
+    p_new = system.force(x_new, t + dt)
+    p_new *= h
+    p_new += p_half
+    return x_new, p_new
 
 
 def liouville_step(ens: ClassicalEnsemble, system: SystemSpec, dt, t=0.0) -> ClassicalEnsemble:
     """Advect every particle one symplectic step; weights untouched."""
     x, p = _leapfrog(ens.x, ens.p, system, dt, t)
-    return ClassicalEnsemble(x, p, ens.w)
+    return ClassicalEnsemble._from_step(x, p, ens.w)
 
 
 class WeightClipCounter:
@@ -80,27 +87,35 @@ def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
     convention), then the particles are advected.
     """
     ess = ens.ess()
-    low = np.flatnonzero(ess < ESS_HARD_FLOOR)
-    if low.size:
+    if not (ess >= ESS_HARD_FLOOR).all():   # a NaN ESS fails too
+        row = np.flatnonzero(~(ess >= ESS_HARD_FLOOR))[0]
         raise DegenerateEnsembleError(
-            f"effective sample size {np.ravel(ess)[low[0]]:.2f} of row {low[0]} below "
+            f"effective sample size {np.ravel(ess)[row]:.2f} of row {row} below "
             f"{ESS_HARD_FLOOR}; resample first"
         )
     x_mean = np.vecdot(ens.w, ens.x)
     dy = meas.record(x_mean, dw, dt)
 
-    w = ens.w * (1.0 + meas.sqrt8k * (ens.x - x_mean[..., None]) * np.asarray(dw)[..., None])
+    # w (1 + sqrt(8k) (x - <x>) dW), built in the one new array
+    w = ens.x - x_mean[..., None]
+    w *= meas.sqrt8k
+    w *= np.asarray(dw)[..., None]
+    w += 1.0
+    w *= ens.w
     if clip_counter is not None:
         clip_counter.updates += w.size
         clip_counter.clipped += int(np.count_nonzero(w < 0.0))
-    w = np.clip(w, 0.0, None)
-    total = np.sum(w, axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
+    np.maximum(w, 0.0, out=w)   # the ufunc np.clip(w, 0.0, None) calls
+    total = w.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():
+        raise DegenerateEnsembleError(f"weights not finite at t={t:.6g}; look for a "
+                                      "non-finite noise increment or record entry")
+    if not (total > 0.0).all():
         raise DegenerateEnsembleError("all weights clipped to zero in one update")
-    w = w / total
+    w /= total
 
     x, p = _leapfrog(ens.x, ens.p, system, dt, t)
-    return ClassicalEnsemble(x, p, w), dy
+    return ClassicalEnsemble._from_step(x, p, w), dy
 
 
 def ks_filter_step(ens, system, meas, dt, dy, t=0.0, clip_counter=None):
@@ -137,20 +152,20 @@ def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps):
     lam = system.drive_amplitude
     omega = system.drive_frequency
     u = system.control_offset
-    t = 0.0
-    # Unrolled force avoids per-step attribute lookups on long horizons.
-    f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + u
+    # Unrolled force with its constants hoisted: no per-step lookups or products.
+    a2, a3, h, cos = 2.0 * c2, 3.0 * c3, 0.5 * dt, math.cos
+    f = -(c1 + x * (a2 + x * (a3 + x * 4.0 * c4))) + u
     if lam != 0.0:
-        f -= lam * math.cos(omega * t)
+        f -= lam * cos(omega * 0.0)
     for i in range(1, n_steps + 1):
-        p_half = p + 0.5 * dt * f
+        p_half = p + h * f
         x = x + dt * p_half / m
-        t = i * dt
-        f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + u
+        f = -(c1 + x * (a2 + x * (a3 + x * 4.0 * c4))) + u
         if lam != 0.0:
-            f -= lam * math.cos(omega * t)
-        p = p_half + 0.5 * dt * f
-        xs[i], ps[i] = x, p
+            f -= lam * cos(omega * (i * dt))
+        p = p_half + h * f
+        xs[i] = x
+        ps[i] = p
     times = dt * np.arange(n_steps + 1)
     return times, xs, ps
 

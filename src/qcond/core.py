@@ -307,7 +307,8 @@ class ClassicalEnsemble:
     """Weighted phase-space particles representing f(x, p) = sum_i w_i d(x-x_i) d(p-p_i).
 
     x, p and w share one shape (..., N): a batch of ensembles of N particles
-    each, one per row along the last axis.
+    each, one per row along the last axis.  The arrays are not modified
+    once the ensemble is built.
     """
 
     x: np.ndarray
@@ -322,19 +323,33 @@ class ClassicalEnsemble:
             raise ValueError("x, p, w must be arrays of one shape")
         if x.size == 0:
             raise DegenerateEnsembleError("empty ensemble")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(w >= 0):   # a NaN weight fails too
+            raise ValueError("weights must be nonnegative numbers")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "w", w)
+
+    @classmethod
+    def _from_step(cls, x, p, w):
+        """The ensemble of float arrays of one shape that a step has just made,
+        built past __init__ and __post_init__: the step made them valid."""
+        ens = object.__new__(cls)
+        ens.__dict__.update(x=x, p=p, w=w)
+        return ens
 
     @property
     def n_particles(self) -> int:
         return self.x.shape[-1]
 
     def ess(self):
-        """Effective sample size 1 / sum w_i^2 of each row (weights assumed normalised)."""
-        return 1.0 / np.sum(self.w**2, axis=-1)
+        """Effective sample size 1 / sum w_i^2 of each row (weights assumed normalised).
+
+        Computed once per ensemble and kept in the instance, out of the fields.
+        """
+        ess = self.__dict__.get("_ess")
+        if ess is None:
+            ess = self.__dict__["_ess"] = 1.0 / np.sum(self.w**2, axis=-1)
+        return ess
 
 
 # ---------------------------------------------------------------------------

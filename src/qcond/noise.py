@@ -12,9 +12,7 @@ each dW is i.i.d. Gaussian with mean 0 and variance dt.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -71,6 +69,8 @@ def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.rando
     per trajectory without consuming (or correlating with) the Wiener
     stream itself.  The purpose tag is hashed into the key.
     """
+    import hashlib   # here, not at the top: it loads libcrypto, which most runs never use
+
     tag = int.from_bytes(hashlib.blake2s(purpose.encode()).digest()[:8], "little")
     key = np.array(
         [(int(master_seed) ^ tag) & _MASK64, (int(stream_index) + 0x9E3779B97F4A7C15) & _MASK64],
@@ -107,6 +107,8 @@ def parallel_map(fn, jobs, workers):
     global _pool_fn
     if not (workers and workers > 1 and len(jobs) > 1):
         return [fn(job) for job in jobs]
+    from multiprocessing import get_context   # only runs that fork a pool pay for it
+
     _pool_fn = fn
     try:
         with get_context("fork").Pool(min(workers, len(jobs))) as pool:

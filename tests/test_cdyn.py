@@ -1,12 +1,14 @@
 """Classical evolution: Liouville drift, conditioned weighting, resampling."""
 
-from dataclasses import astuple
+import math
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from qcond.core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, ensemble_moments
 from qcond.cdyn import (
+    ESS_HARD_FLOOR,
     RESAMPLE_ESS_FRACTION,
     WeightClipCounter,
     ks_filter_step,
@@ -16,7 +18,7 @@ from qcond.cdyn import (
     resample,
     run_conditioned_classical,
 )
-from qcond.noise import generate, substream_rng
+from qcond.noise import NoisePath, generate, substream_rng
 from qcond.qdyn import MeasurementSpec
 
 
@@ -238,6 +240,72 @@ def test_ks_localizes_onto_record_source(harmonic):
     assert weight_plus > 0.99
 
 
+def _batch(rng, shape):
+    return ClassicalEnsemble(rng.normal(0, 1, shape), rng.normal(0, 1, shape),
+                             np.full(shape, 1 / shape[-1]))
+
+
+@pytest.mark.parametrize("shape", [(64,), (3, 64)])
+def test_step_outputs_equal_their_validated_construction(harmonic, shape):
+    """ks_step and liouville_step build their outputs past the constructor's
+    checks; the validated construction of the same arrays is the same ensemble."""
+    rng = np.random.default_rng(12)
+    ens = _batch(rng, shape)
+    dw = rng.normal(0, 0.03, shape[:-1])
+    stepped, _ = ks_step(ens, harmonic, MeasurementSpec(1.0), 1e-3, dw, 0.2)
+    advected = liouville_step(ens, harmonic, 1e-3, 0.2)
+    for out in (stepped, advected):
+        checked = ClassicalEnsemble(out.x, out.p, out.w)
+        assert type(out) is ClassicalEnsemble
+        for a, b in zip(astuple(out), astuple(checked)):
+            assert a.dtype == b.dtype == float
+            np.testing.assert_array_equal(a, b, strict=True)
+        np.testing.assert_array_equal(out.ess(), 1.0 / np.sum(out.w**2, axis=-1), strict=True)
+
+
+def test_ess_is_computed_once_per_ensemble(harmonic):
+    rng = np.random.default_rng(14)
+    ens = _batch(rng, (2, 32))
+    stepped, _ = ks_step(ens, harmonic, MeasurementSpec(1.0), 1e-3, [0.01, -0.02])
+    assert stepped.ess() is stepped.ess()
+    assert [f.name for f in fields(ClassicalEnsemble)] == ["x", "p", "w"]
+
+
+def test_resampled_row_gets_a_fresh_ess(harmonic):
+    """A start below the hard ESS floor is resampled before the first step:
+    the step reads the resampled rows' ESS, not the start's, and runs."""
+    n_part, dt = 64, 1e-3
+    w = np.full(n_part, 0.03 / (n_part - 1))
+    w[0] = 0.97
+    ens0 = ClassicalEnsemble(np.linspace(-1, 1, n_part), np.zeros(n_part), w)
+    assert ens0.ess() < ESS_HARD_FLOOR
+    counter = WeightClipCounter()
+    noise = [generate(3, k, 2, dt) for k in range(2)]
+    traj = run_conditioned_classical(ens0, harmonic, MeasurementSpec(1.0), noise, 1,
+                                     clip_counter=counter)
+    assert counter.resamples == 2
+    assert counter.min_ess == ens0.ess()
+    np.testing.assert_array_equal(traj.moments[:, 0, 5], ens0.ess())
+    assert np.all(traj.moments[:, 1:, 5] > ESS_HARD_FLOOR)
+
+
+def test_nan_increment_is_refused(harmonic):
+    """A NaN weight fails every comparison: the filter must still refuse it."""
+    rng = np.random.default_rng(15)
+    meas, dt = MeasurementSpec(1.0), 1e-3
+    ens = _batch(rng, (2, 64))
+    with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
+        ks_step(ens, harmonic, meas, dt, [0.01, np.nan])
+    with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
+        ks_filter_step(ens, harmonic, meas, dt, [np.nan, 0.0])
+    path = generate(4, 0, 20, dt)
+    increments = path.increments.copy()
+    increments[7] = np.nan
+    with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
+        run_conditioned_classical(_batch(rng, (64,)), harmonic, meas,
+                                  [path, replace(path, increments=increments)])
+
+
 # --- resample -----------------------------------------------------------------
 
 
@@ -303,3 +371,35 @@ def test_newton_driven_deterministic():
     b = newton_trajectory(2.5, 0.0, duff, 1e-3, 5000)
     np.testing.assert_array_equal(a[1], b[1])
     np.testing.assert_array_equal(a[2], b[2])
+
+
+def _newton_reference(x0, p0, system, dt, n_steps):
+    """The leapfrog orbit written out one step at a time."""
+    c0, c1, c2, c3, c4 = system.potential_coeffs
+
+    def force(x, t):
+        f = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))) + system.control_offset
+        if system.drive_amplitude != 0.0:
+            f -= system.drive_amplitude * math.cos(system.drive_frequency * t)
+        return f
+
+    xs, ps = [x0], [p0]
+    for i in range(1, n_steps + 1):
+        p_half = ps[-1] + 0.5 * dt * force(xs[-1], (i - 1) * dt)
+        xs.append(xs[-1] + dt * p_half / system.mass)
+        ps.append(p_half + 0.5 * dt * force(xs[-1], i * dt))
+    return dt * np.arange(n_steps + 1), np.array(xs), np.array(ps)
+
+
+@pytest.mark.parametrize("system", [
+    SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0, 0, -10, 0, 0.5),
+               drive_amplitude=10.0, drive_frequency=6.07),
+    SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0, 0.3, -10, 0.2, 0.5)),
+    SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0, 0, 0.5), control_offset=-0.7),
+    SystemSpec(mass=2.5, hbar=0.0, potential_coeffs=(0, 0, -1.0, 0, 0.25),
+               drive_amplitude=0.4, drive_frequency=1.3),
+], ids=["driven", "undriven", "control", "mass"])
+def test_newton_trajectory_is_the_per_step_formula(system):
+    got = newton_trajectory(2.5, -0.3, system, 1e-3, 3000)
+    for a, b in zip(got, _newton_reference(2.5, -0.3, system, 1e-3, 3000)):
+        assert np.array_equal(a, b)

@@ -214,6 +214,16 @@ def test_empty_ensemble_rejected():
         ClassicalEnsemble(np.array([]), np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("x, p, w", [
+    ([0.0, 1.0], [0.0, 1.0], [0.5]),                 # shapes differ
+    ([0.0, 1.0], [0.0, 1.0], [1.5, -0.5]),           # a negative weight
+    ([0.0, 1.0], [0.0, 1.0], [0.5, np.nan]),         # a NaN weight
+])
+def test_public_ensemble_constructor_checks_its_arrays(x, p, w):
+    with pytest.raises(ValueError):
+        ClassicalEnsemble(x, p, w)
+
+
 # --- wigner -------------------------------------------------------------------
 
 

@@ -106,3 +106,21 @@ def test_stream_chunks_depend_on_the_streams_alone():
     with pytest.raises(TypeError):
         stream_chunks(6, most=20, workers=2)
 
+
+
+def test_cli_import_leaves_hashing_and_the_pool_unloaded():
+    """hashlib (which loads libcrypto) and multiprocessing are imported on
+    first use, by substream_rng and by parallel_map's pool, not by the CLI."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qcond
+
+    src = str(Path(qcond.__file__).resolve().parents[1])
+    code = ("import sys, qcond.cli; "
+            "print(sorted({'hashlib', '_hashlib', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
