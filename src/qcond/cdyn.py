@@ -21,7 +21,6 @@ energy bounded over the long horizons the Lyapunov harness needs.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 
@@ -205,7 +204,7 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: list
         return ens
 
     def sample(ens, t):
-        return np.stack(astuple(ensemble_moments(ens, system, t)), axis=-1)
+        return ensemble_moments(ens, system, t).stack()
 
     times, rows, _ = drive(ens, n_steps, dt, sample_every, step, sample)
     # C-contiguous (R, n_samples, 7), as qdyn's runs return.

@@ -273,13 +273,15 @@ def main(argv=None) -> int:
         print("error: --config is required (or --list)", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         name, resolved = load_config(args.config, args.set)
         seed = resolve_seed(args.seed, resolved)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers or os.cpu_count() or 1
     start = time.perf_counter()
     try:
         result = run_experiment(name, resolved, seed, workers)

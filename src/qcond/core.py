@@ -375,6 +375,10 @@ class MomentSet:
     def uncertainty_product(self) -> float:
         return self.c_xx * self.c_pp - self.c_xp**2
 
+    def stack(self) -> np.ndarray:
+        """The fields in order on a last axis of 7, without astuple's deep copy."""
+        return np.stack(list(vars(self).values()), axis=-1)
+
 
 def _momentum_density(grid: PositionGrid, rho_k: np.ndarray, hbar) -> np.ndarray:
     """Diagonal of rho in the momentum representation (FFT order).

@@ -28,9 +28,9 @@ from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, lio
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, check_separation, check_threshold, ensemble_lyapunov
-from .noise import generate, parallel_map, stream_chunks, substream_rng
+from .noise import generate, map_streams, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
-from .qdyn import MeasurementSpec, realizations_per_batch, run_conditioned, run_isolated
+from .qdyn import MeasurementSpec, run_conditioned, run_isolated
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
 
@@ -132,8 +132,7 @@ def run_conditioned_experiment(cfg, seed, workers):
         noise = [generate(seed, k, n_steps, dt) for k in streams]
         return run_conditioned(grid, psi0, system, meas, noise, sample_every=stride)
 
-    chunks = stream_chunks(n_real, realizations_per_batch(psi0.nbytes))
-    trajs = parallel_map(run_chunk, chunks, workers)
+    trajs = map_streams(run_chunk, n_real, psi0.nbytes, workers)
     times = trajs[0].times
     moments = np.concatenate([traj.moments for traj in trajs])
     series = [CsvSeries("conditioned_mean", TRAJECTORY_COLUMNS,
@@ -141,7 +140,7 @@ def run_conditioned_experiment(cfg, seed, workers):
     series += [CsvSeries(f"conditioned_traj_{idx:03d}", TRAJECTORY_COLUMNS,
                          np.column_stack([times, rows]))
                for idx, rows in enumerate(moments)]
-    return ExperimentResult(series, {"n_realizations": n_real, "n_batches": len(chunks),
+    return ExperimentResult(series, {"n_realizations": n_real, "n_batches": len(trajs),
                                      "max_outer_mass": max(t.max_outer_mass for t in trajs)})
 
 
@@ -181,8 +180,7 @@ def run_passivity_experiment(cfg, seed, workers):
             clip_counter=counter)
         return traj, counter
 
-    chunks = stream_chunks(n_real, realizations_per_batch(ens0.x.nbytes))
-    trajs, counters = zip(*parallel_map(run_chunk, chunks, workers))
+    trajs, counters = zip(*map_streams(run_chunk, n_real, ens0.x.nbytes, workers))
     times = trajs[0].times
     # raw moments so realizations average like the underlying distribution
     mom = np.concatenate([traj.moments for traj in trajs])
@@ -207,7 +205,7 @@ def run_passivity_experiment(cfg, seed, workers):
             "z_x [1]", "z_p [1]", "z_xx [1]", "z_xp [1]", "z_pp [1]")
     table = np.column_stack([times, mean, ref, z])
     meta = {"max_z": float(z_sampled[worst]), "max_z_time": float(times[worst[0]]),
-            "n_realizations": n_real, "n_batches": len(chunks),
+            "n_realizations": n_real, "n_batches": len(trajs),
             "weight_clip_rate": sum(c.clipped for c in counters) / sum(c.updates for c in counters),
             "n_resamples": sum(c.resamples for c in counters),
             "min_ess": min(c.min_ess for c in counters)}
@@ -302,7 +300,7 @@ def run_lyapunov_experiment(cfg, seed, workers):
         renorm_threshold=threshold,
     )
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
-    series_out = ensemble_lyapunov(state0, system, meas, lcfg, seed, workers=workers or 1)
+    series_out = ensemble_lyapunov(state0, system, meas, lcfg, seed, workers=workers)
 
     out = [CsvSeries(
         "lyap_mean",

@@ -29,8 +29,8 @@ import numpy as np
 
 from .core import QcondError, SystemSpec, drive, gaussian_wavefunction, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
-from .noise import generate, parallel_map, stack_increments, stream_chunks
-from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
+from .noise import generate, map_streams, stack_increments
+from .qdyn import MeasurementSpec, PureStepper
 
 __all__ = [
     "FeedbackPolicy",
@@ -203,7 +203,7 @@ def cooling_experiment(state0_params, system, meas, policies: list,
 
     Every policy sees the same per-realization noise path, so policy
     differences are paired samples.  Consecutive stream indices run as one
-    closed-loop batch (qdyn.realizations_per_batch) on a pool of ``workers``
+    closed-loop batch (noise.map_streams) on a pool of ``workers``
     processes.  A realization on which any policy aborts is rerun for all
     policies under a fresh stream index (logged), keeping the pairing intact.
     The accepted and retried indices are those of a stream-by-stream loop.
@@ -211,19 +211,20 @@ def cooling_experiment(state0_params, system, meas, policies: list,
     # Every stream starts from one packet: a misfit aborts once, unretried.
     gaussian_wavefunction(*state0_params, system.hbar)
     n_steps = int(round(horizon / dt))
-    batch = realizations_per_batch(len(policies) * state0_params[0].n_points * 16)
+    bytes_per_stream = len(policies) * state0_params[0].n_points * 16
 
     def run_chunk(streams):
-        """(run, row) per stream, or the abort message of a stream that aborts alone."""
+        """(stream, (run, row)) per stream, or (stream, abort message) for a
+        stream that aborts alone."""
         try:
             noise = [generate(master_seed, k, n_steps, dt) for k in streams]
             run = run_closed_loop(state0_params, system, meas, policies, noise, sample_stride)
         except QcondError as err:
             if len(streams) == 1:
-                return [str(err)]
+                return [(streams[0], str(err))]
             # Some row aborted: rerun the batch one stream at a time.
-            return [outcome for index in streams for outcome in run_chunk([index])]
-        return [(run, row) for row in range(len(streams))]
+            return [pair for index in streams for pair in run_chunk([index])]
+        return [(index, (run, row)) for row, index in enumerate(streams)]
 
     accepted = []    # (stream index, ClosedLoopRun, its row) per accepted realization
     retried = []
@@ -231,10 +232,11 @@ def cooling_experiment(state0_params, system, meas, policies: list,
     while len(accepted) < n_realizations:
         # A round takes only the streams still needed, so the serial order is kept.
         first = len(accepted) + len(retried)
-        chunks = stream_chunks(n_realizations - len(accepted), batch, first)
-        n_batches += len(chunks)
-        for streams, outcomes in zip(chunks, parallel_map(run_chunk, chunks, workers)):
-            for index, outcome in zip(streams, outcomes):
+        batches = map_streams(run_chunk, n_realizations - len(accepted), bytes_per_stream,
+                              workers, first)
+        n_batches += len(batches)
+        for pairs in batches:
+            for index, outcome in pairs:
                 if len(retried) > MAX_RETRIES * max(1, n_realizations):
                     raise QcondError("too many aborted closed-loop realizations")
                 if isinstance(outcome, str):

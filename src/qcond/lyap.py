@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PositionGrid, SystemSpec, drive, gaussian_wavefunction
-from .noise import generate, parallel_map, stack_increments, stream_chunks
-from .qdyn import MeasurementSpec, PureStepper, realizations_per_batch
+from .noise import generate, map_streams, stack_increments
+from .qdyn import MeasurementSpec, PureStepper
 from . import cdyn
 
 __all__ = [
@@ -232,7 +232,7 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     """Stream-indexed realizations of paired_run as one batch of R pairs.
 
     Consecutive stream indices run as the rows of one paired_run batch,
-    in the chunks of noise.stream_chunks.  Each row is bit-identical to its
+    in the batches of noise.map_streams.  Each row is bit-identical to its
     stream run alone, so any worker count produces identical output.
     """
     n_real = cfg.n_realizations
@@ -243,11 +243,10 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
         noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
         return paired_run(state0_params, system, meas, cfg, noise)
 
-    chunks = stream_chunks(n_real, realizations_per_batch(2 * state0_params[0].n_points * 16))
-    results = parallel_map(run_chunk, chunks, workers)
+    results = map_streams(run_chunk, n_real, 2 * state0_params[0].n_points * 16, workers)
     columns = zip(*[(r.delta, r.lam, r.merged, r.renormalizations) for r in results])
     return PairedRunResult(results[0].times, *map(np.concatenate, columns),
-                           max(r.max_outer_mass for r in results), len(chunks))
+                           max(r.max_outer_mass for r in results), len(results))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NoisePath", "generate", "parallel_map", "stack_increments", "stream_chunks",
+__all__ = ["BATCH_BYTES", "NoisePath", "generate", "map_streams", "stack_increments",
            "substream_rng"]
 
 _MASK64 = (1 << 64) - 1
@@ -79,39 +79,46 @@ def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.rando
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_chunks(n_streams: int, most: int, first: int = 0) -> list:
-    """Consecutive ranges of n_streams stream indices from ``first``, one batch
-    job each, of ``most`` streams (qdyn.realizations_per_batch) but the last.
+# Bytes of state one batch of streams holds.  Stepping realizations as rows of
+# one batch pays the per-step Python overhead once: at n = 256 a conditioned
+# PureStepper step costs 43 us for one row, 11 us per row at 8 rows (32 KiB)
+# and 7-8 us per row at 16 and 32 rows (best of 9 runs of 300 steps, one
+# core).  Larger batches gain nothing: a 40-realization n = 512 Lyapunov run
+# on one core took 11-13 s with 64 KiB batches and 12-16 s with 128 KiB,
+# 256 KiB or one 640 KiB batch.  Particle filters follow the same rule,
+# counted by their positions: at N = 400 a cdyn.ks_step costs per row
+# 22-24 us at 3 rows, 13 at 6, 9 at 12, 7-8 at 20 (64 KiB), 6.5-7 at 25, 6 at
+# 50 and 7 at 100 (best of 15 runs of 300 steps, one core).
+BATCH_BYTES = 64 * 1024
 
-    The ranges depend on the streams alone, never on the pool size: a run
-    whose streams fit one batch maps one job, which parallel_map runs
-    in-process."""
-    stop = first + n_streams
-    return [range(start, min(start + most, stop)) for start in range(first, stop, most)]
-
-
-_pool_fn = None   # parallel_map's fn while its pool is open; the children inherit it
-
-
-def _call_pool_fn(job):
-    return _pool_fn(job)
+_pool_fn = None   # map_streams' fn while its pool is open; the children inherit it
 
 
-def parallel_map(fn, jobs, workers):
-    """[fn(job) for job in jobs], on a fork pool of ``workers`` processes (one per
-    job at most) when there are several of each.
+def _call_pool_fn(streams):
+    return _pool_fn(streams)
 
-    The children inherit fn at the fork, so it may be a closure.  The pool
-    hands out one job at a time and returns the results in job order.
+
+def map_streams(fn, n_streams, bytes_per_stream, workers, first=0):
+    """[fn(streams) for each batch], in stream order.
+
+    The batches are consecutive ranges of the n_streams stream indices from
+    ``first``, each of max(1, BATCH_BYTES // bytes_per_stream) streams but
+    the last; they depend on the streams alone, never on ``workers``.  One
+    batch runs in-process; several run on a fork pool of ``workers``
+    processes (one per batch at most), which hands out one batch at a time.
+    The children inherit fn at the fork, so it may be a closure.
     """
     global _pool_fn
-    if not (workers and workers > 1 and len(jobs) > 1):
-        return [fn(job) for job in jobs]
+    most = max(1, BATCH_BYTES // bytes_per_stream)
+    stop = first + n_streams
+    batches = [range(start, min(start + most, stop)) for start in range(first, stop, most)]
+    if workers < 2 or len(batches) < 2:
+        return [fn(streams) for streams in batches]
     from multiprocessing import get_context   # only runs that fork a pool pay for it
 
     _pool_fn = fn
     try:
-        with get_context("fork").Pool(min(workers, len(jobs))) as pool:
-            return pool.map(_call_pool_fn, jobs, chunksize=1)
+        with get_context("fork").Pool(min(workers, len(batches))) as pool:
+            return pool.map(_call_pool_fn, batches, chunksize=1)
     finally:
         _pool_fn = None

@@ -52,7 +52,7 @@ of the new state, which the caller passes back into the next step.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,22 +77,7 @@ __all__ = [
     "run_conditioned",
     "run_isolated",
     "ConditionedTrajectory",
-    "realizations_per_batch",
 ]
-
-# Complex state held by one batch of independent realizations.  Stepping
-# realizations as rows of one PureStepper batch pays the per-step Python
-# overhead once: at n = 256 a conditioned step costs 43 us for one row, 11 us
-# per row at 8 rows (32 KiB) and 7-8 us per row at 16 and 32 rows (best of 9
-# runs of 300 steps, one core).  Larger batches gain nothing:
-# a 40-realization n = 512 Lyapunov run on one core took 11-13 s with
-# 64 KiB batches and 12-16 s with 128 KiB, 256 KiB or one 640 KiB batch.
-# Particle filters follow the same rule, counted by their positions: at
-# N = 400 a cdyn.ks_step costs per row 22-24 us at 3 rows, 13 at 6, 9 at 12,
-# 7-8 at 20 (64 KiB), 6.5-7 at 25, 6 at 50 and 7 at 100 (best of 15 runs
-# of 300 steps, one core).  Every ensemble maps only the batches its
-# realizations fill, so a run of one batch forks no pool.
-BATCH_BYTES = 64 * 1024
 
 
 class MeasurementError(QcondError):
@@ -393,13 +378,6 @@ class PureStepper(_Stepper):
         return np.multiply(psi, scale[..., None], out=psi), dy
 
 
-def realizations_per_batch(bytes_per_realization: int) -> int:
-    """Realizations that fit in one batch (BATCH_BYTES), each adding
-    bytes_per_realization to the batch's state array: rows x n x 16 for
-    complex wavefunction rows, N x 8 for a filter's particle positions."""
-    return max(1, BATCH_BYTES // bytes_per_realization)
-
-
 # ---------------------------------------------------------------------------
 # Trajectories
 
@@ -438,7 +416,7 @@ def _run_measured(grid, psi0, system, meas, dt, increments, sample_every, innova
         return psi
 
     def sample(psi, t):   # one moments call per sample, looked up then (span tracing rebinds it)
-        return np.stack(astuple(wavefunction_moments(grid, psi, system.hbar, system, t)), axis=-1)
+        return wavefunction_moments(grid, psi, system.hbar, system, t).stack()
 
     times, rows, _ = drive(psi, n_steps, dt, sample_every, step, sample)
     # C-contiguous (R, n_samples, 7): a strided view reorders the sums of a mean over R.
@@ -460,7 +438,7 @@ def run_isolated(state0: QuantumState, system, dt, n_steps,
     stepper = DensityStepper(state0.grid, system, None, dt)
     times, rows, _ = drive(state0, n_steps, dt, sample_every,
                            lambda state, i, t: stepper.isolated(state, t),
-                           lambda state, t: astuple(quantum_moments(state, system, t)))
+                           lambda state, t: quantum_moments(state, system, t).stack())
     return ConditionedTrajectory(times, rows[None])
 
 

@@ -352,6 +352,15 @@ def test_unknown_key_rejected_with_name(tmp_path, capsys):
     assert "measurment_k" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    cfg = _write(tmp_path, HARMONIC_LYAP)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--workers", workers]) == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_experiment_rejected(tmp_path):
     cfg = _write(tmp_path, HARMONIC_LYAP.replace("name = lyapunov", "name = wibble"))
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

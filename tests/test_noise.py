@@ -1,12 +1,17 @@
 """Seeded Wiener streams: determinism and statistics."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from qcond.noise import generate, parallel_map, stream_chunks, substream_rng
+import qcond
+from qcond.noise import BATCH_BYTES, generate, map_streams, substream_rng
 
 
 def test_same_key_bit_identical():
@@ -75,52 +80,66 @@ def test_numpy_integer_keys_match_plain_int_keys():
                               substream_rng(seed, index, "resample").standard_normal(8))
 
 
-def _slow_stream_sum(job):
-    # Lower job indices sleep longer, so later jobs finish first.
-    seed, n_jobs, idx = job
-    time.sleep(0.1 * (n_jobs - idx))
-    return float(np.sum(generate(seed, idx, 100, 1e-3).increments)), time.monotonic()
+def _slow_stream_sum(streams):
+    # Lower stream indices sleep longer, so later batches finish first.
+    time.sleep(0.1 * (4 - streams.start))
+    return [float(np.sum(generate(5, k, 100, 1e-3).increments)) for k in streams], time.monotonic()
 
 
-def test_parallel_map_slots_results_by_job_index():
-    jobs = [(5, 4, idx) for idx in range(4)]
-    serial = parallel_map(_slow_stream_sum, jobs, 1)
-    pooled = parallel_map(_slow_stream_sum, jobs, 2)
-    assert [value for value, _ in pooled] == [value for value, _ in serial]
+def test_map_streams_slots_results_by_batch():
+    # One stream per batch: each stream fills the whole budget.
+    serial = map_streams(_slow_stream_sum, 4, BATCH_BYTES, 1)
+    pooled = map_streams(_slow_stream_sum, 4, BATCH_BYTES, 2)
+    assert [sums for sums, _ in pooled] == [sums for sums, _ in serial]
     finished = [stamp for _, stamp in pooled]
-    assert finished != sorted(finished), "no later job finished first; the test shows nothing"
-    # A closure job: the pool's children inherit it, and it never goes through pickle.
+    assert finished != sorted(finished), "no later batch finished first; the test shows nothing"
+    # A closure: the pool's children inherit it, and it never goes through pickle.
     streams = [generate(5, idx, 100, 1e-3) for idx in range(4)]
-    jobs = [range(0, 2), range(2, 4)]
-    sums = parallel_map(lambda job: [float(np.sum(streams[k].increments)) for k in job], jobs, 2)
-    assert sums == [[value for value, _ in serial[job.start:job.stop]] for job in jobs]
+    sums = map_streams(lambda batch: [float(np.sum(streams[k].increments)) for k in batch],
+                       4, BATCH_BYTES // 2, 2)
+    assert sums == [serial[0][0] + serial[1][0], serial[2][0] + serial[3][0]]
 
 
-def test_stream_chunks_depend_on_the_streams_alone():
-    """Batches of ``most`` consecutive streams, whatever the pool: a run whose
-    streams fit one batch maps one job, which parallel_map runs in-process."""
-    assert stream_chunks(25, 20) == [range(0, 20), range(20, 25)]
-    assert stream_chunks(5, 2, first=3) == [range(3, 5), range(5, 7), range(7, 8)]
-    assert stream_chunks(6, 20) == [range(0, 6)]
-    assert stream_chunks(20, 20) == [range(0, 20)]
-    with pytest.raises(TypeError):
-        stream_chunks(6, most=20, workers=2)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_streams_batches_depend_on_the_streams_alone(workers):
+    """Batches of BATCH_BYTES // bytes_per_stream consecutive streams, whatever
+    the pool; a stream larger than the budget gets a batch of its own."""
+    def batches(n_streams, most, first=0):
+        return map_streams(lambda streams: streams, n_streams, BATCH_BYTES // most, workers, first)
 
+    assert batches(25, 20) == [range(0, 20), range(20, 25)]
+    assert batches(5, 2, first=3) == [range(3, 5), range(5, 7), range(7, 8)]
+    assert batches(6, 20) == [range(0, 6)]
+    assert batches(20, 20) == [range(0, 20)]
+    assert map_streams(lambda streams: streams, 3, 2 * BATCH_BYTES, workers) == \
+        [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def test_one_batch_ensemble_forks_no_pool():
+    """An ensemble whose streams fit one batch runs in-process at any worker count."""
+    code = ("import sys\n"
+            "from qcond.core import PositionGrid, SystemSpec\n"
+            "from qcond.lyap import LyapunovConfig, ensemble_lyapunov\n"
+            "from qcond.qdyn import MeasurementSpec\n"
+            "cfg = LyapunovConfig(initial_separation=0.05, horizon=0.1, dt=1e-3, n_realizations=3)\n"
+            "system = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))\n"
+            "series = ensemble_lyapunov((PositionGrid(-12, 12, 64), 1.0, 0.0, 0.8), system,\n"
+            "                           MeasurementSpec(0.5), cfg, 42, workers=2)\n"
+            "print(series.n_batches, series.lam.shape[0], 'multiprocessing' in sys.modules)")
+    assert _run_python(code) == "1 3 False"
+
+
+def _run_python(code):
+    """Stdout of code run in a fresh interpreter that imports this qcond."""
+    src = str(Path(qcond.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip()
 
 
 def test_cli_import_leaves_hashing_and_the_pool_unloaded():
     """hashlib (which loads libcrypto) and multiprocessing are imported on
-    first use, by substream_rng and by parallel_map's pool, not by the CLI."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import qcond
-
-    src = str(Path(qcond.__file__).resolve().parents[1])
+    first use, by substream_rng and by map_streams' pool, not by the CLI."""
     code = ("import sys, qcond.cli; "
             "print(sorted({'hashlib', '_hashlib', 'multiprocessing'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
