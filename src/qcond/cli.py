@@ -11,6 +11,12 @@ run writes the fully resolved configuration, the seed actually used,
 the package version, and the wall time into metadata.json next to the
 CSVs, which is enough to reproduce the output byte for byte.
 
+Each CSV is a header line of the column names, then one line per row,
+every line ended by CRLF.  A value is written as `"%.17g" % float(v)`
+would write it (`-0`, `nan`, `inf`, `1e-05`, `2.5`, ...).  The writer
+formats a block of rows at once with numpy and falls back to `%` for the
+few values its exact arithmetic cannot decide (see `_csv_block`).
+
 Exit codes: 0 success, 2 configuration error, 3 numerical abort,
 4 output I/O failure.
 """
@@ -207,9 +213,143 @@ def resolve_seed(args_seed, resolved):
     return int(resolved.get("run", {}).get("master_seed", DEFAULT_SEED))
 
 
-# Rows formatted by one %-operation: large enough to amortize the call,
-# small enough that the block's text stays far below the table's size.
-CSV_BLOCK_ROWS = 1024
+# --- CSV numbers -------------------------------------------------------------
+# `_csv_block` writes the bytes of "%.17g" for a block of float64 values.
+# Digits: with X = floor(log10|v|), |v| * 10^(16-X) is formed as a
+# double-double (Dekker's split and two-product, Numer. Math. 18, 224,
+# 1971, with 10^(16-X) held as hi + lo) and rounded to the 17-digit
+# integer N (fixed-precision digit generation as in Adams, "Ryu revisited",
+# OOPSLA 2019).  A value falls back to "%" when its fraction lies within
+# 1e-9 of 1/2 (the double-double error is about 1e-14), when its integer
+# part before rounding is outside [10^16, 10^17) (log10 misjudged X), when
+# it is not finite, or when X is outside [-280, 280].  Bytes: each value
+# gets a 32-byte record of four little-endian uint64 words.  Byte 0 holds
+# the sign, 3 a "0", 4-23 N as 20 digits (3 leading zeros), 25-29 the
+# exponent and 30-31 the separator; pad bytes are 0 and are deleted once
+# per block.  In the 21 digits "0000" + N the point follows digit
+# p = 4 + X in fixed notation (-4 <= X < 17) and p = 4 in exponent
+# notation.  So bytes 3 + min(p, 4) .. 3 + p come from the record (A),
+# the point goes at byte 4 + p, and the fraction digits up to the last
+# nonzero one come from the record moved up one byte (B, whose byte 24
+# holds the last digit).  Mask tables indexed by (p, last nonzero digit)
+# pick those bytes.
+_GROUP = np.arange(10_000, dtype=np.int32)
+_DIGITS_LOW = sum((_GROUP // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4)).astype(np.uint64)
+_DIGITS_HIGH = _DIGITS_LOW << np.uint64(32)
+_DIGITS_FIRST = _DIGITS_HIGH | np.uint64(ord("0") << 24)
+_TRAILING_ZEROS = sum(_GROUP % 10 ** j == 0 for j in range(1, 5)).astype(np.int8)
+
+
+def _byte_masks():
+    p = np.arange(21)[:, None, None]
+    last = np.arange(21)[None, :, None]
+    byte = np.arange(32)
+    fraction = last > p
+    keep_a = (byte >= 3 + np.minimum(p, 4)) & (byte <= 3 + p)
+    keep_b = fraction & (byte >= 5 + p) & (byte <= 4 + last)
+    point = fraction & (byte == 4 + p)
+    masks = np.stack(np.broadcast_arrays(keep_a.astype(np.uint8) * 255, keep_b.astype(np.uint8) * 255,
+                                         point.astype(np.uint8) * ord(".")))
+    # (3, 21 * 21, 32) bytes -> three (4 words, class) tables
+    return np.ascontiguousarray(masks.view(np.uint64).reshape(3, 21 * 21, 4).transpose(0, 2, 1))
+
+
+_KEEP_A, _KEEP_B, _POINT = _byte_masks()
+
+# Tables indexed by X + _E_OFFSET.  X = -300 (the slot |v| clipped to 2e-300
+# lands in) formats zero; a slot with X outside [-280, 280] holds no power
+# of ten (hi = lo = 0), so N = 0 is out of range and the value falls back.
+_E_OFFSET = 300
+_EXPONENT = np.arange(-_E_OFFSET, _E_OFFSET + 2)
+_FIXED = (_EXPONENT >= -4) & (_EXPONENT < 17)
+_CLASS = np.where(_FIXED, 4 + _EXPONENT, 4) * 21 + 20
+_EXPONENT_BYTES = np.array(
+    [0 if fixed or x == -_E_OFFSET else int.from_bytes(b"e%+03d" % x, "little") << 8
+     for x, fixed in zip(_EXPONENT.tolist(), _FIXED.tolist())], dtype=np.uint64)
+_SPLIT = 134217729.0   # 2^27 + 1
+# 10^(16-X) as hi (with its split halves) + lo, filled in as blocks first
+# meet X; a filled slot never changes.
+_POWERS = np.zeros((4, _EXPONENT.size))
+_MISSING = np.zeros(_EXPONENT.size, bool)
+_MISSING[_E_OFFSET - 280:_E_OFFSET + 281] = True
+
+
+def _fill_powers(slots):
+    for j in slots:
+        k = 16 + _E_OFFSET - j
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den                 # int / int rounds correctly
+        m, b = hi.as_integer_ratio()
+        t = _SPLIT * hi
+        head = t - (t - hi)
+        _POWERS[:, j] = hi, head, hi - head, (num * b - m * den) / (den * b)
+        _MISSING[j] = False
+
+
+def _csv_block(block, separators):
+    """The bytes "%.17g" writes for a (rows, cols) float64 block, each value
+    followed by its column's separator word."""
+    v = block.ravel()
+    n = v.size
+    a = np.fmin(np.fmax(np.abs(v), 2e-300), 2e299)
+    j = np.floor(np.log10(a), out=np.empty(n)).astype(np.intp)
+    j += _E_OFFSET
+    missing = _MISSING[j]
+    if missing.any():
+        _fill_powers(set(j[missing].tolist()))
+    hi, head, tail, lo = _POWERS[0][j], _POWERS[1][j], _POWERS[2][j], _POWERS[3][j]
+    # product + frac is a * 10^(16-X) to within about 1e-14
+    product = a * hi
+    t = a * _SPLIT
+    a_head = t - (t - a)
+    a_tail = a - a_head
+    frac = ((a_head * head - product) + a_head * tail + a_tail * head) + a_tail * tail + a * lo
+    whole = np.floor(frac)
+    frac -= whole
+    digits = product.astype(np.int64)
+    digits += whole.astype(np.int64)
+    exact = ((digits - 10 ** 16).view(np.uint64) < 9 * 10 ** 16) & (np.abs(frac - 0.5) >= 1e-9)
+    digits += frac > 0.5
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    j += carry
+    # N = g0 g1 g2 g3 g4 in groups of 1, 4, 4, 4, 4 digits: high = [g1, g3], low = [g2, g4]
+    low = np.empty((2, n), np.int64)
+    np.floor_divide(digits, 10 ** 8, out=low[0])
+    np.multiply(low[0], -10 ** 8, out=low[1])
+    low[1] += digits
+    high = low // 10_000
+    low -= high * 10_000
+    g0 = high[0] // 10_000
+    high[0] -= g0 * 10_000
+    a_words = np.empty((4, n), np.uint64)
+    np.take(_DIGITS_FIRST, g0, out=a_words[0])
+    np.bitwise_or(_DIGITS_LOW[high], _DIGITS_HIGH[low], out=a_words[1:3])
+    a_words[3] = 0
+    b_words = a_words << np.uint64(8)
+    b_words[1:] |= a_words[:3] >> np.uint64(56)
+    zeros = _TRAILING_ZEROS[low]
+    zeros += (low == 0) * _TRAILING_ZEROS[high]
+    cls = _CLASS[j] - (zeros[1] + (zeros[1] == 8) * zeros[0])
+    words = a_words & np.take(_KEEP_A, cls, axis=1)
+    b_words &= np.take(_KEEP_B, cls, axis=1)
+    words |= b_words
+    words |= np.take(_POINT, cls, axis=1)
+    words[0] |= np.signbit(v) * np.uint64(ord("-"))
+    words[3] |= _EXPONENT_BYTES[j]
+    words[3].reshape(block.shape)[:] |= separators
+    records = np.ascontiguousarray(words.T).view(np.uint8)
+    for i in np.flatnonzero(~exact & (v != 0)).tolist():
+        text = b"%.17g" % v[i]
+        records[i, :30] = 0
+        records[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return records.tobytes().translate(None, b"\0")
+
+
+# Rows formatted per block: a few hundred rows keep every work array of
+# `_csv_block` under 128 KiB, where it stays in cache and the allocator
+# reuses it.
+CSV_BLOCK_ROWS = 256
 
 
 def write_outputs(result, outdir, name, resolved, seed, wall_time, workers):
@@ -217,13 +357,13 @@ def write_outputs(result, outdir, name, resolved, seed, wall_time, workers):
     written = []
     for series in result.series:
         path = os.path.join(outdir, series.name + ".csv")
-        rows = np.atleast_2d(series.rows)
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(series.columns) + "\r\n")
+        rows = np.atleast_2d(np.asarray(series.rows, dtype=np.float64))
+        separators = np.full(rows.shape[1], ord(",") << 48, np.uint64)
+        separators[-1] = int.from_bytes(b"\r\n", "little") << 48
+        with open(path, "wb") as fh:
+            fh.write((",".join(series.columns) + "\r\n").encode())
             for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start:start + CSV_BLOCK_ROWS]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                fh.write(_csv_block(rows[start:start + CSV_BLOCK_ROWS], separators))
         written.append(os.path.basename(path))
     meta = {
         "experiment": name,

@@ -116,7 +116,8 @@ def run_isolated_experiment(cfg, seed, workers):
     traj = run_isolated(state, system, dt, n_steps, sample_every=stride)
     table = np.column_stack([traj.times, traj.moments[0]])
     series = [CsvSeries("isolated_moments", TRAJECTORY_COLUMNS, table)]
-    return ExperimentResult(series, {"n_steps": n_steps})
+    return ExperimentResult(series, {"n_steps": n_steps, "max_trace_error": traj.max_trace_error,
+                                     "max_hermiticity_defect": traj.max_hermiticity_defect})
 
 
 # --- conditioned --------------------------------------------------------------

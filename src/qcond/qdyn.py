@@ -390,13 +390,17 @@ class ConditionedTrajectory:
     in MomentSet field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the
     effective sample size for a classical ensemble) and energy.  An isolated
     run is a batch of one.  max_outer_mass is the largest probability any
-    wavefunction row held in the outer grid buffer after any step.
+    wavefunction row held in the outer grid buffer after any step.  An
+    isolated density run also gives the largest |trace - 1| and hermiticity
+    defect over its samples.
     """
 
     times: np.ndarray
     moments: np.ndarray
     record: MeasurementRecord = None
     max_outer_mass: float = None
+    max_trace_error: float = None
+    max_hermiticity_defect: float = None
 
 
 def _run_measured(grid, psi0, system, meas, dt, increments, sample_every, innovation):
@@ -436,10 +440,17 @@ def run_isolated(state0: QuantumState, system, dt, n_steps,
                  sample_every=1) -> ConditionedTrajectory:
     """Unitary evolution of a density matrix, no measurement: a batch of one."""
     stepper = DensityStepper(state0.grid, system, None, dt)
+    defects = []
+
+    def sample(state, t):
+        defects.append((abs(state.trace() - 1.0), state.hermiticity_defect()))
+        return quantum_moments(state, system, t).stack()
+
     times, rows, _ = drive(state0, n_steps, dt, sample_every,
-                           lambda state, i, t: stepper.isolated(state, t),
-                           lambda state, t: quantum_moments(state, system, t).stack())
-    return ConditionedTrajectory(times, rows[None])
+                           lambda state, i, t: stepper.isolated(state, t), sample)
+    trace_error, hermiticity = np.max(defects, axis=0).tolist()
+    return ConditionedTrajectory(times, rows[None], max_trace_error=trace_error,
+                                 max_hermiticity_defect=hermiticity)
 
 
 def filter_with_record(grid, psi0, system, meas, record: MeasurementRecord,

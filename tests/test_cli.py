@@ -2,10 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qcond
 from qcond.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_OK, list_experiments, main, write_outputs
 from qcond.core import PositionGrid, SystemSpec
 from qcond.experiments import CsvSeries, ExperimentResult
@@ -485,6 +492,14 @@ def test_csv_full_precision(tmp_path):
     assert lines[1].split(",") == rendered
 
 
+def test_isolated_metadata_reports_density_invariants(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["--config", _write(tmp_path, ISOLATED), "--out", out]) == EXIT_OK
+    result = json.load(open(os.path.join(out, "metadata.json")))["result"]
+    assert 0.0 <= result["max_trace_error"] < 1e-9
+    assert 0.0 <= result["max_hermiticity_defect"] < 1e-12
+
+
 def test_numerical_abort_exit_code(tmp_path):
     # support escape: initial packet too close to the wall
     bad = ISOLATED.replace("x0 = 0.5", "x0 = 6.5")
@@ -586,6 +601,97 @@ def test_write_outputs_matches_per_value_rendering(tmp_path):
         expected = ",".join(s.columns) + "\r\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in np.atleast_2d(s.rows))
         assert open(os.path.join(out, s.name + ".csv"), "rb").read() == expected.encode()
+
+
+def _written_table(rows, outdir):
+    """The bytes write_outputs puts in a one-series CSV of rows."""
+    columns = tuple(f"c{j} [1]" for j in range(np.atleast_2d(rows).shape[1]))
+    write_outputs(ExperimentResult([CsvSeries("t", columns, rows)], {}), outdir, "test", {}, 1, 0.0, 1)
+    with open(os.path.join(outdir, "t.csv"), "rb") as fh:
+        return fh.read()
+
+
+def _percent_rendering(rows):
+    rows = np.atleast_2d(rows)
+    return (",".join(f"c{j} [1]" for j in range(rows.shape[1])) + "\r\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in rows.tolist())).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=48),
+       cols=st.integers(1, 4))
+def test_csv_writer_matches_percent_format_property(values, cols):
+    cols = min(cols, len(values))
+    rows = np.array(values[:len(values) // cols * cols]).reshape(-1, cols)
+    with tempfile.TemporaryDirectory() as outdir:
+        assert _written_table(rows, outdir) == _percent_rendering(rows)
+
+
+def test_csv_writer_matches_percent_format_on_a_battery(tmp_path):
+    """A fixed battery of 2.6e5 values, the cases where a vectorized %.17g
+    is most likely to slip: raw bit patterns (subnormals and both signs),
+    the neighbours of powers of ten (where log10 misjudges the exponent and
+    rounding carries into a new digit, as just below 1e-06, 1e-07, 1e-12),
+    integers around 2^53, the switches between fixed and exponent notation,
+    three-digit exponents, signed zeros and non-finite values, and int and
+    bool arrays, which % converts to float."""
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, 150_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2 ** 52, 4_000, dtype=np.uint64) | (
+        rng.integers(0, 2, 4_000, dtype=np.uint64) << np.uint64(63))
+    powers = 10.0 ** np.arange(-30, 31)
+    near = [powers]
+    for direction in (np.inf, 0.0):
+        step = powers
+        for _ in range(8):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-6, 1e-7, 1e-12])
+    switches = np.concatenate([switches] + [np.nextafter(switches, d) for d in (np.inf, 0.0)])
+    floats = np.concatenate([
+        bits.view(np.float64), subnormal.view(np.float64), *near, switches,
+        2.0 ** 53 + np.arange(-20_000.0, 20_000.0),
+        rng.standard_normal(40_000) * 10.0 ** rng.integers(-310, 308, 40_000),
+        rng.integers(-10 ** 6, 10 ** 6, 20_000) / 2.0 ** rng.integers(0, 40, 20_000),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 1e-280, 1e280],
+    ])
+    floats = np.concatenate([floats, -floats])
+    floats = np.concatenate([floats, np.zeros(-floats.size % 7)]).reshape(-1, 7)
+    assert floats.size >= 2e5
+    ints = np.concatenate([rng.integers(-2 ** 63, 2 ** 63 - 1, 995, endpoint=True),
+                           [0, 2 ** 53 + 1, -2 ** 53 - 1, 2 ** 63 - 1, -2 ** 63]]).reshape(-1, 5)
+    flags = rng.integers(0, 2, (50, 3)).astype(bool)
+    for k, rows in enumerate([floats, ints, flags]):
+        assert _written_table(rows, str(tmp_path / str(k))) == _percent_rendering(rows)
+
+
+def test_csv_writer_memory_and_warnings(tmp_path):
+    """Writing the bench qct-scan table's shape (95,201 x 7) keeps the
+    writer's own allocations at or under 2 MB, and NaN, inf, zeros and
+    subnormals raise no RuntimeWarning."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((95_201, 7)) * 10.0 ** rng.integers(-8, 8, (95_201, 7))
+    rows[::97] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            write_outputs(ExperimentResult([CsvSeries("t", tuple("abcdefg"), rows)], {}),
+                          str(tmp_path / "o"), "test", {}, 1, 0.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2e6
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    """The number tables are built from ints at import, inside the timed
+    setup of every run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcond.__file__)))
+    code = "import sys, qcond.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_qct_scan_metadata_counts_singular_samples(tmp_path):
