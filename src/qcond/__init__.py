@@ -21,13 +21,7 @@ from .core import (
     gaussian_wavefunction,
 )
 from .noise import NoisePath, generate, substream_rng
-from .qdyn import (
-    DensityStepper,
-    MeasurementRecord,
-    MeasurementSpec,
-    PureStepper,
-    filter_with_record,
-)
+from .qdyn import DensityStepper, MeasurementSpec, PureStepper
 from .cdyn import ks_step, liouville_step, newton_trajectory, resample
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .qct import (

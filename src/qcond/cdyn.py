@@ -25,13 +25,12 @@ import math
 import numpy as np
 
 from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, drive, ensemble_moments
-from .qdyn import ConditionedTrajectory, MeasurementRecord, MeasurementSpec
+from .qdyn import ConditionedTrajectory, MeasurementSpec
 from .noise import stack_increments
 
 __all__ = [
     "liouville_step",
     "ks_step",
-    "ks_filter_step",
     "resample",
     "newton_trajectory",
     "run_conditioned_classical",
@@ -107,20 +106,14 @@ def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
     np.maximum(w, 0.0, out=w)   # the ufunc np.clip(w, 0.0, None) calls
     total = w.sum(axis=-1, keepdims=True)
     if not np.isfinite(total).all():
-        raise DegenerateEnsembleError(f"weights not finite at t={t:.6g}; look for a "
-                                      "non-finite noise increment or record entry")
+        raise DegenerateEnsembleError(f"weights not finite at t={t:.6g}; "
+                                      "look for a non-finite noise increment")
     if not (total > 0.0).all():
         raise DegenerateEnsembleError("all weights clipped to zero in one update")
     w /= total
 
     x, p = _leapfrog(ens.x, ens.p, system, dt, t)
     return ClassicalEnsemble._from_step(x, p, w), dy
-
-
-def ks_filter_step(ens, system, meas, dt, dy, t=0.0, clip_counter=None):
-    """Conditioned step driven by a known record increment instead of dW."""
-    dw = meas.innovation(dy, np.vecdot(ens.w, ens.x), dt)
-    return ks_step(ens, system, meas, dt, dw, t, clip_counter)
 
 
 def resample(ens: ClassicalEnsemble, rng: np.random.Generator = None) -> ClassicalEnsemble:
@@ -186,7 +179,6 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: list
     ens = ClassicalEnsemble(*(np.broadcast_to(a, shape).copy() for a in (ens0.x, ens0.p, ens0.w)))
     rngs = resample_rngs or [None] * n_rows
     floor = RESAMPLE_ESS_FRACTION * ens0.n_particles
-    dys = np.empty((n_rows, n_steps))
 
     def step(ens, i, t):
         ess = ens.ess()
@@ -200,13 +192,11 @@ def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: list
                 row = resample(ClassicalEnsemble(x[r], p[r], w[r]), rngs[r])
                 x[r], p[r], w[r] = row.x, row.p, row.w
             ens = ClassicalEnsemble(x, p, w)
-        ens, dys[:, i] = ks_step(ens, system, meas, dt, increments[i], t, clip_counter)
-        return ens
+        return ks_step(ens, system, meas, dt, increments[i], t, clip_counter)[0]
 
     def sample(ens, t):
         return ensemble_moments(ens, system, t).stack()
 
     times, rows, _ = drive(ens, n_steps, dt, sample_every, step, sample)
     # C-contiguous (R, n_samples, 7), as qdyn's runs return.
-    return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)),
-                                 MeasurementRecord(dt, dys))
+    return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)))

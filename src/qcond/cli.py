@@ -127,7 +127,11 @@ SCHEMA = {
 def load_config(path, overrides=()):
     """Parse and validate; unknown sections or keys are fatal."""
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    read = parser.read(path)
+    # A missing header or a duplicate raises configparser.Error, undecodable bytes a ValueError.
+    try:
+        read = parser.read(path)
+    except (configparser.Error, ValueError) as err:
+        raise ConfigError(f"cannot parse config file {path!r}: {err}") from err
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for item in overrides:
@@ -136,10 +140,13 @@ def load_config(path, overrides=()):
         dotted, value = item.split("=", 1)
         if "." not in dotted:
             raise ConfigError(f"override {item!r} is not SECTION.KEY=VALUE")
-        section, key = dotted.split(".", 1)
+        section, key = (part.strip() for part in dotted.split(".", 1))
         if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+            try:
+                parser.add_section(section)
+            except ValueError as err:   # [DEFAULT] is not a section
+                raise ConfigError(f"override {item!r}: {err}") from err
+        parser.set(section, key, value.strip())
 
     if not parser.has_section("experiment"):
         raise ConfigError("missing [experiment] section")

@@ -73,6 +73,9 @@ def _setup(cfg):
     without run.sample_stride: qct-scan writes every orbit step.
     """
     s, g, run = cfg["system"], cfg.get("grid"), cfg["run"]
+    if g is not None and not s["hbar"] > 0:
+        raise ValueError(f"system.hbar must be positive for a grid experiment, got "
+                         f"{s['hbar']:g}: its phases divide by hbar and its momenta scale with it")
     system = SystemSpec(
         mass=s["mass"],
         hbar=s["hbar"],

@@ -70,10 +70,8 @@ from .noise import stack_increments
 
 __all__ = [
     "MeasurementSpec",
-    "MeasurementRecord",
     "DensityStepper",
     "PureStepper",
-    "filter_with_record",
     "run_conditioned",
     "run_isolated",
     "ConditionedTrajectory",
@@ -125,14 +123,6 @@ class MeasurementSpec:
         return np.exp(0.5 * self.sqrt8k * u * dw - 2.0 * self.strength * u**2 * dt)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Record increments dy_n = <x>_n dt + dW_n / sqrt(8k) (units length*time), (R, n_steps)."""
-
-    dt: float
-    increments: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Steppers
 
@@ -140,8 +130,8 @@ class MeasurementRecord:
 def _check_support(mass_outside: float, t: float):
     if not mass_outside <= SUPPORT_TOLERANCE:   # a NaN state fails too
         if not np.isfinite(mass_outside):
-            raise SupportEscapeError(f"state is not finite at t={t:.6g}; look for a "
-                                     "non-finite noise increment or record entry")
+            raise SupportEscapeError(f"state is not finite at t={t:.6g}; "
+                                     "look for a non-finite noise increment")
         raise SupportEscapeError(
             f"probability {mass_outside:.3e} in outer grid buffer at t={t:.6g} "
             f"(tolerance {SUPPORT_TOLERANCE:g}); enlarge the grid"
@@ -384,7 +374,7 @@ class PureStepper(_Stepper):
 
 @dataclass(frozen=True)
 class ConditionedTrajectory:
-    """Sampled moments of R trajectories plus their measurement record.
+    """Sampled moments of R trajectories.
 
     moments is a C-contiguous (R, n_samples, 7), one row per entry of times,
     in MomentSet field order: x_mean, p_mean, c_xx, c_xp, c_pp, purity (the
@@ -397,43 +387,31 @@ class ConditionedTrajectory:
 
     times: np.ndarray
     moments: np.ndarray
-    record: MeasurementRecord = None
     max_outer_mass: float = None
     max_trace_error: float = None
     max_hermiticity_defect: float = None
-
-
-def _run_measured(grid, psi0, system, meas, dt, increments, sample_every, innovation):
-    """Conditioned trajectories of one batch row per column of the (n_steps, R)
-    increments; innovation(increments[i], x_mean) gives step i's dW from the
-    rows' current <x>."""
-    n_steps, n_rows = increments.shape
-    stepper = PureStepper(grid, system, meas, dt)
-    psi = np.broadcast_to(psi0, (n_rows, grid.n_points)).copy()
-    dys = np.empty((n_rows, n_steps))
-
-    def step(psi, i, t):
-        x_mean = stepper.x_mean
-        if x_mean is None:
-            x_mean = stepper.mean_x(psi)
-        psi, dys[:, i] = stepper.conditioned(psi, t, innovation(increments[i], x_mean), x_mean)
-        return psi
-
-    def sample(psi, t):   # one moments call per sample, looked up then (span tracing rebinds it)
-        return wavefunction_moments(grid, psi, system.hbar, system, t).stack()
-
-    times, rows, _ = drive(psi, n_steps, dt, sample_every, step, sample)
-    # C-contiguous (R, n_samples, 7): a strided view reorders the sums of a mean over R.
-    return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)),
-                                 MeasurementRecord(dt, dys), stepper.max_outer_mass)
 
 
 def run_conditioned(grid, psi0, system, meas, noise: list,
                     sample_every=1) -> ConditionedTrajectory:
     """Conditioned trajectories from the wavefunction psi0, one batch row per
     path in the list ``noise``; each row is bit-identical to its path run alone."""
-    return _run_measured(grid, psi0, system, meas, noise[0].dt, stack_increments(noise),
-                         sample_every, lambda dw, x_mean: dw)
+    increments = stack_increments(noise)
+    n_steps, n_rows = increments.shape
+    stepper = PureStepper(grid, system, meas, noise[0].dt)
+    psi = np.broadcast_to(psi0, (n_rows, grid.n_points)).copy()
+
+    def step(psi, i, t):
+        # The first step has no carried <x>: conditioned computes it.
+        return stepper.conditioned(psi, t, increments[i], stepper.x_mean)[0]
+
+    def sample(psi, t):   # one moments call per sample, looked up then (span tracing rebinds it)
+        return wavefunction_moments(grid, psi, system.hbar, system, t).stack()
+
+    times, rows, _ = drive(psi, n_steps, stepper.dt, sample_every, step, sample)
+    # C-contiguous (R, n_samples, 7): a strided view reorders the sums of a mean over R.
+    return ConditionedTrajectory(times, np.ascontiguousarray(rows.swapaxes(0, 1)),
+                                 max_outer_mass=stepper.max_outer_mass)
 
 
 def run_isolated(state0: QuantumState, system, dt, n_steps,
@@ -451,16 +429,3 @@ def run_isolated(state0: QuantumState, system, dt, n_steps,
     trace_error, hermiticity = np.max(defects, axis=0).tolist()
     return ConditionedTrajectory(times, rows[None], max_trace_error=trace_error,
                                  max_hermiticity_defect=hermiticity)
-
-
-def filter_with_record(grid, psi0, system, meas, record: MeasurementRecord,
-                       sample_every=1) -> ConditionedTrajectory:
-    """Re-integrate the conditioned evolution of psi0 from a known (R, n_steps) record.
-
-    The innovation is reconstructed step by step from each row's own
-    running mean, dW = sqrt(8k)(dy - <x> dt), exactly inverting the
-    record generation arithmetic; fed its own record from the same
-    initial state this reproduces the generating trajectories.
-    """
-    return _run_measured(grid, psi0, system, meas, record.dt, record.increments.T, sample_every,
-                         lambda dy, x_mean: meas.innovation(dy, x_mean, record.dt))

@@ -11,7 +11,6 @@ from qcond.cdyn import (
     ESS_HARD_FLOOR,
     RESAMPLE_ESS_FRACTION,
     WeightClipCounter,
-    ks_filter_step,
     ks_step,
     liouville_step,
     newton_trajectory,
@@ -154,8 +153,7 @@ def test_classical_trajectory_rows_are_ensemble_moments(harmonic):
     for i in range(n_steps):
         if ens.ess() < RESAMPLE_ESS_FRACTION * n_part:
             ens = resample(ens)
-        ens, dy = ks_step(ens, harmonic, meas, dt, noise.increments[i], i * dt)
-        assert dy == traj.record.increments[0, i]
+        ens, _ = ks_step(ens, harmonic, meas, dt, noise.increments[i], i * dt)
         if (i + 1) % stride == 0:
             samples.append(((i + 1) * dt, ens))
     np.testing.assert_array_equal(traj.times, [t for t, _ in samples])
@@ -205,39 +203,12 @@ def test_batched_filter_rows_match_each_path_alone(harmonic):
                                           [substream_rng(13, k, "resample")], alone_counters[-1])
         np.testing.assert_array_equal(batch.times, alone.times)
         np.testing.assert_array_equal(batch.moments[k], alone.moments[0])
-        np.testing.assert_array_equal(batch.record.increments[k], alone.record.increments[0])
     assert counter.resamples == sum(c.resamples for c in alone_counters)
     assert counter.clipped == sum(c.clipped for c in alone_counters)
     assert counter.min_ess == min(c.min_ess for c in alone_counters)
     # Rows that resample a different number of times: on some step one row
     # resamples and another does not.
     assert len({c.resamples for c in alone_counters}) > 1
-
-
-def test_ks_localizes_onto_record_source(harmonic):
-    """Two separated clusters: the record's source cluster wins the weight."""
-    k = 2.0
-    meas = MeasurementSpec(k)
-    rng = np.random.default_rng(11)
-    n_half = 128
-    xs = np.concatenate([rng.normal(2.0, 0.05, n_half), rng.normal(-2.0, 0.05, n_half)])
-    ps = np.zeros(2 * n_half)
-    ens = ClassicalEnsemble(xs, ps, np.full(2 * n_half, 0.5 / n_half))
-    dt = 1e-4
-    # synthetic record from a source sitting in the +2 cluster
-    source = 2.0
-    sep = 4.0
-    t_loc = 1.0 / (8 * k * (sep / 2) ** 2)  # order-of-magnitude localization time
-    n_steps = int(round(10 * t_loc / dt))
-    noise = generate(23, 0, n_steps, dt)
-    t = 0.0
-    for i in range(n_steps):
-        src_x = source * np.cos(t)  # source follows its own harmonic orbit
-        dy = src_x * dt + noise.increments[i] / np.sqrt(8 * k)
-        ens, _ = ks_filter_step(ens, harmonic, meas, dt, dy, t)
-        t += dt
-    weight_plus = float(np.sum(ens.w[ens.x > 0]))
-    assert weight_plus > 0.99
 
 
 def _batch(rng, shape):
@@ -296,8 +267,6 @@ def test_nan_increment_is_refused(harmonic):
     ens = _batch(rng, (2, 64))
     with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
         ks_step(ens, harmonic, meas, dt, [0.01, np.nan])
-    with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
-        ks_filter_step(ens, harmonic, meas, dt, [np.nan, 0.0])
     path = generate(4, 0, 20, dt)
     increments = path.increments.copy()
     increments[7] = np.nan
@@ -320,18 +289,6 @@ def test_resample_degenerate_pair():
     out = resample(ens)
     np.testing.assert_array_equal(out.x, [1.0, 1.0])
     np.testing.assert_array_equal(out.w, [0.5, 0.5])
-
-
-def test_ks_filter_step_reconstructs_innovation(harmonic):
-    # feeding the record generated from the same ensemble reproduces ks_step
-    rng = np.random.default_rng(8)
-    n = 64
-    ens = ClassicalEnsemble(rng.normal(0, 1, n), rng.normal(0, 1, n), np.full(n, 1 / n))
-    meas = MeasurementSpec(1.0)
-    dw = 0.013
-    stepped, dy = ks_step(ens, harmonic, meas, 1e-3, dw, 0.0)
-    refiltered, _ = ks_filter_step(ens, harmonic, meas, 1e-3, dy, 0.0)
-    np.testing.assert_allclose(refiltered.w, stepped.w, rtol=1e-12)
 
 
 def test_resample_preserves_mean_within_sampling_bound():

@@ -429,6 +429,12 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     # A measurement narrower than the grid spacing would collapse the state onto one node.
     (COOLING, "measurement.k=1e8", "measurement.k = 1e+08 with run.dt = 0.001"),
     (HARMONIC_LYAP, "measurement.k=1e6", "measurement.k = 1e+06 with run.dt = 0.002"),
+    # Every grid experiment divides by hbar; passivity and qct-scan take hbar = 0.
+    (ISOLATED, "system.hbar=0", "system.hbar"),
+    (CONDITIONED, "system.hbar=0", "system.hbar"),
+    (CUMULANT, "system.hbar=0", "system.hbar"),
+    (HARMONIC_LYAP, "system.hbar=0", "system.hbar"),
+    (COOLING, "system.hbar=0", "system.hbar"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "renorm-below-delta0",
         "delta0-negative",
@@ -438,11 +444,29 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "cumulant-k0", "cooling-k0", "passivity-particles-0", "passivity-particles-19",
         "cooling-umax-nan", "cooling-smoothing-nan", "measurement-k-nan", "cooling-k-inf",
         "passivity-k-inf", "cooling-x0-nan", "cooling-direct-gain-nan", "cooling-umax-0",
-        "cooling-smoothing-key", "cooling-k-below-grid", "lyapunov-k-below-grid"])
+        "cooling-smoothing-key", "cooling-k-below-grid", "lyapunov-k-below-grid",
+        "isolated-hbar-0", "conditioned-hbar-0", "cumulant-hbar-0", "lyapunov-hbar-0",
+        "cooling-hbar-0"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("text, override, named", [
+    ("x0 = 1\n" + ISOLATED, None, "no section headers"),
+    (ISOLATED.replace("[run]", "[run]\ndt = 1e-3"), None, "option 'dt' in section 'run'"),
+    (ISOLATED + "\n[run]\n", None, "section 'run' already exists"),
+    (ISOLATED, "DEFAULT.x0=1", "'DEFAULT.x0=1'"),
+], ids=["no-header", "duplicate-key", "duplicate-section", "default-override"])
+def test_malformed_config_is_config_error(tmp_path, capsys, text, override, named):
+    """A file configparser cannot parse, or an override into [DEFAULT], exits 2
+    and names the input instead of escaping main with a traceback."""
+    cfg = _write(tmp_path, text)
+    args = ["--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(args + (["--set", override] if override else [])) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
 
@@ -478,6 +502,10 @@ def test_override_flag_applies_and_validates(tmp_path):
     assert main(["--config", cfg, "--out", out, "--set", "isolated.x0=1.5"]) == EXIT_OK
     meta = json.load(open(os.path.join(out, "metadata.json")))
     assert meta["resolved_config"]["isolated"]["x0"] == 1.5
+    # Whitespace around the section name is stripped, as around the key and value.
+    assert main(["--config", cfg, "--out", out, "--set", " isolated.x0 = 1.25"]) == EXIT_OK
+    meta = json.load(open(os.path.join(out, "metadata.json")))
+    assert meta["resolved_config"]["isolated"]["x0"] == 1.25
     assert main(["--config", cfg, "--out", out, "--set", "isolated.bogus=1"]) == EXIT_CONFIG
 
 

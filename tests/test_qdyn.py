@@ -1,4 +1,4 @@
-"""Quantum steppers: isolated/unconditional/conditioned, filtering, Moyal view."""
+"""Quantum steppers: isolated/unconditional/conditioned, Moyal view."""
 
 from dataclasses import astuple
 
@@ -21,10 +21,8 @@ from qcond.noise import generate
 from qcond.qdyn import (
     DensityStepper,
     MeasurementError,
-    MeasurementRecord,
     MeasurementSpec,
     PureStepper,
-    filter_with_record,
     run_conditioned,
     run_isolated,
 )
@@ -185,6 +183,8 @@ def test_record_arithmetic_unit_gain(grid, free):
     state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
     _, dy = DensityStepper(grid, free, meas, 1e-3).conditioned(state, 0.0, 0.01)
     assert dy == pytest.approx(0.01, abs=1e-12)
+    # innovation inverts record: dW = dy - <x> dt at unit gain
+    assert meas.innovation(dy, 0.0, 1e-3) == pytest.approx(0.01, abs=1e-12)
 
 
 def test_backaction_diffusion_derived(grid):
@@ -214,6 +214,8 @@ def test_conditioned_rejects_zero_strength(grid, harmonic):
     state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
     with pytest.raises(MeasurementError):
         stepper.conditioned(state, 0.0, 0.01)
+    with pytest.raises(MeasurementError):
+        MeasurementSpec(0.0).innovation(0.01, 0.0, 1e-3)
 
 
 def test_pure_and_density_paths_agree(grid, harmonic):
@@ -302,17 +304,13 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
 
 
 def test_nan_state_fails_the_support_check(grid, harmonic):
-    """A NaN increment, or a NaN record entry, makes a NaN state with a NaN
-    outer-buffer mass; the check refuses it instead of stepping on, and names
-    the non-finite input rather than the grid."""
+    """A NaN increment makes a NaN state with a NaN outer-buffer mass; the
+    check refuses it instead of stepping on, and names the non-finite input
+    rather than the grid."""
     meas = MeasurementSpec(1.0)
     psi = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
-    with pytest.raises(SupportEscapeError, match="state is not finite at t=0;"):
+    with pytest.raises(SupportEscapeError, match="state is not finite at t=0; .* noise increment"):
         PureStepper(grid, harmonic, meas, 1e-3).conditioned(psi, 0.0, np.nan)
-    dy = np.zeros((1, 10))
-    dy[0, 4] = np.nan
-    with pytest.raises(SupportEscapeError, match="not finite at t=0.004; .* record entry"):
-        filter_with_record(grid, psi, harmonic, meas, MeasurementRecord(1e-3, dy))
 
 
 # --- factored diagonal factors and the carried mean --------------------------
@@ -446,12 +444,9 @@ def test_trajectory_loop_density_twin(harmonic):
     np.testing.assert_allclose(dens[:, 5], 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(dys["dens"], dys["pure"], rtol=0, atol=1e-12)
 
-    # The record-driven wavefunction filter retraces the noise-driven run.
     traj = run_conditioned(g64, psi0, harmonic, meas, [generate(13, 0, n_steps, dt)],
                            sample_every=stride)
     np.testing.assert_array_equal(traj.moments[0], pure)
-    refiltered = filter_with_record(g64, psi0, harmonic, meas, traj.record, sample_every=stride)
-    np.testing.assert_allclose(refiltered.moments[0, :, :5], dens[:, :5], rtol=0, atol=1e-10)
 
     _, i_pure, _ = drive(psi0, n_steps, dt, stride, lambda psi, i, t: pstep.isolated(psi, t),
                          pure_sample)
@@ -463,29 +458,20 @@ def test_trajectory_loop_density_twin(harmonic):
 
 
 def test_batch_runs_equal_one_path_runs(grid):
-    """run_conditioned over R paths, and filter_with_record over their
-    (R, n_steps) record, give row for row the moments and record of R
+    """run_conditioned over R paths gives row for row the moments of R
     one-path runs, bit for bit, under a driven quartic potential."""
     driven = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5, 0, 0.02),
                         drive_amplitude=0.4, drive_frequency=1.3)
     meas = MeasurementSpec(1.0)
     dt, n_steps, stride = 1e-3, 120, 20
     psi0 = gaussian_wavefunction(grid, 1.0, 0.2, 0.8, HBAR)
-    psi_off = gaussian_wavefunction(grid, 1.3, 0.0, 0.8, HBAR)
     noise = [generate(21, k, n_steps, dt) for k in range(4)]
     batch = run_conditioned(grid, psi0, driven, meas, noise, sample_every=stride)
     assert batch.moments.shape == (4, n_steps // stride + 1, 7)
     assert batch.moments.flags.c_contiguous
-    assert batch.record.increments.shape == (4, n_steps)
-    refiltered = filter_with_record(grid, psi_off, driven, meas, batch.record, sample_every=stride)
     for r, path in enumerate(noise):
         alone = run_conditioned(grid, psi0, driven, meas, [path], sample_every=stride)
         assert np.array_equal(batch.moments[r], alone.moments[0])
-        assert np.array_equal(batch.record.increments[r], alone.record.increments[0])
-        f_alone = filter_with_record(grid, psi_off, driven, meas, alone.record,
-                                     sample_every=stride)
-        assert np.array_equal(refiltered.moments[r], f_alone.moments[0])
-        assert np.array_equal(refiltered.record.increments[r], f_alone.record.increments[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -617,43 +603,6 @@ def test_mixed_state_mean_purity_nondecreasing(grid, harmonic):
     tol = 3 * np.sqrt(se_p[1:] ** 2 + se_p[:-1] ** 2)
     assert np.all(diffs > -tol)
     assert mean_p[-1] > mean_p[0]  # strictly purified overall
-
-
-# --- filtering ------------------------------------------------------------------
-
-
-def test_filter_self_consistency(grid, harmonic):
-    dt = 1e-3
-    meas = MeasurementSpec(1.0)
-    psi0 = gaussian_wavefunction(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
-    noise = generate(7, 3, 1500, dt)
-    traj = run_conditioned(grid, psi0, harmonic, meas, [noise], sample_every=10)
-    refiltered = filter_with_record(grid, psi0, harmonic, meas, traj.record, sample_every=10)
-    assert np.max(np.abs(traj.moments[0, :, 0] - refiltered.moments[0, :, 0])) < 1e-10
-
-
-def test_filter_converges_from_wrong_start(grid, harmonic):
-    dt = 1e-3
-    meas = MeasurementSpec(1.0)
-    sigma = 1 / np.sqrt(2)
-    psi_true = gaussian_wavefunction(grid, 1.0, 0.0, sigma, HBAR)
-    noise = generate(7, 5, 4000, dt)
-    traj = run_conditioned(grid, psi_true, harmonic, meas, [noise], sample_every=40)
-    psi_off = gaussian_wavefunction(grid, 1.0 + 0.5 * sigma, 0.0, sigma, HBAR)
-    est = filter_with_record(grid, psi_off, harmonic, meas, traj.record, sample_every=40)
-    err = np.abs(est.moments[0, :, 0] - traj.moments[0, :, 0])
-    # envelope decreases: compare block maxima
-    blocks = np.array_split(err, 5)
-    peaks = [b.max() for b in blocks]
-    assert all(peaks[i + 1] < peaks[i] * 1.05 for i in range(4))
-    assert err[-1] < 0.1 * err[0]
-
-
-def test_filter_requires_nonzero_strength(grid, harmonic):
-    rec = MeasurementRecord(1e-3, np.zeros((1, 10)))
-    psi = gaussian_wavefunction(grid, 0.0, 0.0, 1.0, HBAR)
-    with pytest.raises(MeasurementError):
-        filter_with_record(grid, psi, harmonic, MeasurementSpec(0.0), rec)
 
 
 # --- Moyal / Wigner picture -------------------------------------------------------
