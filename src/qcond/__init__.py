@@ -20,7 +20,7 @@ from .core import (
     gaussian_state,
     gaussian_wavefunction,
 )
-from .noise import NoisePath, generate, substream_rng
+from .noise import generate, substream_rng
 from .qdyn import DensityStepper, MeasurementSpec, PureStepper
 from .cdyn import ks_step, liouville_step, newton_trajectory, resample
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step

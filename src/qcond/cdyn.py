@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import ClassicalEnsemble, DegenerateEnsembleError, SystemSpec, drive, ensemble_moments
 from .qdyn import ConditionedTrajectory, MeasurementSpec
-from .noise import stack_increments
 
 __all__ = [
     "liouville_step",
@@ -162,18 +161,17 @@ def newton_trajectory(x0, p0, system: SystemSpec, dt, n_steps):
     return times, xs, ps
 
 
-def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, noise: list,
+def run_conditioned_classical(ens0: ClassicalEnsemble, system, meas, increments, dt,
                               sample_every=1, resample_rngs=None, clip_counter=None):
-    """Conditioned particle filters from ens0, one batch row per path in the
-    list ``noise``; each row is bit-identical to its path run alone.
+    """Conditioned particle filters from ens0, one batch row per column of
+    the (n_steps, R) ``increments``; each row is bit-identical to its column
+    run alone.
 
     Before a step, each row whose ESS is below RESAMPLE_ESS_FRACTION of the
     particle count is resampled with its own generator, resample_rngs[r]
     (the deterministic midpoint offset without one).  The trajectory holds
     each row's ESS in its purity column.
     """
-    dt = noise[0].dt
-    increments = stack_increments(noise)
     n_steps, n_rows = increments.shape
     shape = (n_rows, ens0.n_particles)
     ens = ClassicalEnsemble(*(np.broadcast_to(a, shape).copy() for a in (ens0.x, ens0.p, ens0.w)))

@@ -189,9 +189,11 @@ def load_config(path, overrides=()):
     # Every run must take a sample after t = 0.  qct-scan writes every
     # orbit step, so it needs one step and takes no stride.
     run = resolved["run"]
+    if not 0 < run["dt"] < np.inf:
+        raise ConfigError(f"run.dt must be positive and finite, got {run['dt']:g}")
     try:
         n_steps = round(run["horizon"] / run["dt"])
-    except (ArithmeticError, ValueError):   # dt = 0, or a nan or inf step count
+    except OverflowError:   # an infinite run.horizon
         n_steps = 0
     if name == "qct-scan":
         if parser.has_option("run", "sample_stride"):

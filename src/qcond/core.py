@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FieldValueError",
     "QcondError",
     "GridResolutionError",
     "SupportEscapeError",
@@ -44,6 +45,13 @@ SUPPORT_TOLERANCE = 1e-6
 
 class QcondError(Exception):
     """Base class for simulator failures."""
+
+
+class FieldValueError(ValueError):
+    """A value-object field out of range; args are (field name, problem)."""
+
+    def __str__(self):
+        return " ".join(self.args)
 
 
 class GridResolutionError(QcondError):
@@ -105,16 +113,14 @@ class SystemSpec:
 
     def __post_init__(self):
         if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+            raise FieldValueError("mass", f"must be positive, got {self.mass}")
         if self.hbar < 0:
-            raise ValueError(f"hbar must be nonnegative, got {self.hbar}")
+            raise FieldValueError("hbar", f"must be nonnegative, got {self.hbar}")
         # + 0.0 stores a -0.0 as 0.0, so no dropped force term below moves a zero's sign.
         coeffs = tuple(float(c) + 0.0 for c in self.potential_coeffs)
         if len(coeffs) > 5:
-            raise ValueError(
-                "potential capped at quartic order (5 coefficients), "
-                f"got degree {len(coeffs) - 1}"
-            )
+            raise FieldValueError("potential_coeffs", "capped at quartic order (5 coefficients), "
+                                                      f"got degree {len(coeffs) - 1}")
         coeffs = coeffs + (0.0,) * (5 - len(coeffs))
         object.__setattr__(self, "potential_coeffs", coeffs)
         # Horner coefficients (c1, 2 c2, 3 c3, 4 c4) of -F up to the highest
@@ -185,9 +191,9 @@ class PositionGrid:
     def __post_init__(self):
         n = self.n_points
         if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 16, got {n}")
+            raise FieldValueError("n_points", f"must be a power of two >= 16, got {n}")
         if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise FieldValueError("x_max", f"must exceed x_min = {self.x_min:g}, got {self.x_max:g}")
 
     @property
     def dx(self) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     ClassicalEnsemble,
+    FieldValueError,
     PositionGrid,
     SystemSpec,
     drive,
@@ -26,7 +27,7 @@ from .core import (
 from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, liouville_step,
                    newton_trajectory, run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
-from .feedback import FeedbackPolicy, PolicyValueError, cooling_experiment, paired_gap
+from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
 from .lyap import LyapunovConfig, check_separation, check_threshold, ensemble_lyapunov
 from .noise import generate, map_streams, substream_rng
 from .qct import evaluate_along_trajectory, action_scale
@@ -65,6 +66,16 @@ class ExperimentResult:
 RECORD_EXPERIMENTS = {"conditioned", "passivity", "cumulant-compare", "cooling"}
 
 
+def _built(section, cls, **fields):
+    """cls(**fields) from the config section of the same keys; a field it
+    refuses is named by its config key."""
+    try:
+        return cls(**fields)
+    except FieldValueError as err:
+        field, problem = err.args
+        raise ValueError(f"{section}.{field} {problem}") from err
+
+
 def _setup(cfg):
     """(system, grid, meas, dt, n_steps, stride) of a resolved config.
 
@@ -76,14 +87,8 @@ def _setup(cfg):
     if g is not None and not s["hbar"] > 0:
         raise ValueError(f"system.hbar must be positive for a grid experiment, got "
                          f"{s['hbar']:g}: its phases divide by hbar and its momenta scale with it")
-    system = SystemSpec(
-        mass=s["mass"],
-        hbar=s["hbar"],
-        potential_coeffs=tuple(s["potential_coeffs"]),
-        drive_amplitude=s["drive_amplitude"],
-        drive_frequency=s["drive_frequency"],
-    )
-    grid = PositionGrid(g["x_min"], g["x_max"], int(g["n_points"])) if g else None
+    system = _built("system", SystemSpec, **s)
+    grid = _built("grid", PositionGrid, **g) if g else None
     try:
         meas = MeasurementSpec(cfg["measurement"]["k"]) if "measurement" in cfg else None
     except ValueError as err:
@@ -133,8 +138,8 @@ def run_conditioned_experiment(cfg, seed, workers):
     psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
 
     def run_chunk(streams):
-        noise = [generate(seed, k, n_steps, dt) for k in streams]
-        return run_conditioned(grid, psi0, system, meas, noise, sample_every=stride)
+        return run_conditioned(grid, psi0, system, meas, generate(seed, streams, n_steps, dt), dt,
+                               sample_every=stride)
 
     trajs = map_streams(run_chunk, n_real, psi0.nbytes, workers)
     times = trajs[0].times
@@ -169,6 +174,9 @@ def run_passivity_experiment(cfg, seed, workers):
     least = ESS_HARD_FLOOR / RESAMPLE_ESS_FRACTION
     if n_part < least:
         raise ValueError(f"passivity.n_particles must be at least {least:g}, got {n_part}")
+    for key in ("sigma_x", "sigma_p"):
+        if exp[key] < 0:   # 0 starts every particle at x0 (p0)
+            raise ValueError(f"passivity.{key} must be nonnegative, got {exp[key]:g}")
     ens0 = ClassicalEnsemble(
         rng.normal(exp["x0"], exp["sigma_x"], n_part),
         rng.normal(exp["p0"], exp["sigma_p"], n_part),
@@ -178,8 +186,7 @@ def run_passivity_experiment(cfg, seed, workers):
     def run_chunk(streams):
         counter = WeightClipCounter()
         traj = run_conditioned_classical(
-            ens0, system, meas, [generate(seed, k, n_steps, dt) for k in streams],
-            sample_every=stride,
+            ens0, system, meas, generate(seed, streams, n_steps, dt), dt, sample_every=stride,
             resample_rngs=[substream_rng(seed, k, "resample") for k in streams],
             clip_counter=counter)
         return traj, counter
@@ -224,15 +231,15 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
     exp = cfg["cumulant-compare"]
     hbar = system.hbar
     x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
-    noise = generate(seed, 0, n_steps, dt)
+    dw = generate(seed, [0], n_steps, dt)
     psi0 = gaussian_wavefunction(grid, x0, p0, sx, hbar)
-    traj = run_conditioned(grid, psi0, system, meas, [noise], sample_every=stride)
+    traj = run_conditioned(grid, psi0, system, meas, dw, dt, sample_every=stride)
 
     belief = GaussianBelief(x0, p0, sx**2, 0.0, hbar**2 / (4 * sx**2),
                             quantum=True, hbar=hbar)
     _, bel_rows, _ = drive(
         belief, n_steps, dt, stride,
-        lambda b, i, t: centroid_step(b, system, meas, dt, noise.increments[i], t),
+        lambda b, i, t: centroid_step(b, system, meas, dt, dw[i, 0], t),
         lambda b, t: [b.x_mean, b.p_mean, b.c_xx, b.c_xp, b.c_pp])
     # Both series start one stride in: the t = 0 rows are the shared start.
     full_rows, bel_rows = traj.moments[0, 1:, :5], bel_rows[1:]
@@ -257,9 +264,12 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
 def run_qct_scan_experiment(cfg, seed, workers):
     system, _, meas, dt, n_steps, _ = _setup(cfg)
     exp = cfg["qct-scan"]
+    action = exp["action"]
+    if action < 0:
+        raise ValueError(f"qct-scan.action must be positive, or 0 to derive it from the "
+                         f"undriven orbit, got {action:g}")
     times, xs, ps = newton_trajectory(exp["x0"], exp["p0"], system, dt, n_steps)
-    action = exp["action"] if exp["action"] > 0 else None
-    if action is None:
+    if action == 0:
         undriven = SystemSpec(mass=system.mass, hbar=system.hbar,
                               potential_coeffs=system.potential_coeffs)
         _, xs_u, ps_u = newton_trajectory(exp["x0"], exp["p0"], undriven, dt, n_steps)
@@ -346,7 +356,7 @@ def run_cooling_experiment(cfg, seed, workers):
                                  n_realizations=_n_realizations(run, 2),
                                  horizon=run["horizon"], dt=dt, master_seed=seed,
                                  sample_stride=stride, workers=workers)
-    except PolicyValueError as err:   # name the key that set the policy field
+    except FieldValueError as err:   # name the key that set the policy field
         field, problem = err.args
         key = {"u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]
         raise ValueError(f"cooling.{key} {problem}") from err

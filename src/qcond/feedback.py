@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QcondError, SystemSpec, drive, gaussian_wavefunction, wavefunction_moments
+from .core import (FieldValueError, QcondError, SystemSpec, drive, gaussian_wavefunction,
+                   wavefunction_moments)
 from .cumulant import GaussianBelief, centroid_step
-from .noise import generate, map_streams, stack_increments
+from .noise import generate, map_streams
 from .qdyn import MeasurementSpec, PureStepper
 
 __all__ = [
@@ -46,13 +47,6 @@ class FilterDivergenceError(QcondError):
     """Estimator covariance blew past the physical scale of the problem."""
 
 
-class PolicyValueError(ValueError):
-    """A FeedbackPolicy field out of range; args are (field name, problem)."""
-
-    def __str__(self):
-        return " ".join(self.args)
-
-
 @dataclass(frozen=True)
 class FeedbackPolicy:
     """Control law selector: kind in {none, direct, estimator}."""
@@ -66,15 +60,15 @@ class FeedbackPolicy:
         if self.kind not in ("none", "direct", "estimator"):
             raise ValueError(f"unknown feedback kind {self.kind!r}")
         if not self.u_max > 0:   # NaN fails too
-            raise PolicyValueError("u_max", f"must be positive, got {self.u_max:g}")
+            raise FieldValueError("u_max", f"must be positive, got {self.u_max:g}")
 
 
 def _control_arrays(policies: list, dt):
     """(P,) arrays (rate, gain, u_max); the EMA rate is dt / smoothing_time for direct, else 0."""
     for pol in policies:
         if pol.kind == "direct" and not pol.smoothing_time >= 5.0 * dt:
-            raise PolicyValueError("smoothing_time", f"must be at least 5*dt = {5.0 * dt:g}, "
-                                                     f"got {pol.smoothing_time:g}")
+            raise FieldValueError("smoothing_time", f"must be at least 5*dt = {5.0 * dt:g}, "
+                                                    f"got {pol.smoothing_time:g}")
     rate = [dt / pol.smoothing_time if pol.kind == "direct" else 0.0 for pol in policies]
     return (np.array(rate), np.array([pol.gain for pol in policies]),
             np.array([pol.u_max for pol in policies]))
@@ -108,19 +102,18 @@ class ClosedLoopRun:
 
 
 def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
-                    policies: list, noise: list, sample_stride=10,
+                    policies: list, increments, dt, sample_stride=10,
                     belief0: GaussianBelief = None) -> ClosedLoopRun:
     """Plant-measure-control loops, one batch row per (noise path, policy).
 
     state0_params = (grid, x_mean, p_mean, sigma_x).  Every policy drives
-    its own copy of that state under each path in the list ``noise``.
-    Every row is bit-identical to running its path and policy alone.  The
-    energy score uses the control-free Hamiltonian at each sample time.
+    its own copy of that state under each column (path) of the (n_steps, R)
+    ``increments``.  Every row is bit-identical to running its path and
+    policy alone.  The energy score uses the control-free Hamiltonian at
+    each sample time.
     """
     grid, x0, p0, sigma_x = state0_params
     hbar = system.hbar
-    increments = stack_increments(noise)
-    dt = noise[0].dt
     law = _control_arrays(policies, dt)
     psi0 = gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)
     if belief0 is None:
@@ -130,7 +123,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
     # Rows are (path, policy) in row-major order.  The controls u act
     # during the next step (nothing is known at t = 0); the stepper reads
     # them through a view, so writing u in place sets every row's potential.
-    rows = (len(noise), len(policies))
+    rows = (increments.shape[1], len(policies))
     u = np.zeros(rows)
     signal = np.zeros(rows)
     beliefs = {(r, j): belief0 for r in range(rows[0])
@@ -217,8 +210,8 @@ def cooling_experiment(state0_params, system, meas, policies: list,
         """(stream, (run, row)) per stream, or (stream, abort message) for a
         stream that aborts alone."""
         try:
-            noise = [generate(master_seed, k, n_steps, dt) for k in streams]
-            run = run_closed_loop(state0_params, system, meas, policies, noise, sample_stride)
+            run = run_closed_loop(state0_params, system, meas, policies,
+                                  generate(master_seed, streams, n_steps, dt), dt, sample_stride)
         except QcondError as err:
             if len(streams) == 1:
                 return [(streams[0], str(err))]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PositionGrid, SystemSpec, drive, gaussian_wavefunction
-from .noise import generate, map_streams, stack_increments
+from .noise import generate, map_streams
 from .qdyn import MeasurementSpec, PureStepper
 from . import cdyn
 
@@ -175,8 +175,9 @@ def _drive_pairs(cfg: LyapunovConfig, state, step, centroids, reset) -> PairedRu
 
 
 def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
-               cfg: LyapunovConfig, noise: list) -> PairedRunResult:
-    """Fiducial/perturbed conditioned pairs, one pair per path in the list ``noise``.
+               cfg: LyapunovConfig, increments) -> PairedRunResult:
+    """Fiducial/perturbed conditioned pairs, one pair per column (path) of the
+    (cfg.n_steps, R) ``increments``.
 
     state0_params = (grid, x_mean, p_mean, sigma_x) of the fiducial
     Gaussian; the perturbed twin starts at x_mean + initial_separation.
@@ -187,10 +188,9 @@ def paired_run(state0_params, system: SystemSpec, meas: MeasurementSpec,
     grid, x0, p0, sigma_x = state0_params
     hbar, d0 = system.hbar, cfg.initial_separation
     check_separation(d0, sigma_x)
-    increments = stack_increments(noise)
     pair = np.stack([gaussian_wavefunction(grid, x0, p0, sigma_x, hbar),
                      gaussian_wavefunction(grid, x0 + d0, p0, sigma_x, hbar)])
-    psi = np.broadcast_to(pair, (len(noise),) + pair.shape).copy()
+    psi = np.broadcast_to(pair, (increments.shape[1],) + pair.shape).copy()
     stepper = PureStepper(grid, system, meas, cfg.dt)
     # The t = 0 centroids; every step leaves those of its new state in stepper.x_mean.
     stepper.x_mean = stepper.mean_x(psi)
@@ -240,8 +240,8 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
         raise ValueError(f"need at least 2 realizations for ensemble statistics, got {n_real}")
 
     def run_chunk(streams):
-        noise = [generate(master_seed, k, cfg.n_steps, cfg.dt) for k in streams]
-        return paired_run(state0_params, system, meas, cfg, noise)
+        return paired_run(state0_params, system, meas, cfg,
+                          generate(master_seed, streams, cfg.n_steps, cfg.dt))
 
     results = map_streams(run_chunk, n_real, 2 * state0_params[0].n_points * 16, workers)
     columns = zip(*[(r.delta, r.lam, r.merged, r.renormalizations) for r in results])

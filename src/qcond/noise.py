@@ -12,24 +12,11 @@ each dW is i.i.d. Gaussian with mean 0 and variance dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["BATCH_BYTES", "NoisePath", "generate", "map_streams", "stack_increments",
-           "substream_rng"]
+__all__ = ["BATCH_BYTES", "generate", "map_streams", "substream_rng"]
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One trajectory's Wiener increments dW_n ~ N(0, dt)."""
-
-    master_seed: int
-    stream_index: int
-    dt: float
-    increments: np.ndarray
 
 
 def _keyed_generator(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -38,28 +25,24 @@ def _keyed_generator(master_seed: int, stream_index: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def generate(master_seed: int, stream_index: int, n_steps: int, dt: float) -> NoisePath:
-    """Wiener increments for one trajectory.
+def generate(master_seed: int, streams, n_steps: int, dt: float) -> np.ndarray:
+    """(n_steps, R) Wiener increments of the R stream indices ``streams``.
 
-    Identical (master_seed, stream_index, n_steps, dt) always yields a
-    bit-identical sequence; different stream indices under one master
-    seed are statistically independent.
+    Column r is the stream streams[r] alone: identical (master_seed,
+    streams[r], n_steps, dt) always yields a bit-identical column, whatever
+    the other streams are, and different stream indices under one master
+    seed are statistically independent.  Step i of a batch of realizations
+    reads the contiguous row [i].
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    rng = _keyed_generator(master_seed, stream_index)
-    dw = rng.standard_normal(n_steps) * np.sqrt(dt)
-    return NoisePath(master_seed, stream_index, float(dt), dw)
-
-
-def stack_increments(noise: list) -> np.ndarray:
-    """(n_steps, R) increments of a list of R NoisePaths.
-
-    Step i of a batch of realizations reads the contiguous row [i].
-    """
-    return np.stack([path.increments for path in noise], axis=1)
+    dw = np.empty((n_steps, len(streams)))
+    for r, index in enumerate(streams):
+        dw[:, r] = _keyed_generator(master_seed, index).standard_normal(n_steps)
+    dw *= np.sqrt(dt)
+    return dw
 
 
 def substream_rng(master_seed: int, stream_index: int, purpose: str) -> np.random.Generator:

@@ -66,7 +66,6 @@ from .core import (
     wavefunction_moments,
     quantum_moments,
 )
-from .noise import stack_increments
 
 __all__ = [
     "MeasurementSpec",
@@ -392,13 +391,13 @@ class ConditionedTrajectory:
     max_hermiticity_defect: float = None
 
 
-def run_conditioned(grid, psi0, system, meas, noise: list,
+def run_conditioned(grid, psi0, system, meas, increments, dt,
                     sample_every=1) -> ConditionedTrajectory:
     """Conditioned trajectories from the wavefunction psi0, one batch row per
-    path in the list ``noise``; each row is bit-identical to its path run alone."""
-    increments = stack_increments(noise)
+    column of the (n_steps, R) ``increments``; each row is bit-identical to
+    its column run alone."""
     n_steps, n_rows = increments.shape
-    stepper = PureStepper(grid, system, meas, noise[0].dt)
+    stepper = PureStepper(grid, system, meas, dt)
     psi = np.broadcast_to(psi0, (n_rows, grid.n_points)).copy()
 
     def step(psi, i, t):

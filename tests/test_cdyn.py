@@ -1,7 +1,7 @@
 """Classical evolution: Liouville drift, conditioned weighting, resampling."""
 
 import math
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from qcond.cdyn import (
     resample,
     run_conditioned_classical,
 )
-from qcond.noise import NoisePath, generate, substream_rng
+from qcond.noise import generate, substream_rng
 from qcond.qdyn import MeasurementSpec
 
 
@@ -117,8 +117,8 @@ def test_ks_passivity_noise_average(harmonic):
     )
     meas = MeasurementSpec(1.0)
     n_real, n_steps, dt = 120, 400, 1e-3
-    noise = [generate(5, r, n_steps, dt) for r in range(n_real)]
-    traj = run_conditioned_classical(ens0, harmonic, meas, noise, sample_every=n_steps)
+    noise = generate(5, range(n_real), n_steps, dt)
+    traj = run_conditioned_classical(ens0, harmonic, meas, noise, dt, sample_every=n_steps)
     x, p, c_xx, c_xp, c_pp = traj.moments[:, -1, :5].T
     finals = np.column_stack([x, p, c_xx + x**2, c_xp + x * p, c_pp + p**2])
     ens = ens0
@@ -145,15 +145,15 @@ def test_classical_trajectory_rows_are_ensemble_moments(harmonic):
     ens = ClassicalEnsemble(rng.normal(0.5, 0.5, n_part), rng.normal(0.0, 0.5, n_part),
                             np.full(n_part, 1 / n_part))
     meas = MeasurementSpec(1.0)
-    noise = generate(9, 0, n_steps, dt)
-    traj = run_conditioned_classical(ens, harmonic, meas, [noise], sample_every=stride)
+    noise = generate(9, [0], n_steps, dt)
+    traj = run_conditioned_classical(ens, harmonic, meas, noise, dt, sample_every=stride)
     assert traj.moments.shape == (1, n_steps // stride + 1, 7)
 
     samples = [(0.0, ens)]
     for i in range(n_steps):
         if ens.ess() < RESAMPLE_ESS_FRACTION * n_part:
             ens = resample(ens)
-        ens, _ = ks_step(ens, harmonic, meas, dt, noise.increments[i], i * dt)
+        ens, _ = ks_step(ens, harmonic, meas, dt, noise[i, 0], i * dt)
         if (i + 1) % stride == 0:
             samples.append(((i + 1) * dt, ens))
     np.testing.assert_array_equal(traj.times, [t for t, _ in samples])
@@ -174,8 +174,8 @@ def test_ks_clip_rate_small_at_default_dt(harmonic):
     )
     meas = MeasurementSpec(1.0)
     counter = WeightClipCounter()
-    noise = generate(17, 0, 2000, 1e-3)
-    run_conditioned_classical(ens, harmonic, meas, [noise], sample_every=2000,
+    noise = generate(17, [0], 2000, 1e-3)
+    run_conditioned_classical(ens, harmonic, meas, noise, 1e-3, sample_every=2000,
                               clip_counter=counter)
     assert counter.rate() < 1e-4
 
@@ -190,16 +190,16 @@ def test_batched_filter_rows_match_each_path_alone(harmonic):
                              np.full(n_part, 1 / n_part))
     meas = MeasurementSpec(4.0)
     streams = range(3)
-    noise = [generate(13, k, n_steps, dt) for k in streams]
+    noise = generate(13, streams, n_steps, dt)
     counter = WeightClipCounter()
-    batch = run_conditioned_classical(ens0, harmonic, meas, noise, stride,
+    batch = run_conditioned_classical(ens0, harmonic, meas, noise, dt, stride,
                                       [substream_rng(13, k, "resample") for k in streams], counter)
     assert batch.moments.shape == (3, n_steps // stride + 1, 7)
     assert batch.moments.flags.c_contiguous
     alone_counters = []
     for k in streams:
         alone_counters.append(WeightClipCounter())
-        alone = run_conditioned_classical(ens0, harmonic, meas, [noise[k]], stride,
+        alone = run_conditioned_classical(ens0, harmonic, meas, noise[:, [k]], dt, stride,
                                           [substream_rng(13, k, "resample")], alone_counters[-1])
         np.testing.assert_array_equal(batch.times, alone.times)
         np.testing.assert_array_equal(batch.moments[k], alone.moments[0])
@@ -251,8 +251,8 @@ def test_resampled_row_gets_a_fresh_ess(harmonic):
     ens0 = ClassicalEnsemble(np.linspace(-1, 1, n_part), np.zeros(n_part), w)
     assert ens0.ess() < ESS_HARD_FLOOR
     counter = WeightClipCounter()
-    noise = [generate(3, k, 2, dt) for k in range(2)]
-    traj = run_conditioned_classical(ens0, harmonic, MeasurementSpec(1.0), noise, 1,
+    noise = generate(3, range(2), 2, dt)
+    traj = run_conditioned_classical(ens0, harmonic, MeasurementSpec(1.0), noise, dt, 1,
                                      clip_counter=counter)
     assert counter.resamples == 2
     assert counter.min_ess == ens0.ess()
@@ -267,12 +267,10 @@ def test_nan_increment_is_refused(harmonic):
     ens = _batch(rng, (2, 64))
     with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
         ks_step(ens, harmonic, meas, dt, [0.01, np.nan])
-    path = generate(4, 0, 20, dt)
-    increments = path.increments.copy()
-    increments[7] = np.nan
+    increments = generate(4, [0, 0], 20, dt)
+    increments[7, 1] = np.nan
     with pytest.raises(DegenerateEnsembleError, match="non-finite noise increment"):
-        run_conditioned_classical(_batch(rng, (64,)), harmonic, meas,
-                                  [path, replace(path, increments=increments)])
+        run_conditioned_classical(_batch(rng, (64,)), harmonic, meas, increments, dt)
 
 
 # --- resample -----------------------------------------------------------------

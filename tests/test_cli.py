@@ -262,7 +262,7 @@ def test_cooling_outputs_match_per_stream_runs(tmp_path):
                 FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=5.0),
                 FeedbackPolicy("estimator", gain=3.0, u_max=5.0)]
     runs = [run_closed_loop(state0, plant, MeasurementSpec(0.5), policies,
-                            [generate(9, k, 200, 1e-3)], 50) for k in range(n_real)]
+                            generate(9, [k], 200, 1e-3), 1e-3, 50) for k in range(n_real)]
     root_n = np.sqrt(n_real)
 
     def table(name):
@@ -435,6 +435,22 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (CUMULANT, "system.hbar=0", "system.hbar"),
     (HARMONIC_LYAP, "system.hbar=0", "system.hbar"),
     (COOLING, "system.hbar=0", "system.hbar"),
+    # SystemSpec and PositionGrid refusals are named by their config keys.
+    (ISOLATED, "system.mass=0", "system.mass must be positive"),
+    (ISOLATED, "grid.x_min=20", "grid.x_max must exceed"),
+    (ISOLATED, "grid.n_points=100", "grid.n_points must be a power of two"),
+    (ISOLATED, "system.potential_coeffs=0,0,0.5,0,0,1", "system.potential_coeffs capped"),
+    (PASSIVITY, "system.hbar=-1", "system.hbar must be nonnegative"),
+    # numpy's "scale < 0" names no key.
+    (PASSIVITY, "passivity.sigma_x=-1", "passivity.sigma_x must be nonnegative"),
+    (PASSIVITY, "passivity.sigma_p=-1", "passivity.sigma_p must be nonnegative"),
+    # A step that is not positive and finite is blamed on run.dt, not on the stride or horizon.
+    (ISOLATED, "run.dt=0", "run.dt must be positive"),
+    (ISOLATED, "run.dt=-0.001", "run.dt must be positive"),
+    (ISOLATED, "run.dt=inf", "run.dt must be positive"),
+    (QCT_SCAN, "run.dt=-0.001", "run.dt must be positive"),
+    # Only action = 0 asks qct-scan to derive the action.
+    (QCT_SCAN, "qct-scan.action=-5", "qct-scan.action"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "renorm-below-delta0",
         "delta0-negative",
@@ -446,7 +462,10 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "passivity-k-inf", "cooling-x0-nan", "cooling-direct-gain-nan", "cooling-umax-0",
         "cooling-smoothing-key", "cooling-k-below-grid", "lyapunov-k-below-grid",
         "isolated-hbar-0", "conditioned-hbar-0", "cumulant-hbar-0", "lyapunov-hbar-0",
-        "cooling-hbar-0"])
+        "cooling-hbar-0", "system-mass-0", "grid-x-order", "grid-n-points-key",
+        "potential-degree-5", "passivity-hbar-negative", "passivity-sigma-x-negative",
+        "passivity-sigma-p-negative", "dt-0", "dt-negative", "dt-inf", "qct-scan-dt-negative",
+        "qct-scan-action-negative"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)

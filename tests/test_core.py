@@ -1,11 +1,14 @@
 """Core types: construction, moments, transforms."""
 
+import importlib
+import pkgutil
 from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcond
 from qcond.core import (
     ClassicalEnsemble,
     DegenerateEnsembleError,
@@ -353,24 +356,23 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     grid = PositionGrid(-8.0, 8.0, 64)
     meas = qdyn.MeasurementSpec(1.0)
     dt, n_steps, stride = 1e-3, 7, 3
-    noise = generate(3, 0, n_steps, dt)
+    paths = generate(3, range(2), n_steps, dt)
     qdyn.run_isolated(gaussian_state(grid, 0.5, 0.0, 1.0), harmonic, dt, n_steps, stride)
     assert calls == {"isolated": 7, "quantum_moments": 3}
     calls.clear()
     psi0 = gaussian_wavefunction(grid, 0.5, 0.0, 1.0)
-    paths = [noise, generate(3, 1, n_steps, dt)]
-    qdyn.run_conditioned(grid, psi0, harmonic, meas, paths, stride)
+    qdyn.run_conditioned(grid, psi0, harmonic, meas, paths, dt, stride)
     assert calls == {"conditioned": 7, "wavefunction_moments": 3}
     calls.clear()
     policies = [feedback.FeedbackPolicy("none"), feedback.FeedbackPolicy("direct", gain=-1.0,
                                                                          smoothing_time=0.8)]
-    feedback.run_closed_loop((grid, 0.5, 0.0, 1.0), harmonic, meas, policies, paths, stride)
+    feedback.run_closed_loop((grid, 0.5, 0.0, 1.0), harmonic, meas, policies, paths, dt, stride)
     # Its t = 0 sample is taken, then dropped.
     assert calls == {"conditioned": 7, "wavefunction_moments": 3}
     calls.clear()
     rng = np.random.default_rng(0)
     ens = ClassicalEnsemble(rng.normal(0, 1, 64), rng.normal(0, 1, 64), np.full(64, 1 / 64))
-    cdyn.run_conditioned_classical(ens, harmonic, meas, [noise], stride)
+    cdyn.run_conditioned_classical(ens, harmonic, meas, paths[:, :1], dt, stride)
     assert calls == {"ks_step": 7, "ensemble_moments": 3}
     calls.clear()
     cfg = {"experiment": {"name": "passivity"},
@@ -392,3 +394,15 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
                                sample_stride=stride)
     lyap.paired_run((grid, 0.5, 0.0, 1.0), harmonic, meas, lcfg, paths)
     assert calls == {"conditioned": 7, "mean_x": 1}
+
+
+def test_every_export_resolves():
+    """Every name in the __all__ of qcond and of each qcond module is an
+    attribute of it, so `from qcond.<module> import *` cannot fail on a stale
+    name."""
+    modules = ["qcond"] + [f"qcond.{info.name}" for info in pkgutil.iter_modules(qcond.__path__)]
+    assert "qcond.noise" in modules
+    for name in modules:
+        module = importlib.import_module(name)
+        missing = [key for key in getattr(module, "__all__", ()) if not hasattr(module, key)]
+        assert not missing, f"{name}.__all__ names {missing}"

@@ -92,10 +92,10 @@ def test_delta_belief_drifts_ballistically(harmonic):
 def test_quantum_flavor_keeps_uncertainty_floor(harmonic):
     meas = MeasurementSpec(2.0)
     bel = GaussianBelief(0.5, 0.0, 0.5, 0.0, 0.5, quantum=True, hbar=HBAR)
-    noise = generate(3, 1, 5000, 1e-3)
+    noise = generate(3, [1], 5000, 1e-3)[:, 0]
     t = 0.0
     for i in range(5000):
-        bel = centroid_step(bel, harmonic, meas, 1e-3, noise.increments[i], t)
+        bel = centroid_step(bel, harmonic, meas, 1e-3, noise[i], t)
         t += 1e-3
     assert bel.uncertainty_product() >= HBAR**2 / 4 * (1 - 1e-6)
 
@@ -116,15 +116,15 @@ def test_closure_exact_for_harmonic_shared_noise(harmonic):
     meas = MeasurementSpec(0.25)
     dt = 1e-3
     n = int(round(10 * 2 * np.pi / dt))
-    noise = generate(11, 0, n, dt)
+    noise = generate(11, [0], n, dt)[:, 0]
     psi = gaussian_wavefunction(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     stepper = PureStepper(grid, harmonic, meas, dt)
     bel = GaussianBelief(1.0, 0.0, 0.5, 0.0, 0.5, quantum=True, hbar=HBAR)
     full_rows, bel_rows = [], []
     t = 0.0
     for i in range(n):
-        psi, _ = stepper.conditioned(psi, t, noise.increments[i])
-        bel = centroid_step(bel, harmonic, meas, dt, noise.increments[i], t)
+        psi, _ = stepper.conditioned(psi, t, noise[i])
+        bel = centroid_step(bel, harmonic, meas, dt, noise[i], t)
         t += dt
         if (i + 1) % 250 == 0:
             m = wavefunction_moments(grid, psi, HBAR, harmonic, t)
@@ -142,7 +142,7 @@ def test_duffing_localized_regime_tracks_envelope():
     meas = MeasurementSpec(50.0)
     dt = 2e-4
     n = 20_000
-    noise = generate(29, 0, n, dt)
+    noise = generate(29, [0], n, dt)[:, 0]
     x0, sigma0 = 3.0, 0.12
     psi = gaussian_wavefunction(grid, x0, 0.0, sigma0, 0.1)
     stepper = PureStepper(grid, system, meas, dt)
@@ -151,8 +151,8 @@ def test_duffing_localized_regime_tracks_envelope():
     full_rows, bel_rows = [], []
     t = 0.0
     for i in range(n):
-        psi, _ = stepper.conditioned(psi, t, noise.increments[i])
-        bel = centroid_step(bel, system, meas, dt, noise.increments[i], t)
+        psi, _ = stepper.conditioned(psi, t, noise[i])
+        bel = centroid_step(bel, system, meas, dt, noise[i], t)
         t += dt
         if (i + 1) % 200 == 0:
             m = wavefunction_moments(grid, psi, 0.1, system, t)

@@ -71,35 +71,35 @@ def test_estimator_law_sets_final_control():
     clamped at +-u_max, and 0 at zero gain.  The first step runs under zero
     control, so every row sees the record of one uncontrolled step."""
     dt = 1e-3
-    noise = [generate(3, 0, 1, dt)]
+    noise = generate(3, [0], 1, dt)
     psi0 = gaussian_wavefunction(GRID, 1.5, 0.0, 0.5)
-    _, dy = PureStepper(GRID, PLANT, MEAS, dt).conditioned(psi0[None], 0.0, noise[0].increments)
+    _, dy = PureStepper(GRID, PLANT, MEAS, dt).conditioned(psi0[None], 0.0, noise[0])
     bel0 = GaussianBelief(1.5, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2), quantum=True)
     p = centroid_step(bel0, PLANT, MEAS, dt, MEAS.innovation(dy[0], 1.5, dt)).p_mean
     assert p < -1e-3   # the quartic well's force pushes the packet back
     policies = [FeedbackPolicy("estimator", gain=g, u_max=u_max)
                 for g, u_max in ((1.5, 10.0), (1.5, 1e-3), (-1.5, 1e-3), (0.0, 10.0))]
-    run = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, sample_stride=1)
+    run = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, dt, sample_stride=1)
     assert run.final_control[0].tolist() == [-1.5 * p, 1e-3, -1e-3, 0.0]
 
 
 def test_zero_gain_identical_to_none():
     dt = 1e-3
-    noise = [generate(3, 0, 2000, dt)]
-    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)
+    noise = generate(3, [0], 2000, dt)
+    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise, dt)
     zero = run_closed_loop(STATE0, PLANT, MEAS,
-                           [FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8)], noise)
+                           [FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8)], noise, dt)
     np.testing.assert_allclose(zero.energy, base.energy, atol=1e-12)
 
 
 def test_policy_rows_match_one_policy_runs():
     """Each policy row of one batched closed loop equals that policy run alone."""
-    noise = [generate(5, 0, 1500, 1e-3)]
+    noise = generate(5, [0], 1500, 1e-3)
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
-    batch = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, sample_stride=50)
+    batch = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, 1e-3, sample_stride=50)
     assert batch.energy.shape == (1, 3, 30) and batch.final_control.shape == (1, 3)
     for j, pol in enumerate(policies):
-        alone = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, sample_stride=50)
+        alone = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, 1e-3, sample_stride=50)
         assert np.array_equal(batch.energy[0, j], alone.energy[0, 0])
         assert batch.final_control[0, j] == alone.final_control[0, 0]
 
@@ -114,13 +114,16 @@ def test_aborted_realization_is_retried_and_recorded(monkeypatch, workers):
     batches (the pool runs at workers = 2) and the retry round one."""
     calls = []
 
+    def record_streams(master_seed, streams, *args):
+        calls.append(list(streams))
+        return generate(master_seed, streams, *args)
+
     def abort_stream_0(*args, **kwargs):
-        streams = [path.stream_index for path in args[4]]
-        calls.append(streams)
-        if 0 in streams:
+        if 0 in calls[-1]:   # the streams of the batch this loop steps
             raise QcondError("forced abort")
         return run_closed_loop(*args, **kwargs)
 
+    monkeypatch.setattr(feedback, "generate", record_streams)
     monkeypatch.setattr(feedback, "run_closed_loop", abort_stream_0)
     policies = [FeedbackPolicy("none"), ESTIMATOR]
     with pytest.warns(UserWarning, match="realization 0 aborted"):
@@ -140,18 +143,18 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
     2 streams; the energies and steady values equal those of per-stream runs."""
     calls = []
 
-    def record_streams(*args, **kwargs):
-        calls.append([path.stream_index for path in args[4]])
-        return run_closed_loop(*args, **kwargs)
+    def record_streams(master_seed, streams, *args):
+        calls.append(list(streams))
+        return generate(master_seed, streams, *args)
 
-    monkeypatch.setattr(feedback, "run_closed_loop", record_streams)
+    monkeypatch.setattr(feedback, "generate", record_streams)
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
     n_real, horizon, dt, stride = 7, 0.2, 1e-3, 20
     res = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=n_real,
                              horizon=horizon, dt=dt, master_seed=3, sample_stride=stride)
     assert calls == [[0, 1, 2, 3, 4], [5, 6]]
     alone = [run_closed_loop(STATE0, PLANT, MEAS, policies,
-                             [generate(3, k, int(round(horizon / dt)), dt)], stride)
+                             generate(3, [k], int(round(horizon / dt)), dt), dt, stride)
              for k in range(n_real)]
     assert res.stream_indices.tolist() == list(range(n_real))
     assert np.array_equal(res.times, alone[0].times)
@@ -164,11 +167,11 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
 
 def test_vanishing_actuation_limit_collapses_policies():
     dt = 1e-3
-    noise = [generate(3, 1, 2000, dt)]
-    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise)
+    noise = generate(3, [1], 2000, dt)
+    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise, dt)
     for pol in (FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=1e-300),
                 FeedbackPolicy("estimator", gain=3.0, u_max=1e-300)):
-        run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise)
+        run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, dt)
         np.testing.assert_allclose(run.energy, base.energy, rtol=1e-9)
 
 
@@ -204,9 +207,9 @@ def test_no_feedback_heating_rate_is_backaction():
     assert slope_ref == pytest.approx(k * 1.0**2 / 1.0, rel=1e-4)  # D_BA/m exactly
 
     n_real = 96
-    paths = [generate(17, r, n, dt) for r in range(n_real)]
+    paths = generate(17, range(n_real), n, dt)
     runs = run_closed_loop((big, 1.0, 0.0, 1 / np.sqrt(2)), harmonic, meas,
-                           [FeedbackPolicy("none")], paths, sample_stride=100)
+                           [FeedbackPolicy("none")], paths, dt, sample_stride=100)
     energies = runs.energy[:, 0]
     mean_e = energies.mean(axis=0)
     se_e = energies.std(axis=0, ddof=1) / np.sqrt(n_real)
@@ -265,8 +268,8 @@ def test_estimator_gain_sweep_u_shaped():
     """Too little gain under-damps, too much feeds noise back."""
     gains = (0.15, 3.0, 80.0)
     policies = [FeedbackPolicy("estimator", gain=g, u_max=50.0) for g in gains]
-    paths = [generate(31, r, 20_000, 1e-3) for r in range(6)]
-    runs = run_closed_loop(STATE0, PLANT, MEAS, policies, paths, sample_stride=100)
+    paths = generate(31, range(6), 20_000, 1e-3)
+    runs = run_closed_loop(STATE0, PLANT, MEAS, policies, paths, 1e-3, sample_stride=100)
     # steadies[j]: steady energy under gain j, averaged over the paths
     steadies = runs.energy[:, :, runs.times.size // 2:].mean(axis=2).mean(axis=0)
     assert steadies[1] < steadies[0]
@@ -276,11 +279,11 @@ def test_estimator_gain_sweep_u_shaped():
 def test_estimator_robust_to_belief_offset():
     """Offset initial belief converges; steady state unchanged within error."""
     dt, n = 1e-3, 20_000
-    paths = [generate(41, r, n, dt) for r in range(8)]
+    paths = generate(41, range(8), n, dt)
     bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2),
                           quantum=True, hbar=1.0)
-    good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, sample_stride=100)
-    off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths,
+    good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, dt, sample_stride=100)
+    off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, dt,
                           sample_stride=100, belief0=bel0)
     half = good.times.size // 2
     d = off.energy[:, 0, half:].mean(axis=1) - good.energy[:, 0, half:].mean(axis=1)

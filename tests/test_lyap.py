@@ -38,9 +38,9 @@ def test_config_validation():
 def test_separation_capped_by_state_width():
     grid = PositionGrid(-10, 10, 128)
     cfg = LyapunovConfig(initial_separation=0.2, horizon=0.1, dt=1e-3)
-    noise = generate(1, 0, cfg.n_steps, cfg.dt)
+    noise = generate(1, [0], cfg.n_steps, cfg.dt)
     with pytest.raises(ValueError, match="sigma_x / 10"):
-        paired_run((grid, 0.0, 0.0, 1.0), HARMONIC, MeasurementSpec(1.0), cfg, [noise])
+        paired_run((grid, 0.0, 0.0, 1.0), HARMONIC, MeasurementSpec(1.0), cfg, noise)
 
 
 def test_one_over_t_fit_synthetic_exact():
@@ -72,8 +72,8 @@ def test_isolated_harmonic_exponent_decays_one_over_t():
     grid = PositionGrid(-12, 12, 128)
     cfg = LyapunovConfig(initial_separation=0.05, horizon=120.0, dt=1e-3,
                          sample_stride=50)
-    noise = generate(5, 0, cfg.n_steps, cfg.dt)
-    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.0), cfg, [noise])
+    noise = generate(5, [0], cfg.n_steps, cfg.dt)
+    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.0), cfg, noise)
     assert not res.merged[0]
     # lambda * t bounded (the testable statement of zero exponent)
     lam_t = res.lam[0] * res.times
@@ -86,10 +86,10 @@ def test_identical_initial_states_flagged_as_merged():
     grid = PositionGrid(-12, 12, 128)
     cfg = LyapunovConfig(initial_separation=1e-30, horizon=0.5, dt=1e-3,
                          sample_stride=10)
-    noise = generate(5, 1, cfg.n_steps, cfg.dt)
+    noise = generate(5, [1], cfg.n_steps, cfg.dt)
     # delta0 ~ 1e-30 is below double resolution of the identical construction:
     # the two states coincide and the pair must be flagged, not crash
-    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.5), cfg, [noise])
+    res = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, MeasurementSpec(0.5), cfg, noise)
     assert res.merged[0]
 
 
@@ -146,7 +146,7 @@ def test_shared_noise_swap_symmetry():
     cfg = LyapunovConfig(initial_separation=0.05, horizon=2.0, dt=1e-3,
                          sample_stride=20)
     meas = MeasurementSpec(0.5)
-    noise = [generate(9, 0, cfg.n_steps, cfg.dt)]
+    noise = generate(9, [0], cfg.n_steps, cfg.dt)
     a = paired_run((grid, 1.0, 0.0, 0.8), HARMONIC, meas, cfg, noise)
     b = paired_run((grid, 1.0 + cfg.initial_separation, 0.0, 0.8),
                    HARMONIC, meas, cfg, noise)
@@ -205,7 +205,7 @@ def test_paired_run_batch_matches_single_paths(n_points, monkeypatch):
     for threshold, horizon in ((0.1, 2.0), (0.05001, 0.2)):
         cfg = LyapunovConfig(initial_separation=0.05, horizon=horizon, dt=1e-3, sample_stride=20,
                              renorm_threshold=threshold)
-        noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(3)]
+        noises = generate(11, range(3), cfg.n_steps, cfg.dt)
         reset_rows.clear()
         batch = paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
         if threshold == 0.1:
@@ -213,8 +213,8 @@ def test_paired_run_batch_matches_single_paths(n_points, monkeypatch):
             assert fired.any() and not fired.all()
         else:
             assert max(reset_rows) >= 2
-        singles = [paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, [noise])
-                   for noise in noises]
+        singles = [paired_run(state0, DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises[:, [k]])
+                   for k in range(3)]
         _assert_rows_equal(batch, singles)
 
 
@@ -222,7 +222,7 @@ def test_paired_run_batch_reset_total_is_plain_int():
     grid = PositionGrid(-12, 12, 128)
     cfg = LyapunovConfig(initial_separation=0.05, horizon=0.5, dt=1e-3, sample_stride=20,
                          renorm_threshold=0.06)
-    noises = [generate(11, k, cfg.n_steps, cfg.dt) for k in range(2)]
+    noises = generate(11, range(2), cfg.n_steps, cfg.dt)
     res = paired_run((grid, 1.0, 0.0, 0.8), DOUBLE_WELL, MeasurementSpec(0.5), cfg, noises)
     assert type(res.n_renormalizations) is int
     assert res.n_renormalizations == res.renormalizations.sum() > 0
@@ -236,11 +236,11 @@ def test_ensemble_chunks_match_per_stream_runs(workers, monkeypatch):
     paired_run alone."""
     chunks = []
 
-    def counting_paired_run(*args):
-        chunks.append([path.stream_index for path in args[4]])
-        return paired_run(*args)
+    def record_streams(master_seed, streams, *args):
+        chunks.append(list(streams))
+        return generate(master_seed, streams, *args)
 
-    monkeypatch.setattr(lyap, "paired_run", counting_paired_run)
+    monkeypatch.setattr(lyap, "generate", record_streams)
     grid = PositionGrid(-12, 12, 1024)
     cfg = LyapunovConfig(initial_separation=0.05, horizon=0.3, dt=1e-3, sample_stride=20,
                          n_realizations=5, renorm_threshold=0.06)
@@ -249,7 +249,7 @@ def test_ensemble_chunks_match_per_stream_runs(workers, monkeypatch):
     series = ensemble_lyapunov(state0, DOUBLE_WELL, meas, cfg, 11, workers=workers)
     if workers == 1:    # pool workers append to their own copy of the list
         assert chunks == [[0, 1], [2, 3], [4]]
-    singles = [paired_run(state0, DOUBLE_WELL, meas, cfg, [generate(11, k, cfg.n_steps, cfg.dt)])
+    singles = [paired_run(state0, DOUBLE_WELL, meas, cfg, generate(11, [k], cfg.n_steps, cfg.dt))
                for k in range(cfg.n_realizations)]
     _assert_rows_equal(series, singles)
 

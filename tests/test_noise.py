@@ -11,53 +11,53 @@ import pytest
 from scipy import stats
 
 import qcond
-from qcond.noise import BATCH_BYTES, generate, map_streams, substream_rng
+from qcond.noise import BATCH_BYTES, _keyed_generator, generate, map_streams, substream_rng
 
 
 def test_same_key_bit_identical():
-    a = generate(12345, 7, 5000, 1e-3)
-    b = generate(12345, 7, 5000, 1e-3)
-    assert np.array_equal(a.increments, b.increments)
+    a = generate(12345, [7], 5000, 1e-3)[:, 0]
+    b = generate(12345, [7], 5000, 1e-3)[:, 0]
+    assert np.array_equal(a, b)
 
 
 def test_different_stream_independent():
     n = 200_000
-    a = generate(12345, 0, n, 1e-3).increments
-    b = generate(12345, 1, n, 1e-3).increments
+    a = generate(12345, [0], n, 1e-3)[:, 0]
+    b = generate(12345, [1], n, 1e-3)[:, 0]
     corr = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert abs(corr) < 4.0 / np.sqrt(n)
 
 
 def test_different_master_seed_differs():
-    a = generate(1, 0, 100, 1e-3).increments
-    b = generate(2, 0, 100, 1e-3).increments
+    a = generate(1, [0], 100, 1e-3)[:, 0]
+    b = generate(2, [0], 100, 1e-3)[:, 0]
     assert not np.array_equal(a, b)
 
 
 def test_variance_matches_dt():
     # CLT bound: var estimator sd ~ dt sqrt(2/n); stated window is ~20 sigma
     n, dt = 1_000_000, 1e-3
-    dw = generate(2024, 3, n, dt).increments
+    dw = generate(2024, [3], n, dt)[:, 0]
     var = dw.var()
     assert 0.00097 < var < 0.00103
     assert abs(dw.mean()) < 4 * np.sqrt(dt / n)
 
 
 def test_normality_large_sample():
-    dw = generate(77, 11, 200_000, 1e-3).increments
+    dw = generate(77, [11], 200_000, 1e-3)[:, 0]
     _, pvalue = stats.normaltest(dw)
     assert pvalue > 1e-3
 
 
 def test_invalid_args_rejected():
     with pytest.raises(ValueError):
-        generate(1, 0, 0, 1e-3)
+        generate(1, [0], 0, 1e-3)
     with pytest.raises(ValueError):
-        generate(1, 0, 10, 0.0)
+        generate(1, [0], 10, 0.0)
 
 
 def test_substream_decoupled_from_main_stream():
-    main = generate(9, 4, 1000, 1e-3).increments
+    main = generate(9, [4], 1000, 1e-3)[:, 0]
     aux = substream_rng(9, 4, "resample").standard_normal(1000) * np.sqrt(1e-3)
     corr = np.dot(main, aux) / (np.linalg.norm(main) * np.linalg.norm(aux))
     assert abs(corr) < 4.0 / np.sqrt(1000)
@@ -74,16 +74,34 @@ def test_numpy_integer_keys_match_plain_int_keys():
     for seed, index, as_np in [(2024, 3, np.int64), (-7, 12, np.int32),
                                (2**63 + 5, 2**64 - 1, np.uint64)]:
         np_seed, np_index = as_np(seed), as_np(index)
-        assert np.array_equal(generate(np_seed, np_index, 64, 1e-3).increments,
-                              generate(seed, index, 64, 1e-3).increments)
+        assert np.array_equal(generate(np_seed, [np_index], 64, 1e-3)[:, 0],
+                              generate(seed, [index], 64, 1e-3)[:, 0])
         assert np.array_equal(substream_rng(np_seed, np_index, "resample").standard_normal(8),
                               substream_rng(seed, index, "resample").standard_normal(8))
+
+
+@pytest.mark.parametrize("streams", [range(5, 9), [7, 2, 7], np.array([3, 12, 2**40], np.int64),
+                                     [np.uint64(2**64 - 1), np.int32(4)]],
+                         ids=["range-past-0", "out-of-order", "int64-array", "numpy-scalars"])
+def test_batch_column_is_its_stream_alone(streams):
+    """Column r of a batch draw is stream streams[r] drawn alone, bit for bit:
+    the retry rounds of a cooling run pass ranges that start past 0."""
+    n, dt = 300, 1e-3
+    dw = generate(21, streams, n, dt)
+    assert dw.shape == (n, len(streams)) and dw.dtype == np.float64
+    assert dw.flags.c_contiguous
+    for r, index in enumerate(streams):
+        alone = generate(21, [index], n, dt)[:, 0]
+        assert np.array_equal(dw[:, r], alone)
+        assert np.array_equal(alone, generate(21, [int(index)], n, dt)[:, 0])
+        assert np.array_equal(alone, _keyed_generator(21, int(index)).standard_normal(n)
+                              * np.sqrt(dt))
 
 
 def _slow_stream_sum(streams):
     # Lower stream indices sleep longer, so later batches finish first.
     time.sleep(0.1 * (4 - streams.start))
-    return [float(np.sum(generate(5, k, 100, 1e-3).increments)) for k in streams], time.monotonic()
+    return [float(np.sum(generate(5, [k], 100, 1e-3)[:, 0])) for k in streams], time.monotonic()
 
 
 def test_map_streams_slots_results_by_batch():
@@ -94,8 +112,8 @@ def test_map_streams_slots_results_by_batch():
     finished = [stamp for _, stamp in pooled]
     assert finished != sorted(finished), "no later batch finished first; the test shows nothing"
     # A closure: the pool's children inherit it, and it never goes through pickle.
-    streams = [generate(5, idx, 100, 1e-3) for idx in range(4)]
-    sums = map_streams(lambda batch: [float(np.sum(streams[k].increments)) for k in batch],
+    dw = generate(5, range(4), 100, 1e-3)
+    sums = map_streams(lambda batch: [float(np.sum(dw[:, k])) for k in batch],
                        4, BATCH_BYTES // 2, 2)
     assert sums == [serial[0][0] + serial[1][0], serial[2][0] + serial[3][0]]
 

@@ -198,10 +198,10 @@ def test_conditioned_preserves_purity(grid, harmonic):
     meas = MeasurementSpec(1.0)
     stepper = DensityStepper(grid, harmonic, meas, dt)
     state = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
-    noise = generate(21, 0, 1000, dt)
+    noise = generate(21, [0], 1000, dt)[:, 0]
     t = 0.0
     for i in range(1000):
-        state, _ = stepper.conditioned(state, t, noise.increments[i])
+        state, _ = stepper.conditioned(state, t, noise[i])
         t += dt
     assert state.purity() == pytest.approx(1.0, abs=1e-6)
     assert state.trace() == pytest.approx(1.0, abs=1e-9)
@@ -225,11 +225,11 @@ def test_pure_and_density_paths_agree(grid, harmonic):
     pstep = PureStepper(grid, harmonic, meas, dt)
     state = gaussian_state(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
     psi = gaussian_wavefunction(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
-    noise = generate(4, 2, 1500, dt)
+    noise = generate(4, [2], 1500, dt)[:, 0]
     t = 0.0
     for i in range(1500):
-        state, dy_d = dstep.conditioned(state, t, noise.increments[i])
-        psi, dy_p = pstep.conditioned(psi, t, noise.increments[i])
+        state, dy_d = dstep.conditioned(state, t, noise[i])
+        psi, dy_p = pstep.conditioned(psi, t, noise[i])
         t += dt
         assert dy_d == pytest.approx(dy_p, abs=1e-12)
     md = quantum_moments(state, harmonic, t)
@@ -249,18 +249,18 @@ def test_batched_rows_step_exactly_like_single_rows(grid):
     rows = np.stack([gaussian_wavefunction(grid, x0, p0, s, HBAR)
                      for x0, p0, s in ((-1.0, 0.0, 0.7), (0.5, 0.4, 0.9), (1.5, -0.3, 0.6))])
     singles = list(rows)
-    noise = generate(8, 0, n, dt)
+    noise = generate(8, [0], n, dt)[:, 0]
     for i in range(2 * n):
         t = i * dt
         stepper.control = np.array(controls)[:, None]
         if i < n:
-            rows, dy = stepper.conditioned(rows, t, noise.increments[i])
+            rows, dy = stepper.conditioned(rows, t, noise[i])
         else:
             rows = stepper.isolated(rows, t)
         for j, u in enumerate(controls):
             stepper.control = u
             if i < n:
-                singles[j], dy_j = stepper.conditioned(singles[j], t, noise.increments[i])
+                singles[j], dy_j = stepper.conditioned(singles[j], t, noise[i])
                 assert dy[j] == dy_j
             else:
                 singles[j] = stepper.isolated(singles[j], t)
@@ -276,15 +276,15 @@ def test_per_row_increments_step_like_single_rows(grid, harmonic):
     rows = np.stack([[gaussian_wavefunction(grid, x0, 0.1 * r, 0.8, HBAR)
                       for x0 in (-1.0, 0.0, 1.2)] for r in range(2)])
     singles = [[row for row in block] for block in rows]
-    noises = [generate(4, r, n, dt) for r in range(2)]
+    noises = generate(4, range(2), n, dt)
     for i in range(n):
-        dw = np.array([[noises[0].increments[i]], [noises[1].increments[i]]])
+        dw = noises[i][:, None]
         x_mean = stepper.mean_x(rows) if i % 2 else None
         rows, dy = stepper.conditioned(rows, i * dt, dw, x_mean)
         for r in range(2):
             for j in range(3):
                 singles[r][j], dy_rj = stepper.conditioned(singles[r][j], i * dt,
-                                                           noises[r].increments[i])
+                                                           noises[i, r])
                 assert dy[r, j] == dy_rj
     for r in range(2):
         for j in range(3):
@@ -364,12 +364,12 @@ def test_step_carries_mean_and_outer_mass_of_new_state(grid, harmonic):
     dt = 1e-3
     stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), dt)
     psi = np.stack([gaussian_wavefunction(grid, x0, 0.4, 0.8, HBAR) for x0 in (-2.0, 1.0, 6.0)])
-    noise = generate(5, 0, 200, dt)
+    noise = generate(5, [0], 200, dt)[:, 0]
     outer = grid.outer_buffer_mask
     worst = 0.0
     for i in range(201):
         if i < 200:
-            psi, _ = stepper.conditioned(psi, i * dt, noise.increments[i], stepper.x_mean)
+            psi, _ = stepper.conditioned(psi, i * dt, noise[i], stepper.x_mean)
         else:
             psi = stepper.isolated(psi, i * dt)
         np.testing.assert_allclose(stepper.x_mean, stepper.mean_x(psi), rtol=1e-14, atol=0)
@@ -390,8 +390,8 @@ def test_off_centre_packet_steps_under_strong_measurement():
     meas, dt = MeasurementSpec(300.0), 6.25e-4
     stepper = PureStepper(grid, sys_, meas, dt)
     psi = want = gaussian_wavefunction(grid, 11.0, 0.0, 2.0, 2.0)
-    noise = generate(3, 0, 40, dt)
-    for i, dw in enumerate(noise.increments):
+    noise = generate(3, [0], 40, dt)[:, 0]
+    for i, dw in enumerate(noise):
         t = i * dt
         psi, _ = stepper.conditioned(psi, t, dw, stepper.x_mean)
         want = want * meas.multiplier(grid.x - stepper.mean_x(want), dw, dt)
@@ -414,7 +414,7 @@ def test_trajectory_loop_density_twin(harmonic):
     meas = MeasurementSpec(1.0)
     psi0 = gaussian_wavefunction(g64, 1.0, 0.3, 0.8, HBAR)
     rho0 = gaussian_state(g64, 1.0, 0.3, 0.8, HBAR)
-    noise = generate(13, 0, n_steps, dt).increments
+    noise = generate(13, [0], n_steps, dt)[:, 0]
     pstep = PureStepper(g64, harmonic, meas, dt)
     dstep = DensityStepper(g64, harmonic, meas, dt)
 
@@ -444,7 +444,7 @@ def test_trajectory_loop_density_twin(harmonic):
     np.testing.assert_allclose(dens[:, 5], 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(dys["dens"], dys["pure"], rtol=0, atol=1e-12)
 
-    traj = run_conditioned(g64, psi0, harmonic, meas, [generate(13, 0, n_steps, dt)],
+    traj = run_conditioned(g64, psi0, harmonic, meas, generate(13, [0], n_steps, dt), dt,
                            sample_every=stride)
     np.testing.assert_array_equal(traj.moments[0], pure)
 
@@ -465,12 +465,12 @@ def test_batch_runs_equal_one_path_runs(grid):
     meas = MeasurementSpec(1.0)
     dt, n_steps, stride = 1e-3, 120, 20
     psi0 = gaussian_wavefunction(grid, 1.0, 0.2, 0.8, HBAR)
-    noise = [generate(21, k, n_steps, dt) for k in range(4)]
-    batch = run_conditioned(grid, psi0, driven, meas, noise, sample_every=stride)
+    noise = generate(21, range(4), n_steps, dt)
+    batch = run_conditioned(grid, psi0, driven, meas, noise, dt, sample_every=stride)
     assert batch.moments.shape == (4, n_steps // stride + 1, 7)
     assert batch.moments.flags.c_contiguous
-    for r, path in enumerate(noise):
-        alone = run_conditioned(grid, psi0, driven, meas, [path], sample_every=stride)
+    for r in range(4):
+        alone = run_conditioned(grid, psi0, driven, meas, noise[:, [r]], dt, sample_every=stride)
         assert np.array_equal(batch.moments[r], alone.moments[0])
 
 
@@ -495,10 +495,10 @@ def test_conditioned_density_stays_positive(dt, k, seed):
                   + gaussian_state(g64, -0.8, 0.0, 0.4, HBAR).rho)
     state = QuantumState(g64, rho0, HBAR)
     stepper = DensityStepper(g64, trap, MeasurementSpec(k), dt)
-    noise = generate(seed, 0, 300, dt)
+    noise = generate(seed, [0], 300, dt)[:, 0]
     try:
         for i in range(300):
-            state, _ = stepper.conditioned(state, i * dt, noise.increments[i])
+            state, _ = stepper.conditioned(state, i * dt, noise[i])
     except SupportEscapeError:
         pass
     state.validate(check_eigenvalues=True)
@@ -557,8 +557,8 @@ def test_noise_average_recovers_unconditional(grid, harmonic):
     n_real = 160
     meas = MeasurementSpec(1.0)
     psi0 = gaussian_wavefunction(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
-    noise = [generate(31, r, n_steps, dt) for r in range(n_real)]
-    traj = run_conditioned(grid, psi0, harmonic, meas, noise, sample_every=n_steps)
+    noise = generate(31, range(n_real), n_steps, dt)
+    traj = run_conditioned(grid, psi0, harmonic, meas, noise, dt, sample_every=n_steps)
     finals = np.array([_raw_moments(row[-1, :5]) for row in traj.moments])
     state = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     stepper = DensityStepper(grid, harmonic, meas, dt)
@@ -586,13 +586,13 @@ def test_mixed_state_mean_purity_nondecreasing(grid, harmonic):
     n_real, n_steps, n_checks = 40, 500, 10
     purities = np.empty((n_real, n_checks))
     for r in range(n_real):
-        noise = generate(8, r, n_steps, dt)
+        noise = generate(8, [r], n_steps, dt)[:, 0]
         state = QuantumState(g64, rho0.copy(), HBAR)
         stepper = DensityStepper(g64, harmonic, meas, dt)
         t = 0.0
         c = 0
         for i in range(n_steps):
-            state, _ = stepper.conditioned(state, t, noise.increments[i])
+            state, _ = stepper.conditioned(state, t, noise[i])
             t += dt
             if (i + 1) % (n_steps // n_checks) == 0:
                 purities[r, c] = state.purity()
