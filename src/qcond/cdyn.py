@@ -71,9 +71,6 @@ class WeightClipCounter:
         self.resamples = 0
         self.min_ess = np.inf
 
-    def rate(self) -> float:
-        return self.clipped / self.updates if self.updates else 0.0
-
 
 def ks_step(ens: ClassicalEnsemble, system: SystemSpec, meas: MeasurementSpec,
             dt, dw, t=0.0, clip_counter: WeightClipCounter = None):

@@ -186,8 +186,8 @@ def load_config(path, overrides=()):
                 out[key] = default
         resolved[section] = out
 
-    # Every run must take a sample after t = 0.  qct-scan writes every
-    # orbit step, so it needs one step and takes no stride.
+    # Every run must take a step and a sample after t = 0.  qct-scan writes
+    # every orbit step, so it takes no stride.
     run = resolved["run"]
     if not 0 < run["dt"] < np.inf:
         raise ConfigError(f"run.dt must be positive and finite, got {run['dt']:g}")
@@ -195,14 +195,14 @@ def load_config(path, overrides=()):
         n_steps = round(run["horizon"] / run["dt"])
     except OverflowError:   # an infinite run.horizon
         n_steps = 0
+    if n_steps < 1:
+        raise ConfigError(f"run.horizon must cover at least one run.dt step, "
+                          f"got round(run.horizon / run.dt) = {n_steps}")
     if name == "qct-scan":
         if parser.has_option("run", "sample_stride"):
             raise ConfigError("run.sample_stride is not read by qct-scan, "
                               "which writes every orbit step")
         del run["sample_stride"]
-        if n_steps < 1:
-            raise ConfigError(f"run.horizon must cover at least one run.dt step, "
-                              f"got round(run.horizon / run.dt) = {n_steps}")
     elif not 1 <= run["sample_stride"] <= n_steps:
         raise ConfigError(f"run.sample_stride must be at least 1 and at most the "
                           f"round(run.horizon / run.dt) = {n_steps} steps, "

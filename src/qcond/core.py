@@ -21,7 +21,6 @@ __all__ = [
     "QcondError",
     "GridResolutionError",
     "SupportEscapeError",
-    "PositivityError",
     "DegenerateEnsembleError",
     "SystemSpec",
     "PositionGrid",
@@ -30,6 +29,7 @@ __all__ = [
     "MomentSet",
     "gaussian_state",
     "gaussian_wavefunction",
+    "packet_misfit",
     "quantum_moments",
     "wavefunction_moments",
     "ensemble_moments",
@@ -59,11 +59,12 @@ class GridResolutionError(QcondError):
 
 
 class SupportEscapeError(QcondError):
-    """Probability mass reached the outer buffer of the grid."""
+    """Probability mass reached the outer buffer of the grid.
 
+    row is the batch index of the worst state when a batch step raised it.
+    """
 
-class PositivityError(QcondError):
-    """Density matrix lost positivity beyond the numerical floor."""
+    row = None
 
 
 class DegenerateEnsembleError(QcondError):
@@ -246,28 +247,12 @@ class QuantumState:
             return 0.0
         return float(np.max(np.abs(self.rho - self.rho.conj().T))) / scale
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the (dimensionless) trace-1 operator."""
-        w = np.linalg.eigvalsh(self.rho * self.grid.dx)
-        return float(w[0])
-
-    def validate(self, check_eigenvalues=False):
-        """Raise if the state violates its structural invariants."""
-        if abs(self.trace() - 1.0) > 1e-9:
-            raise PositivityError(f"trace deviates from 1 by {self.trace() - 1.0:.3e}")
-        if self.hermiticity_defect() > 1e-12:
-            raise PositivityError(
-                f"hermiticity defect {self.hermiticity_defect():.3e} exceeds 1e-12"
-            )
-        if check_eigenvalues:
-            lam = self.min_eigenvalue()
-            if lam < -1e-8:
-                raise PositivityError(f"min eigenvalue {lam:.3e} below -1e-8 floor")
-
 
 def gaussian_wavefunction(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0):
     """Normalised minimum-uncertainty wave packet on the grid."""
-    _check_gaussian_fits(grid, x_mean, p_mean, sigma_x, hbar)
+    misfit = packet_misfit(grid, x_mean, p_mean, sigma_x, hbar)
+    if misfit:
+        raise misfit[1]
     x = grid.x
     psi = np.exp(-((x - x_mean) ** 2) / (4.0 * sigma_x**2) + 1j * p_mean * (x - x_mean) / hbar)
     psi = psi.astype(np.complex128)
@@ -275,25 +260,28 @@ def gaussian_wavefunction(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0)
     return psi / norm
 
 
-def _check_gaussian_fits(grid, x_mean, p_mean, sigma_x, hbar):
+def packet_misfit(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0):
+    """(field, error) of the first way the Gaussian packet does not fit the
+    grid, field being "sigma_x", "x_mean" or "p_mean"; None if it fits."""
     if sigma_x <= 2.0 * grid.dx:
-        raise GridResolutionError(
+        return "sigma_x", GridResolutionError(
             f"sigma_x={sigma_x:.4g} must exceed 2*dx={2 * grid.dx:.4g}; "
             "refine the grid or widen the state"
         )
     lo, hi = x_mean - 5.0 * sigma_x, x_mean + 5.0 * sigma_x
     if lo < grid.x_min or hi > grid.x_max:
-        raise SupportEscapeError(
+        return "x_mean", SupportEscapeError(
             f"support [{lo:.4g}, {hi:.4g}] (mean +/- 5 sigma) exceeds grid "
             f"[{grid.x_min:.4g}, {grid.x_max:.4g}]"
         )
     p_max = np.pi * hbar / grid.dx
     sigma_p = hbar / (2.0 * sigma_x)
     if abs(p_mean) + 5.0 * sigma_p > p_max:
-        raise GridResolutionError(
+        return "p_mean", GridResolutionError(
             f"momentum content |p|~{abs(p_mean) + 5 * sigma_p:.4g} exceeds grid "
             f"Nyquist momentum {p_max:.4g}"
         )
+    return None
 
 
 def gaussian_state(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0) -> QuantumState:
@@ -377,9 +365,6 @@ class MomentSet:
     c_pp: float
     purity: float
     energy: float
-
-    def uncertainty_product(self) -> float:
-        return self.c_xx * self.c_pp - self.c_xp**2
 
     def stack(self) -> np.ndarray:
         """The fields in order on a last axis of 7, without astuple's deep copy."""

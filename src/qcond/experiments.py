@@ -23,6 +23,7 @@ from .core import (
     ensemble_moments,
     gaussian_state,
     gaussian_wavefunction,
+    packet_misfit,
 )
 from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, liouville_step,
                    newton_trajectory, run_conditioned_classical)
@@ -71,9 +72,8 @@ def _built(section, cls, **fields):
     refuses is named by its config key."""
     try:
         return cls(**fields)
-    except FieldValueError as err:
-        field, problem = err.args
-        raise ValueError(f"{section}.{field} {problem}") from err
+    except FieldValueError as err:   # str(err) is "<field> <problem>"
+        raise ValueError(f"{section}.{err}") from err
 
 
 def _setup(cfg):
@@ -107,6 +107,19 @@ def _setup(cfg):
     return system, grid, meas, dt, int(round(run["horizon"] / dt)), stride
 
 
+def _check_packet(grid, hbar, section, exp, shift=0.0):
+    """Refuse the start packet of config section ``section``, displaced by
+    ``shift`` (lyapunov.delta0 for the perturbed twin), if the grid cannot
+    hold it, naming the keys to change."""
+    misfit = packet_misfit(grid, exp["x0"] + shift, exp["p0"], exp["sigma_x"], hbar)
+    if misfit:
+        field, err = misfit
+        key = {"x_mean": "x0", "p_mean": "p0", "sigma_x": "sigma_x"}[field]
+        keys = f"{section}.{key}" + (", lyapunov.delta0" if shift else "")
+        raise ValueError(f"the start packet does not fit the grid: {err}; "
+                         f"change {keys} or grid.x_min, grid.x_max, grid.n_points")
+
+
 def _n_realizations(run, least) -> int:
     n_real = int(run["n_realizations"])
     if n_real < least:
@@ -120,6 +133,7 @@ def _n_realizations(run, least) -> int:
 def run_isolated_experiment(cfg, seed, workers):
     system, grid, _, dt, n_steps, stride = _setup(cfg)
     exp = cfg["isolated"]
+    _check_packet(grid, system.hbar, "isolated", exp)
     state = gaussian_state(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
     traj = run_isolated(state, system, dt, n_steps, sample_every=stride)
     table = np.column_stack([traj.times, traj.moments[0]])
@@ -135,6 +149,7 @@ def run_conditioned_experiment(cfg, seed, workers):
     system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["conditioned"]
     n_real = _n_realizations(cfg["run"], 1)
+    _check_packet(grid, system.hbar, "conditioned", exp)
     psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
 
     def run_chunk(streams):
@@ -231,6 +246,7 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
     exp = cfg["cumulant-compare"]
     hbar = system.hbar
     x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
+    _check_packet(grid, hbar, "cumulant-compare", exp)
     dw = generate(seed, [0], n_steps, dt)
     psi0 = gaussian_wavefunction(grid, x0, p0, sx, hbar)
     traj = run_conditioned(grid, psi0, system, meas, dw, dt, sample_every=stride)
@@ -305,6 +321,8 @@ def run_lyapunov_experiment(cfg, seed, workers):
     check_separation(exp["delta0"], exp["sigma_x"], "lyapunov.delta0")
     threshold = exp["renorm_threshold"] if exp["renormalize"] else None
     check_threshold(threshold, exp["delta0"], ("lyapunov.renorm_threshold", "lyapunov.delta0"))
+    _check_packet(grid, system.hbar, "lyapunov", exp)
+    _check_packet(grid, system.hbar, "lyapunov", exp, exp["delta0"])
     lcfg = LyapunovConfig(
         initial_separation=exp["delta0"],
         horizon=run["horizon"],
@@ -347,6 +365,7 @@ def run_cooling_experiment(cfg, seed, workers):
     # A policy named twice runs once.
     names = list(dict.fromkeys(p.strip() for p in exp["policies"].split(",")))
     gains = {"direct": exp["direct_gain"], "estimator": exp["estimator_gain"]}
+    _check_packet(grid, system.hbar, "cooling", exp)
     state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
     try:
         policies = [FeedbackPolicy(kind, gain=gains.get(kind, 0.0),
@@ -358,7 +377,7 @@ def run_cooling_experiment(cfg, seed, workers):
                                  sample_stride=stride, workers=workers)
     except FieldValueError as err:   # name the key that set the policy field
         field, problem = err.args
-        key = {"u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]
+        key = {"kind": "policies", "u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]
         raise ValueError(f"cooling.{key} {problem}") from err
     root_n = np.sqrt(res.stream_indices.size)
     # Realizations add in order along axis 0, and each steady column reduces

@@ -58,7 +58,8 @@ class FeedbackPolicy:
 
     def __post_init__(self):
         if self.kind not in ("none", "direct", "estimator"):
-            raise ValueError(f"unknown feedback kind {self.kind!r}")
+            raise FieldValueError("kind", f"names unknown feedback kind {self.kind!r}; "
+                                          "known: direct, estimator, none")
         if not self.u_max > 0:   # NaN fails too
             raise FieldValueError("u_max", f"must be positive, got {self.u_max:g}")
 

@@ -37,8 +37,6 @@ __all__ = [
     "paired_run",
     "classical_paired_run",
     "ensemble_lyapunov",
-    "one_over_t_fit",
-    "FitResult",
 ]
 
 MERGE_FLOOR_FACTOR = 1e-14
@@ -248,44 +246,3 @@ def ensemble_lyapunov(state0_params, system, meas, cfg: LyapunovConfig,
     return PairedRunResult(results[0].times, *map(np.concatenate, columns),
                            max(r.max_outer_mass for r in results), len(results))
 
-
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    residual: float
-    n_used: int
-    n_dropped: int
-    window: tuple
-
-
-def one_over_t_fit(times, lam, window, drop_floor=0.05) -> FitResult:
-    """Least-squares fit of ln|lambda| against ln t over a time window.
-
-    Isolated-system exponents oscillate through zero (the divergence is
-    bounded), so samples with |lambda * t| below ``drop_floor`` times the
-    window maximum carry no slope information and are dropped; the
-    effective window is reported.  Synthetic c/t input returns slope -1
-    to machine precision.
-    """
-    times = np.asarray(times, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    t_lo, t_hi = window
-    sel = (times >= t_lo) & (times <= t_hi) & np.isfinite(lam)
-    if not np.any(sel):
-        raise ValueError(f"window {window} contains no valid samples")
-    tt = times[sel]
-    ll = lam[sel]
-    magnitude = np.abs(ll * tt)
-    keep = magnitude > drop_floor * np.max(magnitude)
-    n_dropped = int(np.sum(~keep))
-    tt, ll = tt[keep], ll[keep]
-    if tt.size < 3:
-        raise ValueError("too few usable samples after dropping degenerate points")
-    x = np.log(tt)
-    y = np.log(np.abs(ll))
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, res, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    residual = float(np.sqrt(res[0] / tt.size)) if res.size else 0.0
-    return FitResult(float(coef[0]), float(coef[1]), residual,
-                     int(tt.size), n_dropped, (float(tt[0]), float(tt[-1])))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import SupportEscapeError
+
 __all__ = ["BATCH_BYTES", "generate", "map_streams", "substream_rng"]
 
 _MASK64 = (1 << 64) - 1
@@ -77,8 +79,19 @@ BATCH_BYTES = 64 * 1024
 _pool_fn = None   # map_streams' fn while its pool is open; the children inherit it
 
 
+def _named_batch(fn, streams):
+    """fn(streams), whose batch axis 0 runs the streams in order; a support
+    escape is named by the stream of its row."""
+    try:
+        return fn(streams)
+    except SupportEscapeError as err:
+        if not err.row:
+            raise
+        raise SupportEscapeError(f"stream {streams[err.row[0]]}: {err}") from err
+
+
 def _call_pool_fn(streams):
-    return _pool_fn(streams)
+    return _named_batch(_pool_fn, streams)
 
 
 def map_streams(fn, n_streams, bytes_per_stream, workers, first=0):
@@ -89,14 +102,16 @@ def map_streams(fn, n_streams, bytes_per_stream, workers, first=0):
     the last; they depend on the streams alone, never on ``workers``.  One
     batch runs in-process; several run on a fork pool of ``workers``
     processes (one per batch at most), which hands out one batch at a time.
-    The children inherit fn at the fork, so it may be a closure.
+    The children inherit fn at the fork, so it may be a closure.  fn steps
+    its streams as axis 0 of one batch, so a SupportEscapeError from row r
+    is raised again naming stream streams[r].
     """
     global _pool_fn
     most = max(1, BATCH_BYTES // bytes_per_stream)
     stop = first + n_streams
     batches = [range(start, min(start + most, stop)) for start in range(first, stop, most)]
     if workers < 2 or len(batches) < 2:
-        return [fn(streams) for streams in batches]
+        return [_named_batch(fn, streams) for streams in batches]
     from multiprocessing import get_context   # only runs that fork a pool pay for it
 
     _pool_fn = fn

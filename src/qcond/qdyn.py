@@ -32,10 +32,10 @@ Averaging M rho M over dW reproduces the unconditional damping
 exp(-k (x1-x2)^2 dt) identically, so conditioned-minus-averaged
 comparisons are free of scheme mismatch.
 
-Both the density-matrix stepper and a pure-state (wavefunction) stepper
-are provided.  They realize the same measurement map, so a pure initial
-state evolved either way gives identical trajectories up to roundoff;
-the wavefunction path is the cheap one for large conditioned ensembles.
+The density-matrix stepper runs isolated and unconditional evolution.
+Conditioned trajectories of an ideal measurement stay pure, so the
+wavefunction stepper runs them at O(n) per step (the tests keep a
+density-matrix twin of its conditioned step as a cross-check).
 
 The half phase of every step is a static profile times
 exp(c x), with one c per batch row.  The drive A cos(wt) x and the
@@ -126,15 +126,20 @@ class MeasurementSpec:
 # Steppers
 
 
-def _check_support(mass_outside: float, t: float):
+def _check_support(mass_outside: float, t: float, row=None):
+    """Refuse an outer-buffer mass above tolerance, or NaN; the error carries
+    the batch index ``row`` of the state that has it."""
     if not mass_outside <= SUPPORT_TOLERANCE:   # a NaN state fails too
         if not np.isfinite(mass_outside):
-            raise SupportEscapeError(f"state is not finite at t={t:.6g}; "
+            err = SupportEscapeError(f"state is not finite at t={t:.6g}; "
                                      "look for a non-finite noise increment")
-        raise SupportEscapeError(
-            f"probability {mass_outside:.3e} in outer grid buffer at t={t:.6g} "
-            f"(tolerance {SUPPORT_TOLERANCE:g}); enlarge the grid"
-        )
+        else:
+            err = SupportEscapeError(
+                f"probability {mass_outside:.3e} in outer grid buffer at t={t:.6g} "
+                f"(tolerance {SUPPORT_TOLERANCE:g}); enlarge the grid "
+                "(grid.x_min, grid.x_max, grid.n_points)")
+        err.row = row
+        raise err
 
 
 def _phase_product(w: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -204,11 +209,8 @@ class _Stepper:
 
 
 class DensityStepper(_Stepper):
-    """Evolves a density matrix; owns no state besides precomputed phases and damping.
-
-    The congruence form of the measurement update keeps the state
-    positive for any dt, so no eigenvalue repair is needed.
-    """
+    """Evolves a density matrix, isolated or unconditional; owns no state
+    besides precomputed phases and damping."""
 
     def __init__(self, grid, system, meas: MeasurementSpec = None, dt=1e-3):
         super().__init__(grid, system, meas, dt)
@@ -281,25 +283,13 @@ class DensityStepper(_Stepper):
         _check_support(self._outer_mass(rho), t)
         return QuantumState(self.grid, rho, state.hbar)
 
-    def conditioned(self, state: QuantumState, t: float, dw: float):
-        """One measurement-conditioned step; returns (state', dy)."""
-        dens = state.rho.diagonal().real
-        x_mean = float(np.sum(self.x * dens) / np.sum(dens))
-        dy = self.meas.record(x_mean, dw, self.dt)
-        m = self.meas.multiplier(self.x - x_mean, dw, self.dt)
-        rho = state.rho * np.outer(m, m)
-        rho = self._renormalize(rho)
-        rho = self._unitary(rho, t)
-        _check_support(self._outer_mass(rho), t)
-        return QuantumState(self.grid, rho, state.hbar), dy
-
 
 class PureStepper(_Stepper):
-    """Wavefunction twin of DensityStepper for pure-state trajectories.
+    """Pure-state trajectories, isolated and conditioned.
 
     Ideal (efficiency-one) measurement keeps pure states pure, and the
     multiplicative measurement map used here acts identically on
-    |psi><psi| and on psi, so this path reproduces the density stepper
+    |psi><psi| and on psi, so this path gives the congruence M rho M
     to roundoff while costing O(n) instead of O(n^2) per step.
 
     A conditioned step multiplies by the measurement multiplier at the
@@ -334,11 +324,17 @@ class PureStepper(_Stepper):
         return np.multiply(pv, psi, out=psi)
 
     def _density_pass(self, psi: np.ndarray, t: float):
-        """Norm of every row of psi; sets x_mean, checks and records the outer-buffer mass."""
+        """Norm of every row of psi; sets x_mean, checks and records the outer-buffer mass.
+
+        A failing check names the batch index of the worst row.
+        """
         moments = np.vecdot(self._weights, (np.abs(psi) ** 2)[..., None, :])
         norm = moments[..., 0]
-        worst = float((moments[..., 2] / norm).max())
-        _check_support(worst, t)
+        outer = moments[..., 2] / norm
+        worst = float(outer.max())
+        if not worst <= SUPPORT_TOLERANCE:   # only a failing step looks for its row
+            row = np.unravel_index(np.argmax(outer), outer.shape)   # a NaN row first
+            _check_support(worst, t, tuple(int(i) for i in row))
         self.max_outer_mass = max(self.max_outer_mass, worst)
         self.x_mean = moments[..., 1] / norm
         return norm

@@ -451,6 +451,26 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (QCT_SCAN, "run.dt=-0.001", "run.dt must be positive"),
     # Only action = 0 asks qct-scan to derive the action.
     (QCT_SCAN, "qct-scan.action=-5", "qct-scan.action"),
+    # A start packet the grid cannot hold names its key and the grid's, before any run.
+    (ISOLATED, "isolated.sigma_x=0.1",
+     "change isolated.sigma_x or grid.x_min, grid.x_max, grid.n_points"),
+    (CONDITIONED, "conditioned.x0=20",
+     "change conditioned.x0 or grid.x_min, grid.x_max, grid.n_points"),
+    (CUMULANT, "cumulant-compare.p0=1000",
+     "change cumulant-compare.p0 or grid.x_min, grid.x_max, grid.n_points"),
+    (HARMONIC_LYAP, "lyapunov.x0=10",
+     "change lyapunov.x0 or grid.x_min, grid.x_max, grid.n_points"),
+    # The fiducial packet fits [-12, 12]; its twin at x0 + delta0 does not.
+    (HARMONIC_LYAP, "lyapunov.x0=7.98",
+     "change lyapunov.x0, lyapunov.delta0 or grid.x_min, grid.x_max, grid.n_points"),
+    (COOLING, "cooling.sigma_x=0",
+     "change cooling.sigma_x or grid.x_min, grid.x_max, grid.n_points"),
+    (COOLING, "cooling.policies=none,bogus",
+     "cooling.policies names unknown feedback kind 'bogus'; known: direct, estimator, none"),
+    (COOLING, "cooling.policies=none,,direct", "cooling.policies names unknown feedback kind ''"),
+    # A horizon shorter than one step is blamed on run.horizon, not on the stride.
+    (ISOLATED, "run.horizon=-1", "run.horizon must"),
+    (CONDITIONED, "run.horizon=0.0001", "run.horizon must"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "renorm-below-delta0",
         "delta0-negative",
@@ -465,7 +485,10 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "cooling-hbar-0", "system-mass-0", "grid-x-order", "grid-n-points-key",
         "potential-degree-5", "passivity-hbar-negative", "passivity-sigma-x-negative",
         "passivity-sigma-p-negative", "dt-0", "dt-negative", "dt-inf", "qct-scan-dt-negative",
-        "qct-scan-action-negative"])
+        "qct-scan-action-negative", "isolated-packet-sigma", "conditioned-packet-x0",
+        "cumulant-packet-p0", "lyapunov-packet-x0", "lyapunov-packet-twin", "cooling-packet-sigma",
+        "cooling-policy-unknown", "cooling-policy-empty", "horizon-negative",
+        "horizon-below-one-step"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
@@ -547,11 +570,29 @@ def test_isolated_metadata_reports_density_invariants(tmp_path):
     assert 0.0 <= result["max_hermiticity_defect"] < 1e-12
 
 
-def test_numerical_abort_exit_code(tmp_path):
-    # support escape: initial packet too close to the wall
-    bad = ISOLATED.replace("x0 = 0.5", "x0 = 6.5")
+def test_numerical_abort_exit_code(tmp_path, capsys):
+    # A support escape while stepping: the packet's 5-sigma support [1, 9.9]
+    # fits the grid, but its tail holds about 2e-5 in the outer buffer (x > 9.06).
+    bad = ISOLATED.replace("x0 = 0.5", "x0 = 5.4")
     cfg = _write(tmp_path, bad)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "outer grid buffer at t=0" in capsys.readouterr().err
+
+
+def test_non_finite_increment_names_its_stream(tmp_path, capsys, monkeypatch):
+    """A NaN in column 1 of a 3-stream conditioned run aborts naming stream 1."""
+    from qcond import experiments
+
+    def nan_in_column_1(seed, streams, n_steps, dt):
+        dw = generate(seed, streams, n_steps, dt)
+        dw[5, 1] = np.nan
+        return dw
+
+    monkeypatch.setattr(experiments, "generate", nan_in_column_1)
+    cfg = _write(tmp_path, CONDITIONED)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1",
+                 "--set", "run.n_realizations=3"]) == 3
+    assert "numerical abort: stream 1: state is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override, message", [
@@ -561,9 +602,9 @@ def test_numerical_abort_exit_code(tmp_path):
 ], ids=["x0-off-grid", "sigma-below-2dx", "sigma-zero"])
 def test_misfit_cooling_packet_aborts_unretried(tmp_path, capsys, recwarn, override, message):
     """Every stream starts from one packet, so a packet that does not fit the
-    grid aborts once, with no retried stream."""
+    grid is a config error before any stream runs, with no retried stream."""
     cfg = _write(tmp_path, COOLING)
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == 3
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not [w for w in recwarn if "aborted" in str(w.message)]
 

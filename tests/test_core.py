@@ -158,7 +158,7 @@ def test_gaussian_state_roundtrip_property(x0, p0, sigma):
     assert m.c_xx == pytest.approx(sigma**2, rel=2e-6)
     assert m.c_pp == pytest.approx(1.0 / (4 * sigma**2), rel=2e-6)
     # uncertainty floor for every constructed state
-    assert m.uncertainty_product() >= 0.25 * (1 - 1e-6)
+    assert m.c_xx * m.c_pp - m.c_xp**2 >= 0.25 * (1 - 1e-6)
 
 
 # --- moments ------------------------------------------------------------------

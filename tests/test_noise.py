@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 import qcond
+from qcond.core import SupportEscapeError
 from qcond.noise import BATCH_BYTES, _keyed_generator, generate, map_streams, substream_rng
 
 
@@ -131,6 +132,22 @@ def test_map_streams_batches_depend_on_the_streams_alone(workers):
     assert batches(20, 20) == [range(0, 20)]
     assert map_streams(lambda streams: streams, 3, 2 * BATCH_BYTES, workers) == \
         [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def _escape_in_row_1(streams):
+    if len(streams) > 1:
+        err = SupportEscapeError("probability 1e-05 in outer grid buffer at t=2")
+        err.row = (1, 0)
+        raise err
+    return list(streams)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_streams_names_the_stream_of_an_escaping_row(workers):
+    """Batch axis 0 runs the streams in order, so an escape from row 1 of the
+    batch range(4, 6) names stream 5, in-process and from a pool child."""
+    with pytest.raises(SupportEscapeError, match="^stream 5: probability 1e-05 in outer"):
+        map_streams(_escape_in_row_1, 3, BATCH_BYTES // 2, workers, first=4)
 
 
 def test_one_batch_ensemble_forks_no_pool():

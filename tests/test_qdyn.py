@@ -23,6 +23,7 @@ from qcond.qdyn import (
     MeasurementError,
     MeasurementSpec,
     PureStepper,
+    _check_support,
     run_conditioned,
     run_isolated,
 )
@@ -177,11 +178,24 @@ def test_unitary_phase_follows_reassigned_control(n):
 # --- conditioned ----------------------------------------------------------------
 
 
+def density_conditioned(stepper: DensityStepper, state: QuantumState, t: float, dw: float):
+    """The density twin of PureStepper.conditioned, built from the density
+    stepper's pieces: one conditioned step of rho; returns (state', dy)."""
+    dens = state.rho.diagonal().real
+    x_mean = float(np.sum(stepper.x * dens) / np.sum(dens))
+    dy = stepper.meas.record(x_mean, dw, stepper.dt)
+    m = stepper.meas.multiplier(stepper.x - x_mean, dw, stepper.dt)
+    rho = stepper._renormalize(state.rho * np.outer(m, m))
+    rho = stepper._unitary(rho, t)
+    _check_support(stepper._outer_mass(rho), t)
+    return QuantumState(stepper.grid, rho, state.hbar), dy
+
+
 def test_record_arithmetic_unit_gain(grid, free):
     # <x>=0, k=1/8 makes sqrt(8k)=1, so dy = dW exactly
     meas = MeasurementSpec(0.125)
     state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
-    _, dy = DensityStepper(grid, free, meas, 1e-3).conditioned(state, 0.0, 0.01)
+    _, dy = density_conditioned(DensityStepper(grid, free, meas, 1e-3), state, 0.0, 0.01)
     assert dy == pytest.approx(0.01, abs=1e-12)
     # innovation inverts record: dW = dy - <x> dt at unit gain
     assert meas.innovation(dy, 0.0, 1e-3) == pytest.approx(0.01, abs=1e-12)
@@ -201,19 +215,19 @@ def test_conditioned_preserves_purity(grid, harmonic):
     noise = generate(21, [0], 1000, dt)[:, 0]
     t = 0.0
     for i in range(1000):
-        state, _ = stepper.conditioned(state, t, noise[i])
+        state, _ = density_conditioned(stepper, state, t, noise[i])
         t += dt
     assert state.purity() == pytest.approx(1.0, abs=1e-6)
     assert state.trace() == pytest.approx(1.0, abs=1e-9)
     m = quantum_moments(state, harmonic, t)
-    assert m.uncertainty_product() >= 0.25 * (1 - 1e-6)
+    assert m.c_xx * m.c_pp - m.c_xp**2 >= 0.25 * (1 - 1e-6)
 
 
 def test_conditioned_rejects_zero_strength(grid, harmonic):
     stepper = DensityStepper(grid, harmonic, MeasurementSpec(0.0), 1e-3)
     state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
     with pytest.raises(MeasurementError):
-        stepper.conditioned(state, 0.0, 0.01)
+        density_conditioned(stepper, state, 0.0, 0.01)
     with pytest.raises(MeasurementError):
         MeasurementSpec(0.0).innovation(0.01, 0.0, 1e-3)
 
@@ -228,7 +242,7 @@ def test_pure_and_density_paths_agree(grid, harmonic):
     noise = generate(4, [2], 1500, dt)[:, 0]
     t = 0.0
     for i in range(1500):
-        state, dy_d = dstep.conditioned(state, t, noise[i])
+        state, dy_d = density_conditioned(dstep, state, t, noise[i])
         psi, dy_p = pstep.conditioned(psi, t, noise[i])
         t += dt
         assert dy_d == pytest.approx(dy_p, abs=1e-12)
@@ -292,6 +306,8 @@ def test_per_row_increments_step_like_single_rows(grid, harmonic):
 
 
 def test_batched_support_check_sees_any_row(grid, harmonic):
+    """A failing check names the batch index of the worst row: row 1 of a
+    (3, n) batch starts in the outer buffer, row (1, 0) of a (2, 2, n) one."""
     stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), 1e-3)
     inside = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
     edge = gaussian_wavefunction(grid, 9.0, 0.0, 0.5, HBAR)   # tail in the outer buffer
@@ -299,8 +315,11 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
     for step in (lambda psi: stepper.conditioned(psi, 0.0, 0.0),
                  lambda psi: stepper.isolated(psi, 0.0)):
         step(np.stack([inside, inside]))
-        with pytest.raises(SupportEscapeError):
-            step(np.stack([inside, edge, inside]))
+        for batch, row in ((np.stack([inside, edge, inside]), (1,)),
+                           (np.stack([[inside, inside], [edge, inside]]), (1, 0))):
+            with pytest.raises(SupportEscapeError, match="grid.x_min, grid.x_max, grid.n_points") as err:
+                step(batch)
+            assert err.value.row == row
 
 
 def test_nan_state_fails_the_support_check(grid, harmonic):
@@ -429,8 +448,10 @@ def test_trajectory_loop_density_twin(harmonic):
     def conditioned(stepper, key):
         def step(state, i, t):
             # The wavefunction stepper takes back the <x> its last step left, as run_conditioned does.
-            carried = (stepper.x_mean,) if key == "pure" else ()
-            state, dy = stepper.conditioned(state, t, noise[i], *carried)
+            if key == "pure":
+                state, dy = stepper.conditioned(state, t, noise[i], stepper.x_mean)
+            else:
+                state, dy = density_conditioned(stepper, state, t, noise[i])
             dys[key].append(dy)
             return state
         return step
@@ -487,7 +508,8 @@ def test_conditioned_density_stays_positive(dt, k, seed):
     stepper aborts with SupportEscapeError, which is not a positivity
     failure, and the last state it returned is checked.  Observed worst
     cases: trace error 4e-16, hermiticity defect 1e-13, minimum eigenvalue
-    -1.2e-13, against the validate() floors 1e-9, 1e-12 and -1e-8.
+    -1.2e-13 (of rho dx, the trace-1 operator), against floors of 1e-9,
+    1e-12 and -1e-8.
     """
     g64 = PositionGrid(-4.0, 4.0, 64)
     trap = SystemSpec(mass=4.0, hbar=HBAR, potential_coeffs=(0, 0, 8.0))
@@ -498,10 +520,12 @@ def test_conditioned_density_stays_positive(dt, k, seed):
     noise = generate(seed, [0], 300, dt)[:, 0]
     try:
         for i in range(300):
-            state, _ = stepper.conditioned(state, i * dt, noise[i])
+            state, _ = density_conditioned(stepper, state, i * dt, noise[i])
     except SupportEscapeError:
         pass
-    state.validate(check_eigenvalues=True)
+    assert abs(state.trace() - 1.0) <= 1e-9
+    assert state.hermiticity_defect() <= 1e-12
+    assert np.linalg.eigvalsh(state.rho * g64.dx)[0] >= -1e-8
 
 
 def test_unconditional_free_particle_momentum_heating(grid, free):
@@ -592,7 +616,7 @@ def test_mixed_state_mean_purity_nondecreasing(grid, harmonic):
         t = 0.0
         c = 0
         for i in range(n_steps):
-            state, _ = stepper.conditioned(state, t, noise[i])
+            state, _ = density_conditioned(stepper, state, t, noise[i])
             t += dt
             if (i + 1) % (n_steps // n_checks) == 0:
                 purities[r, c] = state.purity()
