@@ -31,7 +31,7 @@ from .qct import (
     lownoise_margin_classical,
     quantum_window,
 )
-from .lyap import LyapunovConfig, PairedRunResult, ensemble_lyapunov, paired_run
+from .lyap import PairedRunResult, ensemble_lyapunov, paired_run
 from .feedback import CoolingResult, FeedbackPolicy, cooling_experiment
 
 __version__ = "0.1.0"

@@ -124,6 +124,15 @@ SCHEMA = {
 }
 
 
+# The [run] keys an experiment does not read, each with what it does
+# instead; every experiment reads run.dt, run.horizon and run.master_seed.
+UNREAD_RUN_KEYS = {
+    "isolated": {"n_realizations": "evolves one state"},
+    "cumulant-compare": {"n_realizations": "runs one noise path"},
+    "qct-scan": {"n_realizations": "runs one orbit", "sample_stride": "writes every orbit step"},
+}
+
+
 def load_config(path, overrides=()):
     """Parse and validate; unknown sections or keys are fatal."""
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
@@ -186,9 +195,13 @@ def load_config(path, overrides=()):
                 out[key] = default
         resolved[section] = out
 
-    # Every run must take a step and a sample after t = 0.  qct-scan writes
-    # every orbit step, so it takes no stride.
+    # A key the experiment does not read would change nothing it writes.
     run = resolved["run"]
+    for key, instead in UNREAD_RUN_KEYS.get(name, {}).items():
+        if parser.has_option("run", key):
+            raise ConfigError(f"run.{key} is not read by {name}, which {instead}")
+        del run[key]
+    # Every run must take a step and a sample after t = 0.
     if not 0 < run["dt"] < np.inf:
         raise ConfigError(f"run.dt must be positive and finite, got {run['dt']:g}")
     try:
@@ -198,12 +211,7 @@ def load_config(path, overrides=()):
     if n_steps < 1:
         raise ConfigError(f"run.horizon must cover at least one run.dt step, "
                           f"got round(run.horizon / run.dt) = {n_steps}")
-    if name == "qct-scan":
-        if parser.has_option("run", "sample_stride"):
-            raise ConfigError("run.sample_stride is not read by qct-scan, "
-                              "which writes every orbit step")
-        del run["sample_stride"]
-    elif not 1 <= run["sample_stride"] <= n_steps:
+    if "sample_stride" in run and not 1 <= run["sample_stride"] <= n_steps:
         raise ConfigError(f"run.sample_stride must be at least 1 and at most the "
                           f"round(run.horizon / run.dt) = {n_steps} steps, "
                           f"got {run['sample_stride']}")

@@ -29,9 +29,9 @@ from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, lio
                    newton_trajectory, run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
 from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
-from .lyap import LyapunovConfig, check_separation, check_threshold, ensemble_lyapunov
+from .lyap import ensemble_lyapunov
 from .noise import generate, map_streams, substream_rng
-from .qct import evaluate_along_trajectory, action_scale
+from .qct import NonRecurrentOrbitError, action_scale, evaluate_along_trajectory
 from .qdyn import MeasurementSpec, run_conditioned, run_isolated
 
 __all__ = ["EXPERIMENTS", "CsvSeries", "ExperimentResult", "run_experiment"]
@@ -118,6 +118,13 @@ def _check_packet(grid, hbar, section, exp, shift=0.0):
         keys = f"{section}.{key}" + (", lyapunov.delta0" if shift else "")
         raise ValueError(f"the start packet does not fit the grid: {err}; "
                          f"change {keys} or grid.x_min, grid.x_max, grid.n_points")
+
+
+def _packet_belief(exp, hbar):
+    """The quantum Gaussian belief of config section ``exp``'s start packet."""
+    sx = exp["sigma_x"]
+    return GaussianBelief(exp["x0"], exp["p0"], sx**2, 0.0, hbar**2 / (4 * sx**2),
+                          quantum=True, hbar=hbar)
 
 
 def _n_realizations(run, least) -> int:
@@ -245,16 +252,12 @@ def run_cumulant_compare_experiment(cfg, seed, workers):
     system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["cumulant-compare"]
     hbar = system.hbar
-    x0, p0, sx = exp["x0"], exp["p0"], exp["sigma_x"]
     _check_packet(grid, hbar, "cumulant-compare", exp)
     dw = generate(seed, [0], n_steps, dt)
-    psi0 = gaussian_wavefunction(grid, x0, p0, sx, hbar)
+    psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], hbar)
     traj = run_conditioned(grid, psi0, system, meas, dw, dt, sample_every=stride)
-
-    belief = GaussianBelief(x0, p0, sx**2, 0.0, hbar**2 / (4 * sx**2),
-                            quantum=True, hbar=hbar)
     _, bel_rows, _ = drive(
-        belief, n_steps, dt, stride,
+        _packet_belief(exp, hbar), n_steps, dt, stride,
         lambda b, i, t: centroid_step(b, system, meas, dt, dw[i, 0], t),
         lambda b, t: [b.x_mean, b.p_mean, b.c_xx, b.c_xp, b.c_pp])
     # Both series start one stride in: the t = 0 rows are the shared start.
@@ -289,7 +292,12 @@ def run_qct_scan_experiment(cfg, seed, workers):
         undriven = SystemSpec(mass=system.mass, hbar=system.hbar,
                               potential_coeffs=system.potential_coeffs)
         _, xs_u, ps_u = newton_trajectory(exp["x0"], exp["p0"], undriven, dt, n_steps)
-        action = action_scale(xs_u, ps_u)
+        try:
+            action = action_scale(xs_u, ps_u)
+        except NonRecurrentOrbitError as err:
+            raise ValueError(f"cannot derive qct-scan.action from the undriven orbit: {err}; "
+                             f"set qct-scan.action, or lengthen run.horizon = "
+                             f"{cfg['run']['horizon']:g} to cover a period") from err
     rep = evaluate_along_trajectory(system, xs, k=meas.strength, action=action, times=times,
                                     threshold=exp["threshold"])
     cols = ("t [time]", "x [length]",
@@ -314,32 +322,34 @@ def run_qct_scan_experiment(cfg, seed, workers):
 
 
 def run_lyapunov_experiment(cfg, seed, workers):
-    system, grid, meas, dt, _, stride = _setup(cfg)
-    run = cfg["run"]
+    system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["lyapunov"]
-    # Before any pool job, in the config's keys.
-    check_separation(exp["delta0"], exp["sigma_x"], "lyapunov.delta0")
+    n_real = _n_realizations(cfg["run"], 2)
+    d0 = exp["delta0"]
+    # Well above the <x> noise floor of the grid, and a small fraction of the state width.
+    if not d0 > 0:   # NaN fails too
+        raise ValueError(f"lyapunov.delta0 must be positive, got {d0:g}")
+    if d0 > exp["sigma_x"] / 10.0:
+        raise ValueError(f"lyapunov.delta0 = {d0:g} exceeds sigma_x / 10 = "
+                         f"{exp['sigma_x'] / 10.0:g}")
     threshold = exp["renorm_threshold"] if exp["renormalize"] else None
-    check_threshold(threshold, exp["delta0"], ("lyapunov.renorm_threshold", "lyapunov.delta0"))
+    # At or below delta0, every step would reset every pair.
+    if threshold is not None and not threshold > d0:
+        raise ValueError(f"lyapunov.renorm_threshold = {threshold:g} must exceed "
+                         f"lyapunov.delta0 = {d0:g}")
     _check_packet(grid, system.hbar, "lyapunov", exp)
-    _check_packet(grid, system.hbar, "lyapunov", exp, exp["delta0"])
-    lcfg = LyapunovConfig(
-        initial_separation=exp["delta0"],
-        horizon=run["horizon"],
-        dt=dt,
-        n_realizations=_n_realizations(run, 2),
-        sample_stride=stride,
-        renorm_threshold=threshold,
-    )
-    state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
-    series_out = ensemble_lyapunov(state0, system, meas, lcfg, seed, workers=workers)
+    _check_packet(grid, system.hbar, "lyapunov", exp, d0)
+    pair0 = np.stack([gaussian_wavefunction(grid, x0, exp["p0"], exp["sigma_x"], system.hbar)
+                      for x0 in (exp["x0"], exp["x0"] + d0)])
+    series_out = ensemble_lyapunov(grid, pair0, system, meas, n_real, n_steps, dt, d0, seed,
+                                   stride, threshold, workers)
 
     out = [CsvSeries(
         "lyap_mean",
         ("t [time]", "lambda_mean [1/time]", "lambda_sd [1/time]"),
         np.column_stack([series_out.times, series_out.lam_mean, series_out.lam_sd]),
     )]
-    for r in range(lcfg.n_realizations):
+    for r in range(n_real):
         out.append(CsvSeries(
             f"lyap_real_{r:03d}",
             ("t [time]", "delta [length]", "lambda [1/time]"),
@@ -359,22 +369,20 @@ def run_lyapunov_experiment(cfg, seed, workers):
 
 
 def run_cooling_experiment(cfg, seed, workers):
-    system, grid, meas, dt, _, stride = _setup(cfg)
-    run = cfg["run"]
+    system, grid, meas, dt, n_steps, stride = _setup(cfg)
     exp = cfg["cooling"]
     # A policy named twice runs once.
     names = list(dict.fromkeys(p.strip() for p in exp["policies"].split(",")))
     gains = {"direct": exp["direct_gain"], "estimator": exp["estimator_gain"]}
     _check_packet(grid, system.hbar, "cooling", exp)
-    state0 = (grid, exp["x0"], exp["p0"], exp["sigma_x"])
+    psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
     try:
         policies = [FeedbackPolicy(kind, gain=gains.get(kind, 0.0),
                                    smoothing_time=exp["direct_smoothing"], u_max=exp["u_max"])
                     for kind in names]
-        res = cooling_experiment(state0, system, meas, policies,
-                                 n_realizations=_n_realizations(run, 2),
-                                 horizon=run["horizon"], dt=dt, master_seed=seed,
-                                 sample_stride=stride, workers=workers)
+        res = cooling_experiment(grid, psi0, _packet_belief(exp, system.hbar), system, meas,
+                                 policies, _n_realizations(cfg["run"], 2), n_steps, dt, seed,
+                                 stride, workers)
     except FieldValueError as err:   # name the key that set the policy field
         field, problem = err.args
         key = {"kind": "policies", "u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]

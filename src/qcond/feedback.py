@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FieldValueError, QcondError, SystemSpec, drive, gaussian_wavefunction,
-                   wavefunction_moments)
+from .core import FieldValueError, QcondError, SystemSpec, drive, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
 from .noise import generate, map_streams
 from .qdyn import MeasurementSpec, PureStepper
@@ -102,25 +101,18 @@ class ClosedLoopRun:
     max_outer_mass: float
 
 
-def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
-                    policies: list, increments, dt, sample_stride=10,
-                    belief0: GaussianBelief = None) -> ClosedLoopRun:
+def run_closed_loop(grid, psi0, belief0: GaussianBelief, system: SystemSpec,
+                    meas: MeasurementSpec, policies: list, increments, dt,
+                    sample_stride=10) -> ClosedLoopRun:
     """Plant-measure-control loops, one batch row per (noise path, policy).
 
-    state0_params = (grid, x_mean, p_mean, sigma_x).  Every policy drives
-    its own copy of that state under each column (path) of the (n_steps, R)
-    ``increments``.  Every row is bit-identical to running its path and
-    policy alone.  The energy score uses the control-free Hamiltonian at
-    each sample time.
+    Every policy drives its own copy of the wavefunction psi0 under each
+    column (path) of the (n_steps, R) ``increments``; an estimator policy
+    starts its belief at belief0.  Every row is bit-identical to running
+    its path and policy alone.  The energy score uses the control-free
+    Hamiltonian at each sample time.
     """
-    grid, x0, p0, sigma_x = state0_params
-    hbar = system.hbar
     law = _control_arrays(policies, dt)
-    psi0 = gaussian_wavefunction(grid, x0, p0, sigma_x, hbar)
-    if belief0 is None:
-        belief0 = GaussianBelief(x0, p0, sigma_x**2, 0.0, hbar**2 / (4 * sigma_x**2),
-                                 quantum=True, hbar=hbar)
-
     # Rows are (path, policy) in row-major order.  The controls u act
     # during the next step (nothing is known at t = 0); the stepper reads
     # them through a view, so writing u in place sets every row's potential.
@@ -136,7 +128,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
 
     def step(psi, i, t):
         # One increment per path, shared by its policy rows.
-        psi, dy = stepper.conditioned(psi, t, increments[i][:, None], stepper.x_mean)
+        psi, dy = stepper.conditioned(psi, t, increments[i][:, None])
         for (r, j), belief in beliefs.items():
             dw_b = meas.innovation(dy[r, j], belief.x_mean, dt)
             # Begun at (i + 1) * dt - dt, which can differ from t = i * dt in the last bit.
@@ -151,7 +143,7 @@ def run_closed_loop(state0_params, system: SystemSpec, meas: MeasurementSpec,
         return psi
 
     def sample(psi, t):
-        return wavefunction_moments(grid, psi, hbar, scoring_system, t).energy
+        return wavefunction_moments(grid, psi, system.hbar, scoring_system, t).energy
 
     _, energy, _ = drive(psi, increments.shape[0], dt, sample_stride, step, sample)
     # Drop drive's t = 0 row; one C-contiguous row of samples per (path, policy).
@@ -190,9 +182,9 @@ class CoolingResult:
 MAX_RETRIES = 3
 
 
-def cooling_experiment(state0_params, system, meas, policies: list,
-                       n_realizations: int, horizon: float, dt: float,
-                       master_seed: int, sample_stride=10, workers=1) -> CoolingResult:
+def cooling_experiment(grid, psi0, belief0, system, meas, policies: list,
+                       n_realizations: int, n_steps: int, dt: float, master_seed: int,
+                       sample_stride=10, workers=1) -> CoolingResult:
     """Common-random-number comparison of feedback policies.
 
     Every policy sees the same per-realization noise path, so policy
@@ -202,16 +194,13 @@ def cooling_experiment(state0_params, system, meas, policies: list,
     policies under a fresh stream index (logged), keeping the pairing intact.
     The accepted and retried indices are those of a stream-by-stream loop.
     """
-    # Every stream starts from one packet: a misfit aborts once, unretried.
-    gaussian_wavefunction(*state0_params, system.hbar)
-    n_steps = int(round(horizon / dt))
-    bytes_per_stream = len(policies) * state0_params[0].n_points * 16
+    bytes_per_stream = len(policies) * psi0.nbytes
 
     def run_chunk(streams):
         """(stream, (run, row)) per stream, or (stream, abort message) for a
         stream that aborts alone."""
         try:
-            run = run_closed_loop(state0_params, system, meas, policies,
+            run = run_closed_loop(grid, psi0, belief0, system, meas, policies,
                                   generate(master_seed, streams, n_steps, dt), dt, sample_stride)
         except QcondError as err:
             if len(streams) == 1:

@@ -123,9 +123,7 @@ def action_scale(xs, ps):
         # Relax once: accept the closest return if it is genuinely close.
         rel = np.argmin(d2[start:])
         if d2[start:][rel] > 1e-2 * scale2:
-            raise NonRecurrentOrbitError(
-                "no recurrence found; supply the action scale explicitly"
-            )
+            raise NonRecurrentOrbitError("no recurrence found")
         iend = start + int(rel)
     else:
         iend = start + int(back[0])

@@ -296,8 +296,7 @@ class PureStepper(_Stepper):
     offsets x - <x>, runs the split-operator unitary with the factored half
     phase, and normalizes after the unitary.  One |psi|^2 of the new state
     gives its norm, the outer-buffer mass of the support check and its
-    <x>, which the step leaves in ``x_mean`` for the caller to pass back
-    into the next step.
+    <x>, which the step leaves in ``x_mean`` for the next step to read.
 
     psi may be a batch of shape (..., n).  dW is a scalar (one increment
     for every row) or an array that broadcasts against the batch shape
@@ -348,14 +347,13 @@ class PureStepper(_Stepper):
         self._density_pass(psi, t)
         return psi
 
-    def conditioned(self, psi: np.ndarray, t: float, dw, x_mean=None):
+    def conditioned(self, psi: np.ndarray, t: float, dw):
         """One conditioned step of every row; returns (psi', dy per row).
 
-        x_mean is ``mean_x(psi)``, None to compute it here; after a step
-        ``self.x_mean`` holds it for psi'.
+        Reads <x> of psi from ``self.x_mean``, which the last step left
+        for its psi', and computes it when that is None (a first step).
         """
-        if x_mean is None:
-            x_mean = self.mean_x(psi)
+        x_mean = self.mean_x(psi) if self.x_mean is None else self.x_mean
         dy = self.meas.record(x_mean, dw, self.dt)
         u = self.x - x_mean[..., None]
         psi = self._unitary(psi * self.meas.multiplier(u, np.asarray(dw)[..., None], self.dt), t)
@@ -398,7 +396,7 @@ def run_conditioned(grid, psi0, system, meas, increments, dt,
 
     def step(psi, i, t):
         # The first step has no carried <x>: conditioned computes it.
-        return stepper.conditioned(psi, t, increments[i], stepper.x_mean)[0]
+        return stepper.conditioned(psi, t, increments[i])[0]
 
     def sample(psi, t):   # one moments call per sample, looked up then (span tracing rebinds it)
         return wavefunction_moments(grid, psi, system.hbar, system, t).stack()

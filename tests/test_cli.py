@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcond
-from qcond.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_OK, list_experiments, main, write_outputs
-from qcond.core import PositionGrid, SystemSpec
+from qcond.cli import (CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_OK, list_experiments, load_config, main,
+                       write_outputs)
+from qcond.core import PositionGrid, SystemSpec, gaussian_wavefunction
+from qcond.cumulant import GaussianBelief
 from qcond.experiments import CsvSeries, ExperimentResult
 from qcond.feedback import FeedbackPolicy, run_closed_loop
 from qcond.noise import generate
@@ -255,13 +257,15 @@ def test_cooling_outputs_match_per_stream_runs(tmp_path):
     result = json.load(open(os.path.join(out, "metadata.json")))["result"]
     assert result["stream_indices"] == list(range(n_real))
 
-    # COOLING's plant, grid, measurement, run and default policies.
-    state0 = (PositionGrid(-10.0, 10.0, 128), 1.5, 0.0, 0.5)
+    # COOLING's plant, grid, start packet, measurement, run and default policies.
+    grid = PositionGrid(-10.0, 10.0, 128)
+    start = (grid, gaussian_wavefunction(grid, 1.5, 0.0, 0.5),
+             GaussianBelief(1.5, 0.0, 0.25, 0.0, 1.0, quantum=True))
     plant = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.25, 0, 0.25))
     policies = [FeedbackPolicy("none"),
                 FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=5.0),
                 FeedbackPolicy("estimator", gain=3.0, u_max=5.0)]
-    runs = [run_closed_loop(state0, plant, MeasurementSpec(0.5), policies,
+    runs = [run_closed_loop(*start, plant, MeasurementSpec(0.5), policies,
                             generate(9, [k], 200, 1e-3), 1e-3, 50) for k in range(n_real)]
     root_n = np.sqrt(n_real)
 
@@ -471,6 +475,12 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     # A horizon shorter than one step is blamed on run.horizon, not on the stride.
     (ISOLATED, "run.horizon=-1", "run.horizon must"),
     (CONDITIONED, "run.horizon=0.0001", "run.horizon must"),
+    # A [run] key the experiment does not read would change nothing it writes.
+    (ISOLATED, "run.n_realizations=8", "run.n_realizations is not read by isolated"),
+    (CUMULANT, "run.n_realizations=8", "run.n_realizations is not read by cumulant-compare"),
+    (QCT_SCAN, "run.n_realizations=8", "run.n_realizations is not read by qct-scan"),
+    # The undriven orbit takes 2 pi to recur, longer than the run.
+    (QCT_SCAN, "run.horizon=3", "set qct-scan.action, or lengthen run.horizon = 3"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "renorm-below-delta0",
         "delta0-negative",
@@ -488,13 +498,28 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "qct-scan-action-negative", "isolated-packet-sigma", "conditioned-packet-x0",
         "cumulant-packet-p0", "lyapunov-packet-x0", "lyapunov-packet-twin", "cooling-packet-sigma",
         "cooling-policy-unknown", "cooling-policy-empty", "horizon-negative",
-        "horizon-below-one-step"])
+        "horizon-below-one-step", "isolated-realizations", "cumulant-realizations",
+        "qct-scan-realizations", "qct-scan-no-recurrence"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("text, unread", [
+    (ISOLATED, {"n_realizations"}),
+    (CUMULANT, {"n_realizations"}),
+    (QCT_SCAN, {"n_realizations", "sample_stride"}),
+    (CONDITIONED, set()),
+], ids=["isolated", "cumulant-compare", "qct-scan", "conditioned"])
+def test_resolved_run_holds_the_keys_read(tmp_path, text, unread):
+    """The resolved [run] section, which metadata.json records, holds only
+    the keys the experiment reads."""
+    _, resolved = load_config(_write(tmp_path, text))
+    assert set(resolved["run"]) == {"dt", "horizon", "master_seed", "n_realizations",
+                                    "sample_stride"} - unread
 
 
 @pytest.mark.parametrize("text, override, named", [

@@ -332,6 +332,7 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     benchmark's span tracer does) sees every call.  A wavefunction batch
     takes one moment call per sample, whatever its number of rows."""
     from qcond import cdyn, experiments, feedback, lyap, qdyn
+    from qcond.cumulant import GaussianBelief
     from qcond.noise import generate
 
     calls = {}
@@ -366,7 +367,8 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     calls.clear()
     policies = [feedback.FeedbackPolicy("none"), feedback.FeedbackPolicy("direct", gain=-1.0,
                                                                          smoothing_time=0.8)]
-    feedback.run_closed_loop((grid, 0.5, 0.0, 1.0), harmonic, meas, policies, paths, dt, stride)
+    belief0 = GaussianBelief(0.5, 0.0, 1.0, 0.0, 0.25, quantum=True)
+    feedback.run_closed_loop(grid, psi0, belief0, harmonic, meas, policies, paths, dt, stride)
     # Its t = 0 sample is taken, then dropped.
     assert calls == {"conditioned": 7, "wavefunction_moments": 3}
     calls.clear()
@@ -390,10 +392,43 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     calls.clear()
     # A measured pair batch reads its t = 0 centroids once and steps on drive.
     count(qdyn.PureStepper, "mean_x")
-    lcfg = lyap.LyapunovConfig(initial_separation=0.05, horizon=n_steps * dt, dt=dt,
-                               sample_stride=stride)
-    lyap.paired_run((grid, 0.5, 0.0, 1.0), harmonic, meas, lcfg, paths)
+    pair0 = np.stack([psi0, gaussian_wavefunction(grid, 0.55, 0.0, 1.0)])
+    lyap.paired_run(grid, pair0, harmonic, meas, paths, dt, 0.05, stride)
     assert calls == {"conditioned": 7, "mean_x": 1}
+
+
+@pytest.mark.parametrize("n_steps", [50, 200])
+def test_runs_step_every_increment_row(monkeypatch, n_steps):
+    """paired_run and run_closed_loop take one conditioned step per row of
+    the increments they are given, and sample up to the last."""
+    from qcond import feedback, lyap, qdyn
+    from qcond.cumulant import GaussianBelief
+    from qcond.noise import generate
+
+    calls = []
+    conditioned = qdyn.PureStepper.conditioned
+
+    def counted(self, *args):
+        calls.append(args[0].shape[:-1])
+        return conditioned(self, *args)
+
+    monkeypatch.setattr(qdyn.PureStepper, "conditioned", counted)
+    harmonic = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
+    grid = PositionGrid(-8.0, 8.0, 64)
+    meas = qdyn.MeasurementSpec(1.0)
+    dt, stride = 1e-3, 10
+    paths = generate(3, range(2), n_steps, dt)
+    psi0 = gaussian_wavefunction(grid, 0.5, 0.0, 1.0)
+    pair0 = np.stack([psi0, gaussian_wavefunction(grid, 0.55, 0.0, 1.0)])
+    pairs = lyap.paired_run(grid, pair0, harmonic, meas, paths, dt, 0.05, stride)
+    assert calls == [(2, 2)] * n_steps
+    calls.clear()
+    belief0 = GaussianBelief(0.5, 0.0, 1.0, 0.0, 0.25, quantum=True)
+    loops = feedback.run_closed_loop(grid, psi0, belief0, harmonic, meas,
+                                     [feedback.FeedbackPolicy("none")], paths, dt, stride)
+    assert calls == [(2, 1)] * n_steps
+    for run in (pairs, loops):
+        assert run.times == pytest.approx(dt * stride * np.arange(1, n_steps // stride + 1))
 
 
 def test_every_export_resolves():

@@ -17,7 +17,10 @@ from qcond.qdyn import MeasurementSpec, PureStepper
 PLANT = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.25, 0, 0.25))
 GRID = PositionGrid(-10.0, 10.0, 256)
 MEAS = MeasurementSpec(0.5)
-STATE0 = (GRID, 1.5, 0.0, 0.5)
+PSI0 = gaussian_wavefunction(GRID, 1.5, 0.0, 0.5)
+BELIEF0 = GaussianBelief(1.5, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2), quantum=True)
+# The start packet and its belief, as the CLI builds them for the cooling section.
+START = (GRID, PSI0, BELIEF0)
 DIRECT = FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=5.0)
 ESTIMATOR = FeedbackPolicy("estimator", gain=3.0, u_max=5.0)
 
@@ -72,22 +75,20 @@ def test_estimator_law_sets_final_control():
     control, so every row sees the record of one uncontrolled step."""
     dt = 1e-3
     noise = generate(3, [0], 1, dt)
-    psi0 = gaussian_wavefunction(GRID, 1.5, 0.0, 0.5)
-    _, dy = PureStepper(GRID, PLANT, MEAS, dt).conditioned(psi0[None], 0.0, noise[0])
-    bel0 = GaussianBelief(1.5, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2), quantum=True)
-    p = centroid_step(bel0, PLANT, MEAS, dt, MEAS.innovation(dy[0], 1.5, dt)).p_mean
+    _, dy = PureStepper(GRID, PLANT, MEAS, dt).conditioned(PSI0[None], 0.0, noise[0])
+    p = centroid_step(BELIEF0, PLANT, MEAS, dt, MEAS.innovation(dy[0], 1.5, dt)).p_mean
     assert p < -1e-3   # the quartic well's force pushes the packet back
     policies = [FeedbackPolicy("estimator", gain=g, u_max=u_max)
                 for g, u_max in ((1.5, 10.0), (1.5, 1e-3), (-1.5, 1e-3), (0.0, 10.0))]
-    run = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, dt, sample_stride=1)
+    run = run_closed_loop(*START, PLANT, MEAS, policies, noise, dt, sample_stride=1)
     assert run.final_control[0].tolist() == [-1.5 * p, 1e-3, -1e-3, 0.0]
 
 
 def test_zero_gain_identical_to_none():
     dt = 1e-3
     noise = generate(3, [0], 2000, dt)
-    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise, dt)
-    zero = run_closed_loop(STATE0, PLANT, MEAS,
+    base = run_closed_loop(*START, PLANT, MEAS, [FeedbackPolicy("none")], noise, dt)
+    zero = run_closed_loop(*START, PLANT, MEAS,
                            [FeedbackPolicy("direct", gain=0.0, smoothing_time=0.8)], noise, dt)
     np.testing.assert_allclose(zero.energy, base.energy, atol=1e-12)
 
@@ -96,10 +97,10 @@ def test_policy_rows_match_one_policy_runs():
     """Each policy row of one batched closed loop equals that policy run alone."""
     noise = generate(5, [0], 1500, 1e-3)
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
-    batch = run_closed_loop(STATE0, PLANT, MEAS, policies, noise, 1e-3, sample_stride=50)
+    batch = run_closed_loop(*START, PLANT, MEAS, policies, noise, 1e-3, sample_stride=50)
     assert batch.energy.shape == (1, 3, 30) and batch.final_control.shape == (1, 3)
     for j, pol in enumerate(policies):
-        alone = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, 1e-3, sample_stride=50)
+        alone = run_closed_loop(*START, PLANT, MEAS, [pol], noise, 1e-3, sample_stride=50)
         assert np.array_equal(batch.energy[0, j], alone.energy[0, 0])
         assert batch.final_control[0, j] == alone.final_control[0, 0]
 
@@ -126,9 +127,10 @@ def test_aborted_realization_is_retried_and_recorded(monkeypatch, workers):
     monkeypatch.setattr(feedback, "generate", record_streams)
     monkeypatch.setattr(feedback, "run_closed_loop", abort_stream_0)
     policies = [FeedbackPolicy("none"), ESTIMATOR]
+    grid = PositionGrid(-10.0, 10.0, 1024)
     with pytest.warns(UserWarning, match="realization 0 aborted"):
-        res = cooling_experiment((PositionGrid(-10.0, 10.0, 1024), *STATE0[1:]), PLANT, MEAS,
-                                 policies, n_realizations=3, horizon=0.2, dt=1e-3,
+        res = cooling_experiment(grid, gaussian_wavefunction(grid, 1.5, 0.0, 0.5), BELIEF0,
+                                 PLANT, MEAS, policies, n_realizations=3, n_steps=200, dt=1e-3,
                                  master_seed=3, sample_stride=50, workers=workers)
     if workers == 1:   # pool children append to their own copy of calls
         assert calls == [[0, 1], [0], [1], [2], [3]]
@@ -149,12 +151,12 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
 
     monkeypatch.setattr(feedback, "generate", record_streams)
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
-    n_real, horizon, dt, stride = 7, 0.2, 1e-3, 20
-    res = cooling_experiment(STATE0, PLANT, MEAS, policies, n_realizations=n_real,
-                             horizon=horizon, dt=dt, master_seed=3, sample_stride=stride)
+    n_real, n_steps, dt, stride = 7, 200, 1e-3, 20
+    res = cooling_experiment(*START, PLANT, MEAS, policies, n_realizations=n_real,
+                             n_steps=n_steps, dt=dt, master_seed=3, sample_stride=stride)
     assert calls == [[0, 1, 2, 3, 4], [5, 6]]
-    alone = [run_closed_loop(STATE0, PLANT, MEAS, policies,
-                             generate(3, [k], int(round(horizon / dt)), dt), dt, stride)
+    alone = [run_closed_loop(*START, PLANT, MEAS, policies, generate(3, [k], n_steps, dt), dt,
+                             stride)
              for k in range(n_real)]
     assert res.stream_indices.tolist() == list(range(n_real))
     assert np.array_equal(res.times, alone[0].times)
@@ -168,10 +170,10 @@ def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
 def test_vanishing_actuation_limit_collapses_policies():
     dt = 1e-3
     noise = generate(3, [1], 2000, dt)
-    base = run_closed_loop(STATE0, PLANT, MEAS, [FeedbackPolicy("none")], noise, dt)
+    base = run_closed_loop(*START, PLANT, MEAS, [FeedbackPolicy("none")], noise, dt)
     for pol in (FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=1e-300),
                 FeedbackPolicy("estimator", gain=3.0, u_max=1e-300)):
-        run = run_closed_loop(STATE0, PLANT, MEAS, [pol], noise, dt)
+        run = run_closed_loop(*START, PLANT, MEAS, [pol], noise, dt)
         np.testing.assert_allclose(run.energy, base.energy, rtol=1e-9)
 
 
@@ -208,8 +210,10 @@ def test_no_feedback_heating_rate_is_backaction():
 
     n_real = 96
     paths = generate(17, range(n_real), n, dt)
-    runs = run_closed_loop((big, 1.0, 0.0, 1 / np.sqrt(2)), harmonic, meas,
-                           [FeedbackPolicy("none")], paths, dt, sample_stride=100)
+    belief0 = GaussianBelief(1.0, 0.0, 0.5, 0.0, 0.5, quantum=True)
+    runs = run_closed_loop(big, gaussian_wavefunction(big, 1.0, 0.0, 1 / np.sqrt(2)), belief0,
+                           harmonic, meas, [FeedbackPolicy("none")], paths, dt,
+                           sample_stride=100)
     energies = runs.energy[:, 0]
     mean_e = energies.mean(axis=0)
     se_e = energies.std(axis=0, ddof=1) / np.sqrt(n_real)
@@ -248,8 +252,8 @@ def test_cooling_ordering_paired():
     """
     horizon = 25.0
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
-    res = cooling_experiment(STATE0, PLANT, MEAS, policies,
-                             n_realizations=COOLING_REALIZATIONS, horizon=horizon,
+    res = cooling_experiment(*START, PLANT, MEAS, policies,
+                             n_realizations=COOLING_REALIZATIONS, n_steps=25_000,
                              dt=1e-3, master_seed=2024, sample_stride=100, workers=2)
     steady = res.steady
     gap_nd, se_nd = paired_gap(steady[:, 0], steady[:, 1])
@@ -269,7 +273,7 @@ def test_estimator_gain_sweep_u_shaped():
     gains = (0.15, 3.0, 80.0)
     policies = [FeedbackPolicy("estimator", gain=g, u_max=50.0) for g in gains]
     paths = generate(31, range(6), 20_000, 1e-3)
-    runs = run_closed_loop(STATE0, PLANT, MEAS, policies, paths, 1e-3, sample_stride=100)
+    runs = run_closed_loop(*START, PLANT, MEAS, policies, paths, 1e-3, sample_stride=100)
     # steadies[j]: steady energy under gain j, averaged over the paths
     steadies = runs.energy[:, :, runs.times.size // 2:].mean(axis=2).mean(axis=0)
     assert steadies[1] < steadies[0]
@@ -282,9 +286,9 @@ def test_estimator_robust_to_belief_offset():
     paths = generate(41, range(8), n, dt)
     bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2),
                           quantum=True, hbar=1.0)
-    good = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, dt, sample_stride=100)
-    off = run_closed_loop(STATE0, PLANT, MEAS, [ESTIMATOR], paths, dt,
-                          sample_stride=100, belief0=bel0)
+    good = run_closed_loop(*START, PLANT, MEAS, [ESTIMATOR], paths, dt, sample_stride=100)
+    off = run_closed_loop(GRID, PSI0, bel0, PLANT, MEAS, [ESTIMATOR], paths, dt,
+                          sample_stride=100)
     half = good.times.size // 2
     d = off.energy[:, 0, half:].mean(axis=1) - good.energy[:, 0, half:].mean(axis=1)
     se = d.std(ddof=1) / np.sqrt(d.size)

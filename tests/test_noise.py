@@ -153,13 +153,15 @@ def test_map_streams_names_the_stream_of_an_escaping_row(workers):
 def test_one_batch_ensemble_forks_no_pool():
     """An ensemble whose streams fit one batch runs in-process at any worker count."""
     code = ("import sys\n"
-            "from qcond.core import PositionGrid, SystemSpec\n"
-            "from qcond.lyap import LyapunovConfig, ensemble_lyapunov\n"
+            "import numpy as np\n"
+            "from qcond.core import PositionGrid, SystemSpec, gaussian_wavefunction\n"
+            "from qcond.lyap import ensemble_lyapunov\n"
             "from qcond.qdyn import MeasurementSpec\n"
-            "cfg = LyapunovConfig(initial_separation=0.05, horizon=0.1, dt=1e-3, n_realizations=3)\n"
+            "grid = PositionGrid(-12, 12, 64)\n"
+            "pair0 = np.stack([gaussian_wavefunction(grid, x0, 0.0, 0.8) for x0 in (1.0, 1.05)])\n"
             "system = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))\n"
-            "series = ensemble_lyapunov((PositionGrid(-12, 12, 64), 1.0, 0.0, 0.8), system,\n"
-            "                           MeasurementSpec(0.5), cfg, 42, workers=2)\n"
+            "series = ensemble_lyapunov(grid, pair0, system, MeasurementSpec(0.5), 3, 100, 1e-3,\n"
+            "                           0.05, 42, sample_every=20, workers=2)\n"
             "print(series.n_batches, series.lam.shape[0], 'multiprocessing' in sys.modules)")
     assert _run_python(code) == "1 3 False"
 

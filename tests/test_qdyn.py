@@ -267,12 +267,15 @@ def test_batched_rows_step_exactly_like_single_rows(grid):
     for i in range(2 * n):
         t = i * dt
         stepper.control = np.array(controls)[:, None]
+        # One stepper steps the batch and each row: none reads a carried <x>.
+        stepper.x_mean = None
         if i < n:
             rows, dy = stepper.conditioned(rows, t, noise[i])
         else:
             rows = stepper.isolated(rows, t)
         for j, u in enumerate(controls):
             stepper.control = u
+            stepper.x_mean = None
             if i < n:
                 singles[j], dy_j = stepper.conditioned(singles[j], t, noise[i])
                 assert dy[j] == dy_j
@@ -284,7 +287,7 @@ def test_batched_rows_step_exactly_like_single_rows(grid):
 def test_per_row_increments_step_like_single_rows(grid, harmonic):
     """A (2, 3, n) batch whose dW has one increment per leading row (a (2, 1)
     column) steps every row exactly as that row alone under its own scalar
-    dW; passing the caller's mean_x changes no bit."""
+    dW; setting the caller's mean_x as the carried <x> changes no bit."""
     dt, n = 1e-3, 100
     stepper = PureStepper(grid, harmonic, MeasurementSpec(1.0), dt)
     rows = np.stack([[gaussian_wavefunction(grid, x0, 0.1 * r, 0.8, HBAR)
@@ -293,12 +296,12 @@ def test_per_row_increments_step_like_single_rows(grid, harmonic):
     noises = generate(4, range(2), n, dt)
     for i in range(n):
         dw = noises[i][:, None]
-        x_mean = stepper.mean_x(rows) if i % 2 else None
-        rows, dy = stepper.conditioned(rows, i * dt, dw, x_mean)
+        stepper.x_mean = stepper.mean_x(rows) if i % 2 else None
+        rows, dy = stepper.conditioned(rows, i * dt, dw)
         for r in range(2):
             for j in range(3):
-                singles[r][j], dy_rj = stepper.conditioned(singles[r][j], i * dt,
-                                                           noises[i, r])
+                stepper.x_mean = None
+                singles[r][j], dy_rj = stepper.conditioned(singles[r][j], i * dt, noises[i, r])
                 assert dy[r, j] == dy_rj
     for r in range(2):
         for j in range(3):
@@ -312,8 +315,11 @@ def test_batched_support_check_sees_any_row(grid, harmonic):
     inside = gaussian_wavefunction(grid, 0.0, 0.0, 0.7, HBAR)
     edge = gaussian_wavefunction(grid, 9.0, 0.0, 0.5, HBAR)   # tail in the outer buffer
     # The isolated step checks the buffer too: at k = 0 nothing else stops a wrap-around.
-    for step in (lambda psi: stepper.conditioned(psi, 0.0, 0.0),
-                 lambda psi: stepper.isolated(psi, 0.0)):
+    def conditioned(psi):
+        stepper.x_mean = None   # batches of several shapes: no carried <x>
+        return stepper.conditioned(psi, 0.0, 0.0)
+
+    for step in (conditioned, lambda psi: stepper.isolated(psi, 0.0)):
         step(np.stack([inside, inside]))
         for batch, row in ((np.stack([inside, edge, inside]), (1,)),
                            (np.stack([[inside, inside], [edge, inside]]), (1, 0))):
@@ -357,8 +363,8 @@ def test_factored_factors_match_direct_formulas(n, drive, control):
     assert np.max(np.abs(stepper.half_potential_phase(t_mid) - phase)) <= 1e-13
 
     dw = np.array([0.05, -0.03, 0.02])
-    x_mean = stepper.mean_x(psi)
-    got, dy = stepper.conditioned(psi, t, dw, x_mean)
+    x_mean = stepper.x_mean = stepper.mean_x(psi)
+    got, dy = stepper.conditioned(psi, t, dw)
     want = psi * meas.multiplier(grid.x - x_mean[:, None], dw[:, None], dt)
     want /= np.sqrt((np.abs(want) ** 2).sum(-1, keepdims=True) * grid.dx)
     want = phase * np.fft.ifft(stepper.kinetic_phase * np.fft.fft(phase * want))
@@ -388,7 +394,7 @@ def test_step_carries_mean_and_outer_mass_of_new_state(grid, harmonic):
     worst = 0.0
     for i in range(201):
         if i < 200:
-            psi, _ = stepper.conditioned(psi, i * dt, noise[i], stepper.x_mean)
+            psi, _ = stepper.conditioned(psi, i * dt, noise[i])
         else:
             psi = stepper.isolated(psi, i * dt)
         np.testing.assert_allclose(stepper.x_mean, stepper.mean_x(psi), rtol=1e-14, atol=0)
@@ -412,7 +418,7 @@ def test_off_centre_packet_steps_under_strong_measurement():
     noise = generate(3, [0], 40, dt)[:, 0]
     for i, dw in enumerate(noise):
         t = i * dt
-        psi, _ = stepper.conditioned(psi, t, dw, stepper.x_mean)
+        psi, _ = stepper.conditioned(psi, t, dw)
         want = want * meas.multiplier(grid.x - stepper.mean_x(want), dw, dt)
         want /= np.sqrt((np.abs(want) ** 2).sum() * grid.dx)
         phase = stepper.half_potential_phase(t + 0.5 * dt)
@@ -447,9 +453,9 @@ def test_trajectory_loop_density_twin(harmonic):
 
     def conditioned(stepper, key):
         def step(state, i, t):
-            # The wavefunction stepper takes back the <x> its last step left, as run_conditioned does.
+            # The wavefunction stepper reads the <x> its last step left, as in run_conditioned.
             if key == "pure":
-                state, dy = stepper.conditioned(state, t, noise[i], stepper.x_mean)
+                state, dy = stepper.conditioned(state, t, noise[i])
             else:
                 state, dy = density_conditioned(stepper, state, t, noise[i])
             dys[key].append(dy)
