@@ -32,6 +32,6 @@ from .qct import (
     quantum_window,
 )
 from .lyap import PairedRunResult, ensemble_lyapunov, paired_run
-from .feedback import CoolingResult, FeedbackPolicy, cooling_experiment
+from .feedback import FeedbackPolicy
 
 __version__ = "0.1.0"

@@ -201,6 +201,11 @@ def load_config(path, overrides=()):
         if parser.has_option("run", key):
             raise ConfigError(f"run.{key} is not read by {name}, which {instead}")
         del run[key]
+    if name == "lyapunov" and not resolved["lyapunov"]["renormalize"]:
+        if parser.has_option("lyapunov", "renorm_threshold"):
+            raise ConfigError("lyapunov.renorm_threshold is not read unless "
+                              "lyapunov.renormalize is true")
+        del resolved["lyapunov"]["renorm_threshold"]
     # Every run must take a step and a sample after t = 0.
     if not 0 < run["dt"] < np.inf:
         raise ConfigError(f"run.dt must be positive and finite, got {run['dt']:g}")

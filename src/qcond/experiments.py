@@ -28,7 +28,7 @@ from .core import (
 from .cdyn import (ESS_HARD_FLOOR, RESAMPLE_ESS_FRACTION, WeightClipCounter, liouville_step,
                    newton_trajectory, run_conditioned_classical)
 from .cumulant import GaussianBelief, belief_vs_full_compare, centroid_step
-from .feedback import FeedbackPolicy, cooling_experiment, paired_gap
+from .feedback import FeedbackPolicy, paired_gap, run_closed_loop
 from .lyap import ensemble_lyapunov
 from .noise import generate, map_streams, substream_rng
 from .qct import NonRecurrentOrbitError, action_scale, evaluate_along_trajectory
@@ -287,6 +287,9 @@ def run_qct_scan_experiment(cfg, seed, workers):
     if action < 0:
         raise ValueError(f"qct-scan.action must be positive, or 0 to derive it from the "
                          f"undriven orbit, got {action:g}")
+    # A window ratio above 1 is where its inequality holds: below 1 would open failing windows.
+    if not exp["threshold"] >= 1:
+        raise ValueError(f"qct-scan.threshold must be at least 1, got {exp['threshold']:g}")
     times, xs, ps = newton_trajectory(exp["x0"], exp["p0"], system, dt, n_steps)
     if action == 0:
         undriven = SystemSpec(mass=system.mass, hbar=system.hbar,
@@ -376,36 +379,44 @@ def run_cooling_experiment(cfg, seed, workers):
     gains = {"direct": exp["direct_gain"], "estimator": exp["estimator_gain"]}
     _check_packet(grid, system.hbar, "cooling", exp)
     psi0 = gaussian_wavefunction(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
+    belief0 = _packet_belief(exp, system.hbar)
+
+    def run_chunk(streams):
+        # Every policy steps the same noise path, so policy differences are paired samples.
+        return run_closed_loop(grid, psi0, belief0, system, meas, policies,
+                               generate(seed, streams, n_steps, dt), dt, stride)
+
     try:
         policies = [FeedbackPolicy(kind, gain=gains.get(kind, 0.0),
                                    smoothing_time=exp["direct_smoothing"], u_max=exp["u_max"])
                     for kind in names]
-        res = cooling_experiment(grid, psi0, _packet_belief(exp, system.hbar), system, meas,
-                                 policies, _n_realizations(cfg["run"], 2), n_steps, dt, seed,
-                                 stride, workers)
+        n_real = _n_realizations(cfg["run"], 2)
+        runs = map_streams(run_chunk, n_real, len(policies) * psi0.nbytes, workers)
     except FieldValueError as err:   # name the key that set the policy field
         field, problem = err.args
         key = {"kind": "policies", "u_max": "u_max", "smoothing_time": "direct_smoothing"}[field]
         raise ValueError(f"cooling.{key} {problem}") from err
-    root_n = np.sqrt(res.stream_indices.size)
+    times = runs[0].times
+    energy = np.concatenate([run.energy for run in runs])
+    root_n = np.sqrt(n_real)
     # Realizations add in order along axis 0, and each steady column reduces
     # as a 1-D array: steady.mean(axis=0) sums in another order and differs
     # in the last bit from 8 realizations on.
-    mean = res.energy.mean(axis=0)
-    se = res.energy.std(axis=0, ddof=1) / root_n
-    steady = res.steady
+    mean = energy.mean(axis=0)
+    se = energy.std(axis=0, ddof=1) / root_n
+    # Steady-state scoring excludes the first half of the horizon.
+    steady = energy[..., times.size // 2:].mean(axis=-1)
     series = [CsvSeries(f"cooling_{name}",
                         ("t [time]", "energy_mean [energy]", "energy_se [energy]"),
-                        np.column_stack([res.times, mean[j], se[j]]))
+                        np.column_stack([times, mean[j], se[j]]))
               for j, name in enumerate(names)]
     series.append(CsvSeries(
         "cooling_summary",
         ("policy_index [1]", "steady_energy_mean [energy]", "steady_energy_se [energy]"),
         np.array([[j, col.mean(), col.std(ddof=1) / root_n] for j, col in enumerate(steady.T)]),
     ))
-    meta = {"policies": names, "stream_indices": res.stream_indices.tolist(),
-            "retried_streams": list(res.retried_streams), "max_outer_mass": res.max_outer_mass,
-            "n_batches": res.n_batches}
+    meta = {"policies": names, "n_realizations": n_real, "n_batches": len(runs),
+            "max_outer_mass": max(run.max_outer_mass for run in runs)}
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             if a < b:

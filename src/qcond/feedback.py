@@ -22,22 +22,18 @@ the actuator performs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FieldValueError, QcondError, SystemSpec, drive, wavefunction_moments
 from .cumulant import GaussianBelief, centroid_step
-from .noise import generate, map_streams
 from .qdyn import MeasurementSpec, PureStepper
 
 __all__ = [
     "FeedbackPolicy",
-    "CoolingResult",
     "ClosedLoopRun",
     "run_closed_loop",
-    "cooling_experiment",
     "paired_gap",
 ]
 
@@ -152,96 +148,10 @@ def run_closed_loop(grid, psi0, belief0: GaussianBelief, system: SystemSpec,
     return ClosedLoopRun(times, energy, u, stepper.max_outer_mass)
 
 
-@dataclass(frozen=True)
-class CoolingResult:
-    """Energy traces of the accepted realizations of a cooling comparison.
-
-    For N accepted realizations of P policies, energy is (N, P,
-    n_samples), row n on noise stream stream_indices[n].  max_outer_mass
-    is the largest outer-buffer probability over the accepted runs, and
-    n_batches counts the stream-batch jobs mapped over all rounds.
-    """
-
-    times: np.ndarray
-    energy: np.ndarray
-    stream_indices: np.ndarray
-    retried_streams: tuple
-    max_outer_mass: float
-    n_batches: int
-
-    @property
-    def steady(self) -> np.ndarray:
-        """(N, P) mean energies over the second half of the samples.
-
-        Steady-state scoring must exclude at least the first half-horizon.
-        """
-        return self.energy[..., self.times.size // 2:].mean(axis=-1)
-
-
-# Aborted realizations a cooling run tolerates, per requested realization.
-MAX_RETRIES = 3
-
-
-def cooling_experiment(grid, psi0, belief0, system, meas, policies: list,
-                       n_realizations: int, n_steps: int, dt: float, master_seed: int,
-                       sample_stride=10, workers=1) -> CoolingResult:
-    """Common-random-number comparison of feedback policies.
-
-    Every policy sees the same per-realization noise path, so policy
-    differences are paired samples.  Consecutive stream indices run as one
-    closed-loop batch (noise.map_streams) on a pool of ``workers``
-    processes.  A realization on which any policy aborts is rerun for all
-    policies under a fresh stream index (logged), keeping the pairing intact.
-    The accepted and retried indices are those of a stream-by-stream loop.
-    """
-    bytes_per_stream = len(policies) * psi0.nbytes
-
-    def run_chunk(streams):
-        """(stream, (run, row)) per stream, or (stream, abort message) for a
-        stream that aborts alone."""
-        try:
-            run = run_closed_loop(grid, psi0, belief0, system, meas, policies,
-                                  generate(master_seed, streams, n_steps, dt), dt, sample_stride)
-        except QcondError as err:
-            if len(streams) == 1:
-                return [(streams[0], str(err))]
-            # Some row aborted: rerun the batch one stream at a time.
-            return [pair for index in streams for pair in run_chunk([index])]
-        return [(index, (run, row)) for row, index in enumerate(streams)]
-
-    accepted = []    # (stream index, ClosedLoopRun, its row) per accepted realization
-    retried = []
-    n_batches = 0
-    while len(accepted) < n_realizations:
-        # A round takes only the streams still needed, so the serial order is kept.
-        first = len(accepted) + len(retried)
-        batches = map_streams(run_chunk, n_realizations - len(accepted), bytes_per_stream,
-                              workers, first)
-        n_batches += len(batches)
-        for pairs in batches:
-            for index, outcome in pairs:
-                if len(retried) > MAX_RETRIES * max(1, n_realizations):
-                    raise QcondError("too many aborted closed-loop realizations")
-                if isinstance(outcome, str):
-                    warnings.warn(f"realization {index} aborted ({outcome}); "
-                                  "retrying with fresh stream")
-                    retried.append(index)
-                else:
-                    accepted.append((index, *outcome))
-    return CoolingResult(
-        times=accepted[0][1].times,
-        energy=np.stack([run.energy[row] for _, run, row in accepted]),
-        stream_indices=np.array([index for index, _, _ in accepted]),
-        retried_streams=tuple(retried),
-        max_outer_mass=max(run.max_outer_mass for _, run, _ in accepted),
-        n_batches=n_batches,
-    )
-
-
 def paired_gap(hot: np.ndarray, cold: np.ndarray):
     """(mean gap, standard error) of paired steady-state energy differences.
 
-    hot and cold are two columns of CoolingResult.steady, one value per realization.
+    hot and cold are two policies' steady energies, one value per realization.
     """
     d = hot - cold
     return float(d.mean()), float(d.std(ddof=1) / np.sqrt(d.size))

@@ -94,11 +94,11 @@ def _call_pool_fn(streams):
     return _named_batch(_pool_fn, streams)
 
 
-def map_streams(fn, n_streams, bytes_per_stream, workers, first=0):
+def map_streams(fn, n_streams, bytes_per_stream, workers):
     """[fn(streams) for each batch], in stream order.
 
-    The batches are consecutive ranges of the n_streams stream indices from
-    ``first``, each of max(1, BATCH_BYTES // bytes_per_stream) streams but
+    The batches are consecutive ranges of the stream indices 0 to
+    n_streams - 1, each of max(1, BATCH_BYTES // bytes_per_stream) streams but
     the last; they depend on the streams alone, never on ``workers``.  One
     batch runs in-process; several run on a fork pool of ``workers``
     processes (one per batch at most), which hands out one batch at a time.
@@ -108,8 +108,7 @@ def map_streams(fn, n_streams, bytes_per_stream, workers, first=0):
     """
     global _pool_fn
     most = max(1, BATCH_BYTES // bytes_per_stream)
-    stop = first + n_streams
-    batches = [range(start, min(start + most, stop)) for start in range(first, stop, most)]
+    batches = [range(start, min(start + most, n_streams)) for start in range(0, n_streams, most)]
     if workers < 2 or len(batches) < 2:
         return [_named_batch(fn, streams) for streams in batches]
     from multiprocessing import get_context   # only runs that fork a pool pay for it

@@ -242,8 +242,8 @@ def test_cooling_metadata_names_streams(tmp_path):
     assert main(["--config", _write(tmp_path, COOLING), "--out", out, "--workers", "1"]) == EXIT_OK
     result = json.load(open(os.path.join(out, "metadata.json")))["result"]
     assert result["policies"] == ["none", "direct", "estimator"]
-    assert result["stream_indices"] == [0, 1]
-    assert result["retried_streams"] == []
+    assert result["n_realizations"] == 2
+    assert "stream_indices" not in result and "retried_streams" not in result
 
 
 def test_cooling_outputs_match_per_stream_runs(tmp_path):
@@ -255,7 +255,7 @@ def test_cooling_outputs_match_per_stream_runs(tmp_path):
     assert main(["--config", _write(tmp_path, COOLING), "--out", out, "--workers", "1",
                  "--set", f"run.n_realizations={n_real}"]) == EXIT_OK
     result = json.load(open(os.path.join(out, "metadata.json")))["result"]
-    assert result["stream_indices"] == list(range(n_real))
+    assert result["n_realizations"] == n_real
 
     # COOLING's plant, grid, start packet, measurement, run and default policies.
     grid = PositionGrid(-10.0, 10.0, 128)
@@ -481,6 +481,13 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (QCT_SCAN, "run.n_realizations=8", "run.n_realizations is not read by qct-scan"),
     # The undriven orbit takes 2 pi to recur, longer than the run.
     (QCT_SCAN, "run.horizon=3", "set qct-scan.action, or lengthen run.horizon = 3"),
+    # A window ratio below 1 is a failing inequality, so no threshold below 1 opens the window.
+    (QCT_SCAN, "qct-scan.threshold=0", "qct-scan.threshold must be at least 1, got 0"),
+    (QCT_SCAN, "qct-scan.threshold=-5", "qct-scan.threshold must be at least 1, got -5"),
+    (QCT_SCAN, "qct-scan.threshold=0.5", "qct-scan.threshold must be at least 1, got 0.5"),
+    # Without renormalization no pair resets, so a reset threshold would change nothing.
+    (HARMONIC_LYAP, "lyapunov.renorm_threshold=1e-4",
+     "lyapunov.renorm_threshold is not read unless lyapunov.renormalize is true"),
 ], ids=["grid", "realizations", "smoothing", "passivity-1", "cooling-0", "cooling-1",
         "conditioned-0", "renorm-default", "renorm-at-delta0", "renorm-below-delta0",
         "delta0-negative",
@@ -499,7 +506,8 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "cumulant-packet-p0", "lyapunov-packet-x0", "lyapunov-packet-twin", "cooling-packet-sigma",
         "cooling-policy-unknown", "cooling-policy-empty", "horizon-negative",
         "horizon-below-one-step", "isolated-realizations", "cumulant-realizations",
-        "qct-scan-realizations", "qct-scan-no-recurrence"])
+        "qct-scan-realizations", "qct-scan-no-recurrence", "qct-scan-threshold-0",
+        "qct-scan-threshold-negative", "qct-scan-threshold-half", "renorm-threshold-unread"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, text, override, named):
     """A value the parser accepts but the experiment rejects exits 2 and names the value."""
     cfg = _write(tmp_path, text)
@@ -615,6 +623,23 @@ def test_non_finite_increment_names_its_stream(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(experiments, "generate", nan_in_column_1)
     cfg = _write(tmp_path, CONDITIONED)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1",
+                 "--set", "run.n_realizations=3"]) == 3
+    assert "numerical abort: stream 1: state is not finite" in capsys.readouterr().err
+
+
+def test_aborting_cooling_stream_names_its_stream(tmp_path, capsys, monkeypatch):
+    """A NaN in every draw of stream 1 of a 3-stream cooling run ends the
+    run, naming stream 1: no stream is replaced by another."""
+    from qcond import experiments
+
+    def nan_in_stream_1(seed, streams, n_steps, dt):
+        dw = generate(seed, streams, n_steps, dt)
+        dw[5, [r for r, index in enumerate(streams) if index == 1]] = np.nan
+        return dw
+
+    monkeypatch.setattr(experiments, "generate", nan_in_stream_1)
+    cfg = _write(tmp_path, COOLING)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1",
                  "--set", "run.n_realizations=3"]) == 3
     assert "numerical abort: stream 1: state is not finite" in capsys.readouterr().err

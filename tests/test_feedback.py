@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from qcond import feedback
-from qcond.core import PositionGrid, QcondError, SystemSpec, gaussian_wavefunction
+from qcond import experiments, feedback
+from qcond.core import PositionGrid, SystemSpec, gaussian_wavefunction
 from qcond.cumulant import GaussianBelief, centroid_step
-from qcond.feedback import FeedbackPolicy, cooling_experiment, paired_gap, run_closed_loop
+from qcond.feedback import FeedbackPolicy, run_closed_loop
 from qcond.noise import generate
 from qcond.qdyn import MeasurementSpec, PureStepper
 
@@ -105,66 +105,51 @@ def test_policy_rows_match_one_policy_runs():
         assert batch.final_control[0, j] == alone.final_control[0, 0]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_aborted_realization_is_retried_and_recorded(monkeypatch, workers):
-    """An abort in any policy row reruns the realization for every policy
-    under the next stream index, and the result names the retried stream.
-    The aborted chunk is rerun one stream at a time, so the indices are those
-    of a stream-by-stream loop at any worker count.  At n = 1024 a batch
-    holds two realizations of two policies, so the first round maps two
-    batches (the pool runs at workers = 2) and the retry round one."""
-    calls = []
-
-    def record_streams(master_seed, streams, *args):
-        calls.append(list(streams))
-        return generate(master_seed, streams, *args)
-
-    def abort_stream_0(*args, **kwargs):
-        if 0 in calls[-1]:   # the streams of the batch this loop steps
-            raise QcondError("forced abort")
-        return run_closed_loop(*args, **kwargs)
-
-    monkeypatch.setattr(feedback, "generate", record_streams)
-    monkeypatch.setattr(feedback, "run_closed_loop", abort_stream_0)
-    policies = [FeedbackPolicy("none"), ESTIMATOR]
-    grid = PositionGrid(-10.0, 10.0, 1024)
-    with pytest.warns(UserWarning, match="realization 0 aborted"):
-        res = cooling_experiment(grid, gaussian_wavefunction(grid, 1.5, 0.0, 0.5), BELIEF0,
-                                 PLANT, MEAS, policies, n_realizations=3, n_steps=200, dt=1e-3,
-                                 master_seed=3, sample_stride=50, workers=workers)
-    if workers == 1:   # pool children append to their own copy of calls
-        assert calls == [[0, 1], [0], [1], [2], [3]]
-    assert res.n_batches == 3
-    assert res.energy.shape == (3, 2, 4)
-    assert res.stream_indices.tolist() == [1, 2, 3]
-    assert res.retried_streams == (0,)
+def _cooling(n_real, horizon, stride, seed, workers=1):
+    """CSV tables by name and metadata of a cooling experiment on this
+    module's plant, grid, measurement, start packet and policies."""
+    cfg = {"experiment": {"name": "cooling"},
+           "system": {"mass": 1.0, "hbar": 1.0, "potential_coeffs": [0.0, 0.0, 0.25, 0.0, 0.25],
+                      "drive_amplitude": 0.0, "drive_frequency": 0.0},
+           "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 256},
+           "measurement": {"k": 0.5},
+           "run": {"dt": 1e-3, "horizon": horizon, "n_realizations": n_real,
+                   "master_seed": seed, "sample_stride": stride},
+           "cooling": {"x0": 1.5, "p0": 0.0, "sigma_x": 0.5, "policies": "none,direct,estimator",
+                       "direct_gain": -1.0, "direct_smoothing": 0.8, "estimator_gain": 3.0,
+                       "u_max": 5.0}}
+    res = experiments.run_cooling_experiment(cfg, seed, workers)
+    return {series.name: series.rows for series in res.series}, res.metadata
 
 
 def test_chunked_cooling_matches_per_stream_runs(monkeypatch):
     """Seven realizations of three policies at n = 256 run as chunks of 5 and
-    2 streams; the energies and steady values equal those of per-stream runs."""
+    2 streams; the energy tables and steady values equal those of per-stream runs."""
     calls = []
 
     def record_streams(master_seed, streams, *args):
         calls.append(list(streams))
         return generate(master_seed, streams, *args)
 
-    monkeypatch.setattr(feedback, "generate", record_streams)
+    monkeypatch.setattr(experiments, "generate", record_streams)
     policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
     n_real, n_steps, dt, stride = 7, 200, 1e-3, 20
-    res = cooling_experiment(*START, PLANT, MEAS, policies, n_realizations=n_real,
-                             n_steps=n_steps, dt=dt, master_seed=3, sample_stride=stride)
+    tables, meta = _cooling(n_real, n_steps * dt, stride, seed=3)
     assert calls == [[0, 1, 2, 3, 4], [5, 6]]
+    assert meta["n_realizations"] == n_real and meta["n_batches"] == 2
     alone = [run_closed_loop(*START, PLANT, MEAS, policies, generate(3, [k], n_steps, dt), dt,
                              stride)
              for k in range(n_real)]
-    assert res.stream_indices.tolist() == list(range(n_real))
-    assert np.array_equal(res.times, alone[0].times)
-    assert np.array_equal(res.energy, np.concatenate([run.energy for run in alone]))
-    for j in range(len(policies)):
+    root_n = np.sqrt(n_real)
+    for j, name in enumerate(meta["policies"]):
         energies = np.stack([run.energy[0, j] for run in alone])
-        assert np.array_equal(res.steady[:, j],
-                              energies[:, energies.shape[1] // 2:].mean(axis=1))
+        steady = energies[:, energies.shape[1] // 2:].mean(axis=1)
+        table = tables[f"cooling_{name}"]
+        assert np.array_equal(table[:, 0], alone[0].times)
+        assert np.array_equal(table[:, 1], energies.mean(axis=0))
+        assert np.array_equal(table[:, 2], energies.std(axis=0, ddof=1) / root_n)
+        assert np.array_equal(tables["cooling_summary"][j],
+                              [j, steady.mean(), steady.std(ddof=1) / root_n])
 
 
 def test_vanishing_actuation_limit_collapses_policies():
@@ -251,21 +236,19 @@ def test_cooling_ordering_paired():
     N; the seed and the 3-sigma bound stay fixed.
     """
     horizon = 25.0
-    policies = [FeedbackPolicy("none"), DIRECT, ESTIMATOR]
-    res = cooling_experiment(*START, PLANT, MEAS, policies,
-                             n_realizations=COOLING_REALIZATIONS, n_steps=25_000,
-                             dt=1e-3, master_seed=2024, sample_stride=100, workers=2)
-    steady = res.steady
-    gap_nd, se_nd = paired_gap(steady[:, 0], steady[:, 1])
-    gap_de, se_de = paired_gap(steady[:, 1], steady[:, 2])
-    assert gap_nd > 3 * se_nd
+    tables, meta = _cooling(COOLING_REALIZATIONS, horizon, 100, seed=2024, workers=2)
+    # The gaps are of the alphabetically first policy minus the second.
+    gap_dn, se_nd = meta["paired_gap_direct_minus_none"]
+    gap_de, se_de = meta["paired_gap_direct_minus_estimator"]
+    assert -gap_dn > 3 * se_nd
     assert gap_de > 3 * se_de
     # steady window is the second half of the horizon
-    half = res.times.size // 2
-    assert res.times[half] >= horizon / 2
-    for j in range(len(policies)):
-        assert steady[:, j].mean() == pytest.approx(
-            res.energy[:, j].mean(axis=0)[half:].mean(), rel=1e-12)
+    times = tables["cooling_none"][:, 0]
+    half = times.size // 2
+    assert times[half] >= horizon / 2
+    for j, name in enumerate(meta["policies"]):
+        assert tables["cooling_summary"][j, 1] == pytest.approx(
+            tables[f"cooling_{name}"][half:, 1].mean(), rel=1e-12)
 
 
 def test_estimator_gain_sweep_u_shaped():

@@ -69,9 +69,8 @@ def test_substream_decoupled_from_main_stream():
 
 
 def test_numpy_integer_keys_match_plain_int_keys():
-    # Stream indices come back as numpy integers (CoolingResult.stream_indices, one
-    # array for every policy of a cooling run), and a stream must be regenerable
-    # from them bit for bit.
+    # Stream indices may come as numpy integers (an index array of a caller's
+    # own), and a stream must be regenerable from them bit for bit.
     for seed, index, as_np in [(2024, 3, np.int64), (-7, 12, np.int32),
                                (2**63 + 5, 2**64 - 1, np.uint64)]:
         np_seed, np_index = as_np(seed), as_np(index)
@@ -86,7 +85,7 @@ def test_numpy_integer_keys_match_plain_int_keys():
                          ids=["range-past-0", "out-of-order", "int64-array", "numpy-scalars"])
 def test_batch_column_is_its_stream_alone(streams):
     """Column r of a batch draw is stream streams[r] drawn alone, bit for bit:
-    the retry rounds of a cooling run pass ranges that start past 0."""
+    every map_streams batch after the first is a range that starts past 0."""
     n, dt = 300, 1e-3
     dw = generate(21, streams, n, dt)
     assert dw.shape == (n, len(streams)) and dw.dtype == np.float64
@@ -123,11 +122,11 @@ def test_map_streams_slots_results_by_batch():
 def test_map_streams_batches_depend_on_the_streams_alone(workers):
     """Batches of BATCH_BYTES // bytes_per_stream consecutive streams, whatever
     the pool; a stream larger than the budget gets a batch of its own."""
-    def batches(n_streams, most, first=0):
-        return map_streams(lambda streams: streams, n_streams, BATCH_BYTES // most, workers, first)
+    def batches(n_streams, most):
+        return map_streams(lambda streams: streams, n_streams, BATCH_BYTES // most, workers)
 
     assert batches(25, 20) == [range(0, 20), range(20, 25)]
-    assert batches(5, 2, first=3) == [range(3, 5), range(5, 7), range(7, 8)]
+    assert batches(5, 2) == [range(0, 2), range(2, 4), range(4, 5)]
     assert batches(6, 20) == [range(0, 6)]
     assert batches(20, 20) == [range(0, 20)]
     assert map_streams(lambda streams: streams, 3, 2 * BATCH_BYTES, workers) == \
@@ -135,7 +134,7 @@ def test_map_streams_batches_depend_on_the_streams_alone(workers):
 
 
 def _escape_in_row_1(streams):
-    if len(streams) > 1:
+    if 5 in streams:
         err = SupportEscapeError("probability 1e-05 in outer grid buffer at t=2")
         err.row = (1, 0)
         raise err
@@ -147,7 +146,7 @@ def test_map_streams_names_the_stream_of_an_escaping_row(workers):
     """Batch axis 0 runs the streams in order, so an escape from row 1 of the
     batch range(4, 6) names stream 5, in-process and from a pool child."""
     with pytest.raises(SupportEscapeError, match="^stream 5: probability 1e-05 in outer"):
-        map_streams(_escape_in_row_1, 3, BATCH_BYTES // 2, workers, first=4)
+        map_streams(_escape_in_row_1, 6, BATCH_BYTES // 2, workers)
 
 
 def test_one_batch_ensemble_forks_no_pool():
