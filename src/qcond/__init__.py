@@ -13,7 +13,6 @@ from .core import (
     MomentSet,
     PositionGrid,
     QcondError,
-    QuantumState,
     SupportEscapeError,
     SystemSpec,
     gaussian_state,

@@ -1,10 +1,11 @@
 """Shared domain types for the measured-particle simulator.
 
-One spatial degree of freedom throughout.  Quantum states are density
-matrices on a uniform position grid; classical states are weighted
-phase-space particle ensembles.  All operations here are pure functions
-over immutable value objects, so everything in this module is safe to
-share across worker processes.
+One spatial degree of freedom throughout.  Quantum states are plain
+complex arrays on a uniform position grid: wavefunction rows (..., n) or
+(n, n) density matrices rho(x1, x2) (units 1/length).  Classical states
+are weighted phase-space particle ensembles.  Operations here are pure
+functions over arrays and immutable value objects, so everything in
+this module is safe to share across worker processes.
 
 Unit conventions: every quantity is carried in consistent (user-chosen)
 units; ``hbar`` is an explicit parameter, never assumed to be 1.
@@ -24,7 +25,6 @@ __all__ = [
     "DegenerateEnsembleError",
     "SystemSpec",
     "PositionGrid",
-    "QuantumState",
     "ClassicalEnsemble",
     "MomentSet",
     "gaussian_state",
@@ -220,32 +220,7 @@ class PositionGrid:
 
 
 # ---------------------------------------------------------------------------
-# Quantum state
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Density matrix rho(x1, x2) on a position grid (units 1/length)."""
-
-    grid: PositionGrid
-    rho: np.ndarray
-    hbar: float = 1.0
-
-    def trace(self) -> float:
-        return float(np.sum(self.rho.diagonal().real) * self.grid.dx)
-
-    def normalized(self) -> "QuantumState":
-        return QuantumState(self.grid, self.rho / self.trace(), self.hbar)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.rho) ** 2) * self.grid.dx**2)
-
-    def hermiticity_defect(self) -> float:
-        """max |rho - rho^dagger| relative to the largest element."""
-        scale = float(np.max(np.abs(self.rho)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.rho - self.rho.conj().T))) / scale
+# Quantum states
 
 
 def gaussian_wavefunction(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0):
@@ -284,12 +259,12 @@ def packet_misfit(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0):
     return None
 
 
-def gaussian_state(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0) -> QuantumState:
-    """Pure Gaussian state: <x>=x_mean, <p>=p_mean, C_xx=sigma_x^2, C_pp=hbar^2/(4 sigma_x^2)."""
+def gaussian_state(grid: PositionGrid, x_mean, p_mean, sigma_x, hbar=1.0) -> np.ndarray:
+    """Density matrix of the pure Gaussian: <x>=x_mean, <p>=p_mean, C_xx=sigma_x^2,
+    C_pp=hbar^2/(4 sigma_x^2)."""
     psi = gaussian_wavefunction(grid, x_mean, p_mean, sigma_x, hbar)
     rho = np.outer(psi, psi.conj())
-    state = QuantumState(grid, rho, hbar)
-    return state.normalized()
+    return rho / float(np.sum(rho.diagonal().real) * grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +356,8 @@ def _momentum_density(grid: PositionGrid, rho_k: np.ndarray, hbar) -> np.ndarray
     return b.diagonal().real * grid.dx**2 / (2.0 * np.pi * hbar)
 
 
-def quantum_moments(state: QuantumState, system: SystemSpec = None, time=0.0) -> MomentSet:
-    grid, rho, hbar = state.grid, state.rho, state.hbar
+def quantum_moments(grid: PositionGrid, rho, hbar, system: SystemSpec = None, time=0.0) -> MomentSet:
+    """MomentSet of the (n, n) density matrix rho."""
     x, dx = grid.x, grid.dx
     dens = rho.diagonal().real
     norm = float(np.sum(dens) * dx)
@@ -407,7 +382,8 @@ def quantum_moments(state: QuantumState, system: SystemSpec = None, time=0.0) ->
     if system is not None:
         v_mean = float(np.sum(system.potential(x, time) * dens) * dx / norm)
         energy = p2 / (2.0 * system.mass) + v_mean
-    return MomentSet(x_mean, p_mean, c_xx, c_xp, c_pp, state.purity(), energy)
+    purity = float(np.sum(np.abs(rho) ** 2) * dx**2)
+    return MomentSet(x_mean, p_mean, c_xx, c_xp, c_pp, purity, energy)
 
 
 def wavefunction_moments(grid: PositionGrid, psi, hbar, system: SystemSpec = None, time=0.0) -> MomentSet:

@@ -11,9 +11,9 @@ deterministic covariance flow
 
     dC_xx/dt = 2 C_xp / m                      - 8k C_xx^2
     dC_xp/dt = C_pp / m + <dF/dx> C_xx         - 8k C_xx C_xp
-    dC_pp/dt = 2 <dF/dx> C_xp + 2 hbar^2 k     - 8k C_xp^2     (quantum)
+    dC_pp/dt = 2 <dF/dx> C_xp + 2 hbar^2 k     - 8k C_xp^2
 
-(the 2 hbar^2 k backaction term is absent in the classical flavor; its
+(the 2 hbar^2 k backaction term vanishes with hbar, classically; its
 coefficient is pinned by the exact identity d<p^2>/dt = 2 hbar^2 k of
 the open evolution, and is what keeps C_xx C_pp - C_xp^2 = hbar^2/4
 invariant for pure Gaussian states).  Innovation terms in the second
@@ -47,8 +47,9 @@ class ClosureBreakdownError(QcondError):
 class GaussianBelief:
     """Gaussian state summary (x_mean, p_mean, covariances), quantum or classical.
 
-    The quantum flavor carries hbar and the measurement backaction;
-    classical beliefs may collapse to a point (all C -> 0).
+    hbar > 0 is a quantum belief, with the measurement backaction and the
+    hbar^2/4 uncertainty floor; at hbar = 0 it is classical and may
+    collapse to a point (all C -> 0).
     """
 
     x_mean: float
@@ -56,7 +57,6 @@ class GaussianBelief:
     c_xx: float
     c_xp: float
     c_pp: float
-    quantum: bool = True
     hbar: float = 1.0
 
     def uncertainty_product(self) -> float:
@@ -68,7 +68,7 @@ class GaussianBelief:
             raise ClosureBreakdownError(
                 f"covariance not PSD: C_xx={self.c_xx:.3e} C_pp={self.c_pp:.3e} det={det:.3e}"
             )
-        if self.quantum:
+        if self.hbar > 0:
             floor = self.hbar**2 / 4.0 * (1.0 - 1e-6)
             if det < floor:
                 raise ClosureBreakdownError(
@@ -107,7 +107,7 @@ def centroid_step(belief: GaussianBelief, system: SystemSpec, meas: MeasurementS
         cpp = cpp - 8.0 * k * dt * cxp**2 / denom
         cxp = cxp / denom
         cxx = cxx / denom
-        if belief.quantum:
+        if belief.hbar > 0:
             cpp = cpp + 2.0 * meas.backaction_diffusion(belief.hbar) * dt
 
     # Symplectic kick-drift-kick on the means; covariance rides the
@@ -124,8 +124,7 @@ def centroid_step(belief: GaussianBelief, system: SystemSpec, meas: MeasurementS
     cxp3 = cxp2 + 0.5 * dt * g2 * cxx2
     cpp2 = cpp1 + dt * g2 * cxp2 + (0.5 * dt * g2) ** 2 * cxx2
 
-    out = GaussianBelief(float(x), float(p), float(cxx2), float(cxp3), float(cpp2),
-                         belief.quantum, belief.hbar)
+    out = GaussianBelief(float(x), float(p), float(cxx2), float(cxp3), float(cpp2), belief.hbar)
     out.validate()
     return out
 

@@ -123,8 +123,7 @@ def _check_packet(grid, hbar, section, exp, shift=0.0):
 def _packet_belief(exp, hbar):
     """The quantum Gaussian belief of config section ``exp``'s start packet."""
     sx = exp["sigma_x"]
-    return GaussianBelief(exp["x0"], exp["p0"], sx**2, 0.0, hbar**2 / (4 * sx**2),
-                          quantum=True, hbar=hbar)
+    return GaussianBelief(exp["x0"], exp["p0"], sx**2, 0.0, hbar**2 / (4 * sx**2), hbar)
 
 
 def _n_realizations(run, least) -> int:
@@ -141,8 +140,8 @@ def run_isolated_experiment(cfg, seed, workers):
     system, grid, _, dt, n_steps, stride = _setup(cfg)
     exp = cfg["isolated"]
     _check_packet(grid, system.hbar, "isolated", exp)
-    state = gaussian_state(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
-    traj = run_isolated(state, system, dt, n_steps, sample_every=stride)
+    rho0 = gaussian_state(grid, exp["x0"], exp["p0"], exp["sigma_x"], system.hbar)
+    traj = run_isolated(grid, rho0, system, dt, n_steps, sample_every=stride)
     table = np.column_stack([traj.times, traj.moments[0]])
     series = [CsvSeries("isolated_moments", TRAJECTORY_COLUMNS, table)]
     return ExperimentResult(series, {"n_steps": n_steps, "max_trace_error": traj.max_trace_error,
@@ -186,6 +185,9 @@ def _raw_moment_row(m):
 
 def run_passivity_experiment(cfg, seed, workers):
     system, _, meas, dt, n_steps, stride = _setup(cfg)
+    if system.hbar != 0:
+        raise ValueError(f"system.hbar must be 0 for passivity, which runs the classical "
+                         f"filter and has no quantum reference yet, got {system.hbar:g}")
     exp = cfg["passivity"]
     # Two realizations at least: the z-scores divide by their standard error.
     n_real = _n_realizations(cfg["run"], 2)

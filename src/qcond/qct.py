@@ -187,8 +187,9 @@ def evaluate_along_trajectory(system: SystemSpec, xs, k, action, times=None,
     if hbar > 0:
         wl, wr = quantum_window(system, xs, k, s, hbar)
     else:
-        wl = np.full_like(xs, np.inf)
-        wr = np.full_like(xs, np.inf)
+        # hbar k s / (2|dF|) = k S / (2|dF|) at every hbar: the left edge is the
+        # classical low-noise margin, and no backaction closes the right one.
+        wl, wr = low, np.full_like(xs, np.inf)
     singular = np.isnan(loc)  # F = 0 turning/fixed points
 
     pct = {

@@ -59,7 +59,6 @@ import numpy as np
 
 from .core import (
     QcondError,
-    QuantumState,
     SupportEscapeError,
     SUPPORT_TOLERANCE,
     drive,
@@ -270,18 +269,16 @@ class DensityStepper(_Stepper):
 
     # -- public steps ----------------------------------------------------------
 
-    def isolated(self, state: QuantumState, t=0.0) -> QuantumState:
-        rho = self._unitary(state.rho, t)
-        _check_support(self._outer_mass(rho), t)
-        return QuantumState(self.grid, rho, state.hbar)
-
-    def unconditional(self, state: QuantumState, t=0.0) -> QuantumState:
-        """Linear open-system step: backaction decoherence, no conditioning."""
-        rho = state.rho * self._decoherence
+    def isolated(self, rho: np.ndarray, t=0.0) -> np.ndarray:
         rho = self._unitary(rho, t)
-        rho = self._renormalize(rho)
         _check_support(self._outer_mass(rho), t)
-        return QuantumState(self.grid, rho, state.hbar)
+        return rho
+
+    def unconditional(self, rho: np.ndarray, t=0.0) -> np.ndarray:
+        """Linear open-system step: backaction decoherence, no conditioning."""
+        rho = self._renormalize(self._unitary(rho * self._decoherence, t))
+        _check_support(self._outer_mass(rho), t)
+        return rho
 
 
 class PureStepper(_Stepper):
@@ -407,18 +404,20 @@ def run_conditioned(grid, psi0, system, meas, increments, dt,
                                  max_outer_mass=stepper.max_outer_mass)
 
 
-def run_isolated(state0: QuantumState, system, dt, n_steps,
-                 sample_every=1) -> ConditionedTrajectory:
-    """Unitary evolution of a density matrix, no measurement: a batch of one."""
-    stepper = DensityStepper(state0.grid, system, None, dt)
+def run_isolated(grid, rho0, system, dt, n_steps, sample_every=1) -> ConditionedTrajectory:
+    """Unitary evolution of the density matrix rho0, no measurement: a batch of one."""
+    stepper = DensityStepper(grid, system, None, dt)
     defects = []
 
-    def sample(state, t):
-        defects.append((abs(state.trace() - 1.0), state.hermiticity_defect()))
-        return quantum_moments(state, system, t).stack()
+    def sample(rho, t):
+        # |trace - 1| and max |rho - rho^dagger| relative to the largest element.
+        scale = float(np.max(np.abs(rho)))
+        hermiticity = float(np.max(np.abs(rho - rho.conj().T))) / scale if scale else 0.0
+        defects.append((abs(float(np.sum(rho.diagonal().real) * grid.dx) - 1.0), hermiticity))
+        return quantum_moments(grid, rho, system.hbar, system, t).stack()
 
-    times, rows, _ = drive(state0, n_steps, dt, sample_every,
-                           lambda state, i, t: stepper.isolated(state, t), sample)
+    times, rows, _ = drive(rho0, n_steps, dt, sample_every,
+                           lambda rho, i, t: stepper.isolated(rho, t), sample)
     trace_error, hermiticity = np.max(defects, axis=0).tolist()
     return ConditionedTrajectory(times, rows[None], max_trace_error=trace_error,
                                  max_hermiticity_defect=hermiticity)

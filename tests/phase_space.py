@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcond.core import MomentSet, PositionGrid, QuantumState, SystemSpec
+from qcond.core import MomentSet, PositionGrid, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class WignerGrid:
         return float(np.sum(self.values) * self.grid.dx * self.dp)
 
 
-def wigner_transform(state: QuantumState) -> WignerGrid:
+def wigner_transform(grid: PositionGrid, rho: np.ndarray, hbar: float) -> WignerGrid:
     """Wigner function W(x,p) = (1/2 pi hbar) int dy e^{-ipy/hbar} rho(x+y/2, x-y/2).
 
     The half-offset samples rho(x+u, x-u) with u on a dx/2 lattice are
@@ -42,11 +42,10 @@ def wigner_transform(state: QuantumState) -> WignerGrid:
     span 2 pi hbar/dx rather than the aliased half-range of naive
     whole-cell sampling.
     """
-    grid, hbar = state.grid, state.hbar
     n, dx = grid.n_points, grid.dx
 
     # Band-limited x2 upsampling of rho along both axes.
-    f = np.fft.fft2(state.rho)
+    f = np.fft.fft2(rho)
     fp = np.zeros((2 * n, 2 * n), dtype=complex)
     ix = np.fft.fftfreq(n, 1.0 / n).astype(int)  # frequency slot of each coefficient
     fp[np.ix_(ix, ix)] = f

@@ -260,7 +260,7 @@ def test_cooling_outputs_match_per_stream_runs(tmp_path):
     # COOLING's plant, grid, start packet, measurement, run and default policies.
     grid = PositionGrid(-10.0, 10.0, 128)
     start = (grid, gaussian_wavefunction(grid, 1.5, 0.0, 0.5),
-             GaussianBelief(1.5, 0.0, 0.25, 0.0, 1.0, quantum=True))
+             GaussianBelief(1.5, 0.0, 0.25, 0.0, 1.0))
     plant = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.25, 0, 0.25))
     policies = [FeedbackPolicy("none"),
                 FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=5.0),
@@ -445,6 +445,8 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     (ISOLATED, "grid.n_points=100", "grid.n_points must be a power of two"),
     (ISOLATED, "system.potential_coeffs=0,0,0.5,0,0,1", "system.potential_coeffs capped"),
     (PASSIVITY, "system.hbar=-1", "system.hbar must be nonnegative"),
+    # The classical filter never reads hbar: a positive value would record a run it did not make.
+    (PASSIVITY, "system.hbar=1", "system.hbar must be 0 for passivity"),
     # numpy's "scale < 0" names no key.
     (PASSIVITY, "passivity.sigma_x=-1", "passivity.sigma_x must be nonnegative"),
     (PASSIVITY, "passivity.sigma_p=-1", "passivity.sigma_p must be nonnegative"),
@@ -500,7 +502,8 @@ def test_missing_required_key_rejected(tmp_path, capsys):
         "cooling-smoothing-key", "cooling-k-below-grid", "lyapunov-k-below-grid",
         "isolated-hbar-0", "conditioned-hbar-0", "cumulant-hbar-0", "lyapunov-hbar-0",
         "cooling-hbar-0", "system-mass-0", "grid-x-order", "grid-n-points-key",
-        "potential-degree-5", "passivity-hbar-negative", "passivity-sigma-x-negative",
+        "potential-degree-5", "passivity-hbar-negative", "passivity-hbar-1",
+        "passivity-sigma-x-negative",
         "passivity-sigma-p-negative", "dt-0", "dt-negative", "dt-inf", "qct-scan-dt-negative",
         "qct-scan-action-negative", "isolated-packet-sigma", "conditioned-packet-x0",
         "cumulant-packet-p0", "lyapunov-packet-x0", "lyapunov-packet-twin", "cooling-packet-sigma",

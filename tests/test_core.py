@@ -111,8 +111,8 @@ def test_with_control_keeps_the_force_at_the_plant_degree():
 
 
 def test_gaussian_state_minimum_uncertainty(grid):
-    st_ = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
-    m = quantum_moments(st_)
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
+    m = quantum_moments(grid, rho, 1.0)
     assert m.x_mean == pytest.approx(0.0, abs=1e-9)
     assert m.p_mean == pytest.approx(0.0, abs=1e-9)
     assert m.c_xx == pytest.approx(1.0, rel=1e-7)
@@ -122,14 +122,14 @@ def test_gaussian_state_minimum_uncertainty(grid):
 
 
 def test_gaussian_state_translation(grid):
-    m = quantum_moments(gaussian_state(grid, 2.0, -1.0, 0.5, hbar=1.0))
+    m = quantum_moments(grid, gaussian_state(grid, 2.0, -1.0, 0.5, hbar=1.0), 1.0)
     assert m.x_mean == pytest.approx(2.0, abs=1e-6)
     assert m.p_mean == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_gaussian_state_cpp_scales_with_hbar(grid):
     # analytic: C_pp = hbar^2 / (4 sigma_x^2)
-    m = quantum_moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=2.0))
+    m = quantum_moments(grid, gaussian_state(grid, 0.0, 0.0, 1.0, hbar=2.0), 2.0)
     assert m.c_pp == pytest.approx(1.0, rel=1e-7)
 
 
@@ -152,7 +152,7 @@ def test_gaussian_state_rejects_support_escape(grid):
 )
 def test_gaussian_state_roundtrip_property(x0, p0, sigma):
     grid = PositionGrid(-12.0, 12.0, 128)
-    m = quantum_moments(gaussian_state(grid, x0, p0, sigma, hbar=1.0))
+    m = quantum_moments(grid, gaussian_state(grid, x0, p0, sigma, hbar=1.0), 1.0)
     assert m.x_mean == pytest.approx(x0, abs=2e-6 * max(1, abs(x0)))
     assert m.p_mean == pytest.approx(p0, abs=2e-6 * max(1, abs(p0)))
     assert m.c_xx == pytest.approx(sigma**2, rel=2e-6)
@@ -167,7 +167,7 @@ def test_gaussian_state_roundtrip_property(x0, p0, sigma):
 def test_moments_energy_gaussian_harmonic(grid):
     # <H> = C_pp/2m + (C_xx + x^2)/2 * mw^2 ... for x0=0: 0.5*(C_pp + C_xx) here
     sys_ = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
-    m = quantum_moments(gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0), sys_, 0.0)
+    m = quantum_moments(grid, gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0), 1.0, sys_, 0.0)
     assert m.energy == pytest.approx(0.625, rel=1e-6)
 
 
@@ -231,8 +231,8 @@ def test_public_ensemble_constructor_checks_its_arrays(x, p, w):
 
 
 def test_wigner_gaussian_positive_and_normalized(grid):
-    st_ = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
-    w = wigner_transform(st_)
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
+    w = wigner_transform(grid, rho, 1.0)
     assert w.normalization() == pytest.approx(1.0, abs=1e-6)
     assert w.values.min() > -1e-9  # gaussian wigner is positive
     # peak consistent with normalization: 1/(2 pi sigma_x sigma_p)
@@ -241,8 +241,8 @@ def test_wigner_gaussian_positive_and_normalized(grid):
 
 
 def test_wigner_grid_spacing_matches_conjugate_convention(grid):
-    st_ = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
-    w = wigner_transform(st_)
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, hbar=1.0)
+    w = wigner_transform(grid, rho, 1.0)
     assert w.p_grid.size == grid.n_points
     assert w.dp == pytest.approx(2 * np.pi * 1.0 / (grid.n_points * grid.dx), rel=1e-12)
 
@@ -250,26 +250,25 @@ def test_wigner_grid_spacing_matches_conjugate_convention(grid):
 def test_wigner_cat_state_negative_fringes():
     # superposition of displaced gaussians shows interference with W < 0
     grid = PositionGrid(-12.0, 12.0, 128)
-    from qcond.core import QuantumState, gaussian_wavefunction
 
     psi = gaussian_wavefunction(grid, 3.0, 0.0, 0.8, 1.0) + gaussian_wavefunction(
         grid, -3.0, 0.0, 0.8, 1.0
     )
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    state = QuantumState(grid, np.outer(psi, psi.conj()), 1.0).normalized()
-    w = wigner_transform(state)
+    rho = np.outer(psi, psi.conj())
+    rho /= float(np.sum(rho.diagonal().real) * grid.dx)
+    w = wigner_transform(grid, rho, 1.0)
     assert w.values.min() < -0.01  # fringes
     # brute-force quadrature oracle on the fringe region
-    w_slow = _brute_force_wigner(state)
+    w_slow = _brute_force_wigner(grid, rho, 1.0)
     assert np.max(np.abs(w.values - w_slow)) < 1e-8
 
 
-def _brute_force_wigner(state):
+def _brute_force_wigner(grid, rho, hbar):
     """O(n^3) direct quadrature of the transform on the upsampled density."""
-    grid = state.grid
-    n, dx, hbar = grid.n_points, grid.dx, state.hbar
+    n, dx = grid.n_points, grid.dx
     # same spectral interpolation trick, independent summation path
-    f = np.fft.fft2(state.rho)
+    f = np.fft.fft2(rho)
     fp = np.zeros((2 * n, 2 * n), dtype=complex)
     ix = np.fft.fftfreq(n, 1.0 / n).astype(int)
     fp[np.ix_(ix, ix)] = f
@@ -297,9 +296,9 @@ def _brute_force_wigner(state):
 
 def test_wigner_moments_match_state_moments(grid):
     sys_ = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
-    st_ = gaussian_state(grid, 1.3, -0.7, 0.8, hbar=1.0)
-    m_rho = quantum_moments(st_, sys_, 0.0)
-    m_w = wigner_moments(wigner_transform(st_), sys_, 0.0)
+    rho = gaussian_state(grid, 1.3, -0.7, 0.8, hbar=1.0)
+    m_rho = quantum_moments(grid, rho, 1.0, sys_, 0.0)
+    m_w = wigner_moments(wigner_transform(grid, rho, 1.0), sys_, 0.0)
     assert m_w.x_mean == pytest.approx(m_rho.x_mean, abs=1e-6)
     assert m_w.p_mean == pytest.approx(m_rho.p_mean, abs=1e-6)
     assert m_w.c_xx == pytest.approx(m_rho.c_xx, rel=1e-6)
@@ -358,7 +357,7 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     meas = qdyn.MeasurementSpec(1.0)
     dt, n_steps, stride = 1e-3, 7, 3
     paths = generate(3, range(2), n_steps, dt)
-    qdyn.run_isolated(gaussian_state(grid, 0.5, 0.0, 1.0), harmonic, dt, n_steps, stride)
+    qdyn.run_isolated(grid, gaussian_state(grid, 0.5, 0.0, 1.0), harmonic, dt, n_steps, stride)
     assert calls == {"isolated": 7, "quantum_moments": 3}
     calls.clear()
     psi0 = gaussian_wavefunction(grid, 0.5, 0.0, 1.0)
@@ -367,7 +366,7 @@ def test_drive_callers_look_up_traced_names(monkeypatch):
     calls.clear()
     policies = [feedback.FeedbackPolicy("none"), feedback.FeedbackPolicy("direct", gain=-1.0,
                                                                          smoothing_time=0.8)]
-    belief0 = GaussianBelief(0.5, 0.0, 1.0, 0.0, 0.25, quantum=True)
+    belief0 = GaussianBelief(0.5, 0.0, 1.0, 0.0, 0.25)
     feedback.run_closed_loop(grid, psi0, belief0, harmonic, meas, policies, paths, dt, stride)
     # Its t = 0 sample is taken, then dropped.
     assert calls == {"conditioned": 7, "wavefunction_moments": 3}
@@ -423,7 +422,7 @@ def test_runs_step_every_increment_row(monkeypatch, n_steps):
     pairs = lyap.paired_run(grid, pair0, harmonic, meas, paths, dt, 0.05, stride)
     assert calls == [(2, 2)] * n_steps
     calls.clear()
-    belief0 = GaussianBelief(0.5, 0.0, 1.0, 0.0, 0.25, quantum=True)
+    belief0 = GaussianBelief(0.5, 0.0, 1.0, 0.0, 0.25)
     loops = feedback.run_closed_loop(grid, psi0, belief0, harmonic, meas,
                                      [feedback.FeedbackPolicy("none")], paths, dt, stride)
     assert calls == [(2, 1)] * n_steps

@@ -48,8 +48,7 @@ def test_riccati_fixed_point_reached(harmonic):
     meas = MeasurementSpec(k)
     cxx_s, cxp_s, cpp_s = _riccati_fixed_point(1.0, 1.0, k, HBAR)
     # start from twice the stationary position variance (pure-state slope)
-    bel = GaussianBelief(0.0, 0.0, 2 * cxx_s, 0.0, HBAR**2 / (4 * 2 * cxx_s) + 0.5,
-                         quantum=True, hbar=HBAR)
+    bel = GaussianBelief(0.0, 0.0, 2 * cxx_s, 0.0, HBAR**2 / (4 * 2 * cxx_s) + 0.5, hbar=HBAR)
     dt = 2e-5   # discrete-update bias is O(8k C dt); keep it under the 1e-4 check
     deviations = []
     t = 0.0
@@ -68,7 +67,7 @@ def test_riccati_fixed_point_reached(harmonic):
 
 
 def test_zero_measurement_classical_reduces_to_newton(harmonic):
-    bel = GaussianBelief(1.0, 0.0, 0.04, 0.0, 0.04, quantum=False)
+    bel = GaussianBelief(1.0, 0.0, 0.04, 0.0, 0.04, hbar=0.0)
     dt = 1e-3
     t = 0.0
     for _ in range(1571):
@@ -81,7 +80,7 @@ def test_zero_measurement_classical_reduces_to_newton(harmonic):
 
 
 def test_delta_belief_drifts_ballistically(harmonic):
-    bel = GaussianBelief(0.0, 2.0, 0.0, 0.0, 0.0, quantum=False)
+    bel = GaussianBelief(0.0, 2.0, 0.0, 0.0, 0.0, hbar=0.0)
     out = centroid_step(bel, SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0.0,)),
                         MeasurementSpec(1.0), 1e-3, 0.37, 0.0)
     # C_xx = C_xp = 0: no innovation response in x, pure drift
@@ -91,7 +90,7 @@ def test_delta_belief_drifts_ballistically(harmonic):
 
 def test_quantum_flavor_keeps_uncertainty_floor(harmonic):
     meas = MeasurementSpec(2.0)
-    bel = GaussianBelief(0.5, 0.0, 0.5, 0.0, 0.5, quantum=True, hbar=HBAR)
+    bel = GaussianBelief(0.5, 0.0, 0.5, 0.0, 0.5, hbar=HBAR)
     noise = generate(3, [1], 5000, 1e-3)[:, 0]
     t = 0.0
     for i in range(5000):
@@ -102,7 +101,7 @@ def test_quantum_flavor_keeps_uncertainty_floor(harmonic):
 
 def test_classical_flavor_admits_collapse(harmonic):
     meas = MeasurementSpec(5.0)
-    bel = GaussianBelief(0.0, 0.0, 0.3, 0.0, 0.3, quantum=False)
+    bel = GaussianBelief(0.0, 0.0, 0.3, 0.0, 0.3, hbar=0.0)
     t = 0.0
     for _ in range(20000):
         bel = centroid_step(bel, harmonic, meas, 1e-3, 0.0, t)
@@ -119,7 +118,7 @@ def test_closure_exact_for_harmonic_shared_noise(harmonic):
     noise = generate(11, [0], n, dt)[:, 0]
     psi = gaussian_wavefunction(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     stepper = PureStepper(grid, harmonic, meas, dt)
-    bel = GaussianBelief(1.0, 0.0, 0.5, 0.0, 0.5, quantum=True, hbar=HBAR)
+    bel = GaussianBelief(1.0, 0.0, 0.5, 0.0, 0.5, hbar=HBAR)
     full_rows, bel_rows = [], []
     t = 0.0
     for i in range(n):
@@ -146,8 +145,7 @@ def test_duffing_localized_regime_tracks_envelope():
     x0, sigma0 = 3.0, 0.12
     psi = gaussian_wavefunction(grid, x0, 0.0, sigma0, 0.1)
     stepper = PureStepper(grid, system, meas, dt)
-    bel = GaussianBelief(x0, 0.0, sigma0**2, 0.0, 0.1**2 / (4 * sigma0**2),
-                         quantum=True, hbar=0.1)
+    bel = GaussianBelief(x0, 0.0, sigma0**2, 0.0, 0.1**2 / (4 * sigma0**2), hbar=0.1)
     full_rows, bel_rows = [], []
     t = 0.0
     for i in range(n):
@@ -171,6 +169,6 @@ def test_compare_report_shape_mismatch():
 
 
 def test_covariance_breakdown_raises(harmonic):
-    bel = GaussianBelief(0.0, 0.0, 1e-9, 0.0, 1e-9, quantum=True, hbar=1.0)
+    bel = GaussianBelief(0.0, 0.0, 1e-9, 0.0, 1e-9, hbar=1.0)
     with pytest.raises(ClosureBreakdownError):
         bel.validate()

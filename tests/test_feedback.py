@@ -18,7 +18,7 @@ PLANT = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.25, 0, 0.25))
 GRID = PositionGrid(-10.0, 10.0, 256)
 MEAS = MeasurementSpec(0.5)
 PSI0 = gaussian_wavefunction(GRID, 1.5, 0.0, 0.5)
-BELIEF0 = GaussianBelief(1.5, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2), quantum=True)
+BELIEF0 = GaussianBelief(1.5, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2))
 # The start packet and its belief, as the CLI builds them for the cooling section.
 START = (GRID, PSI0, BELIEF0)
 DIRECT = FeedbackPolicy("direct", gain=-1.0, smoothing_time=0.8, u_max=5.0)
@@ -179,15 +179,15 @@ def test_no_feedback_heating_rate_is_backaction():
     n = int(round(horizon / dt))
     big = PositionGrid(-16.0, 16.0, 128)
 
-    state = gaussian_state(big, 1.0, 0.0, 1 / np.sqrt(2), 1.0)
+    rho = gaussian_state(big, 1.0, 0.0, 1 / np.sqrt(2), 1.0)
     stepper = DensityStepper(big, harmonic, meas, dt)
     t = 0.0
     ref = []
     for i in range(n):
-        state = stepper.unconditional(state, t)
+        rho = stepper.unconditional(rho, t)
         t = (i + 1) * dt
         if (i + 1) % 100 == 0:
-            ref.append(quantum_moments(state, harmonic, t).energy)
+            ref.append(quantum_moments(big, rho, 1.0, harmonic, t).energy)
     ref = np.array(ref)
     times = dt * 100 * (1 + np.arange(ref.size))
     slope_ref = np.polyfit(times, ref, 1)[0]
@@ -195,7 +195,7 @@ def test_no_feedback_heating_rate_is_backaction():
 
     n_real = 96
     paths = generate(17, range(n_real), n, dt)
-    belief0 = GaussianBelief(1.0, 0.0, 0.5, 0.0, 0.5, quantum=True)
+    belief0 = GaussianBelief(1.0, 0.0, 0.5, 0.0, 0.5)
     runs = run_closed_loop(big, gaussian_wavefunction(big, 1.0, 0.0, 1 / np.sqrt(2)), belief0,
                            harmonic, meas, [FeedbackPolicy("none")], paths, dt,
                            sample_stride=100)
@@ -267,8 +267,7 @@ def test_estimator_robust_to_belief_offset():
     """Offset initial belief converges; steady state unchanged within error."""
     dt, n = 1e-3, 20_000
     paths = generate(41, range(8), n, dt)
-    bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2),
-                          quantum=True, hbar=1.0)
+    bel0 = GaussianBelief(1.5 + 0.25, 0.0, 0.5**2, 0.0, 1.0 / (4 * 0.5**2), hbar=1.0)
     good = run_closed_loop(*START, PLANT, MEAS, [ESTIMATOR], paths, dt, sample_stride=100)
     off = run_closed_loop(GRID, PSI0, bel0, PLANT, MEAS, [ESTIMATOR], paths, dt,
                           sample_stride=100)

@@ -185,7 +185,7 @@ def test_report_matches_pointwise_margins(hbar):
     if hbar > 0:
         left, right = np.array([quantum_window(sys_, x, k, action / hbar, hbar) for x in xs]).T
     else:
-        left = right = np.full(xs.size, np.inf)
+        left, right = low, np.full(xs.size, np.inf)
     assert np.isnan(loc[-2]) and loc[-1] == np.inf and low[-1] == np.inf
     _assert_matches(rep.localization, loc)
     _assert_matches(rep.lownoise_classical, low)
@@ -193,6 +193,21 @@ def test_report_matches_pointwise_margins(hbar):
     _assert_matches(rep.window_right, right)
     np.testing.assert_array_equal(rep.singular_mask, np.isnan(loc))
     assert rep.s == (action / hbar if hbar > 0 else np.inf)
+
+
+def test_window_left_at_hbar_zero_is_its_small_hbar_limit():
+    """hbar k s / (2|dF|) = k S / (2|dF|) does not depend on hbar, so at hbar = 0
+    the left window ratio is the classical low-noise margin, as at hbar = 1e-9,
+    and a measurement too weak for the classical limit leaves the window shut."""
+    times, xs, _ = newton_trajectory(0.9, 0.0, DRIVEN_QUARTIC, 1e-2, 1500)
+    reps = [evaluate_along_trajectory(dataclasses.replace(DRIVEN_QUARTIC, hbar=hbar), xs,
+                                      k=0.01, action=1.0, times=times)
+            for hbar in (0.0, 1e-9)]
+    np.testing.assert_array_equal(reps[0].window_left, reps[0].lownoise_classical)
+    assert reps[0].percentiles["window_left"] == pytest.approx(
+        reps[1].percentiles["window_left"], rel=1e-12)
+    assert np.all(reps[0].window_right == np.inf)
+    assert not reps[0].window_open() and not reps[1].window_open()
 
 
 def test_report_percentiles_and_window(quartic):

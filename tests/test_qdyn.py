@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from qcond.core import (
     PositionGrid,
-    QuantumState,
     SupportEscapeError,
     SystemSpec,
     drive,
@@ -54,63 +53,63 @@ def free():
 def test_isolated_harmonic_tracks_analytic_solution(grid, harmonic):
     x0, p0 = 1.0, 0.5
     dt = 1e-3
-    state = gaussian_state(grid, x0, p0, 1 / np.sqrt(2), HBAR)
+    rho = gaussian_state(grid, x0, p0, 1 / np.sqrt(2), HBAR)
     stepper = DensityStepper(grid, harmonic, None, dt)
     n = int(round(10 * 2 * np.pi / dt))
     t = 0.0
     for _ in range(n):
-        state = stepper.isolated(state, t)
+        rho = stepper.isolated(rho, t)
         t += dt
-    m = quantum_moments(state, harmonic, t)
+    m = quantum_moments(grid, rho, HBAR, harmonic, t)
     assert m.x_mean == pytest.approx(x0 * np.cos(t) + p0 * np.sin(t), abs=1e-4)
     assert m.p_mean == pytest.approx(-x0 * np.sin(t) + p0 * np.cos(t), abs=1e-4)
 
 
 def test_isolated_conserves_trace_purity_energy(grid, harmonic):
     dt = 1e-3
-    state = gaussian_state(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
-    e0 = quantum_moments(state, harmonic, 0.0).energy
+    rho = gaussian_state(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
+    e0 = quantum_moments(grid, rho, HBAR, harmonic, 0.0).energy
     stepper = DensityStepper(grid, harmonic, None, dt)
     t = 0.0
     for _ in range(200):
-        prev_tr, prev_pur = state.trace(), state.purity()
-        state = stepper.isolated(state, t)
+        prev_tr, prev_pur = trace(grid, rho), purity(grid, rho)
+        rho = stepper.isolated(rho, t)
         t += dt
-        assert abs(state.trace() - prev_tr) < 1e-8
-        assert abs(state.purity() - prev_pur) < 1e-8
-    e1 = quantum_moments(state, harmonic, t).energy
+        assert abs(trace(grid, rho) - prev_tr) < 1e-8
+        assert abs(purity(grid, rho) - prev_pur) < 1e-8
+    e1 = quantum_moments(grid, rho, HBAR, harmonic, t).energy
     assert abs(e1 - e0) < 1e-8 * max(1.0, abs(e0)) * 200
 
 
 def test_free_particle_spreading_identity(grid, free):
     # C_xx(t) = C_xx(0) + C_pp(0) t^2/m^2 + 2 C_xp(0) t / m
     dt = 1e-3
-    state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
     stepper = DensityStepper(grid, free, None, dt)
     t = 0.0
     for _ in range(1000):
-        state = stepper.isolated(state, t)
+        rho = stepper.isolated(rho, t)
         t += dt
-    m = quantum_moments(state, free, t)
+    m = quantum_moments(grid, rho, HBAR, free, t)
     assert m.c_xx == pytest.approx(1.0 + 0.25 * t**2, abs=1e-5)
 
 
 def test_isolated_reversibility(grid, harmonic):
     dt = 1e-3
-    state0 = gaussian_state(grid, 1.0, -0.5, 0.8, HBAR)
+    rho0 = gaussian_state(grid, 1.0, -0.5, 0.8, HBAR)
     stepper = DensityStepper(grid, harmonic, None, dt)
-    state = state0
+    rho = rho0
     ts = []
     t = 0.0
     for _ in range(300):
-        state = stepper.isolated(state, t)
+        rho = stepper.isolated(rho, t)
         ts.append(t)
         t += dt
     # A -dt stepper begun at t + dt undoes the forward step begun at t.
     back = DensityStepper(grid, harmonic, None, -dt)
     for t_back in reversed(ts):
-        state = back.isolated(state, t_back + dt)
-    fidelity = float(np.real(np.sum(state0.rho.conj() * state.rho)) * grid.dx**2)
+        rho = back.isolated(rho, t_back + dt)
+    fidelity = float(np.real(np.sum(rho0.conj() * rho)) * grid.dx**2)
     assert fidelity > 1 - 1e-8
 
 
@@ -119,7 +118,7 @@ def test_isolated_unitary_matches_dense_propagator_oracle():
     grid = PositionGrid(-6.0, 6.0, 32)
     sys_ = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0.5))
     dt = 1e-4
-    state = gaussian_state(grid, 0.5, 0.3, 0.9, 1.0)
+    rho = gaussian_state(grid, 0.5, 0.3, 0.9, 1.0)
     # dense H with spectral kinetic term
     n, dx = grid.n_points, grid.dx
     p = grid.momenta(1.0)
@@ -129,9 +128,9 @@ def test_isolated_unitary_matches_dense_propagator_oracle():
     h = (h + h.conj().T) / 2
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    rho_exact = u @ state.rho @ u.conj().T
-    stepped = DensityStepper(grid, sys_, None, dt).isolated(state, 0.0)
-    assert np.max(np.abs(stepped.rho - rho_exact)) * dx < 1e-8
+    rho_exact = u @ rho @ u.conj().T
+    stepped = DensityStepper(grid, sys_, None, dt).isolated(rho, 0.0)
+    assert np.max(np.abs(stepped - rho_exact)) * dx < 1e-8
 
 
 def _allocating_unitary(stepper, rho, t):
@@ -153,7 +152,7 @@ def test_unitary_bitwise_matches_allocating_form(n, drive):
     sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5),
                       drive_amplitude=drive, drive_frequency=1.3)
     forward, backward = (DensityStepper(grid, sys_, None, dt) for dt in (1e-3, -1e-3))
-    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR).rho
+    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR)
     for stepper in (forward, backward, forward):
         got = want = rho
         for i in range(3):
@@ -166,7 +165,7 @@ def test_unitary_bitwise_matches_allocating_form(n, drive):
 def test_unitary_phase_follows_reassigned_control(n):
     grid = PositionGrid(-12.0, 12.0, n)
     sys_ = SystemSpec(mass=1.0, hbar=HBAR, potential_coeffs=(0, 0, 0.5))
-    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR).rho
+    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR)
     for dt in (1e-3, -1e-3):
         stepper = DensityStepper(grid, sys_, None, dt)
         for u in (0.0, 0.4, -0.4, 0.0):
@@ -178,24 +177,37 @@ def test_unitary_phase_follows_reassigned_control(n):
 # --- conditioned ----------------------------------------------------------------
 
 
-def density_conditioned(stepper: DensityStepper, state: QuantumState, t: float, dw: float):
+def trace(grid, rho) -> float:
+    return float(np.sum(rho.diagonal().real) * grid.dx)
+
+
+def purity(grid, rho) -> float:
+    return float(np.sum(np.abs(rho) ** 2) * grid.dx**2)
+
+
+def hermiticity_defect(rho) -> float:
+    """max |rho - rho^dagger| relative to the largest element."""
+    return float(np.max(np.abs(rho - rho.conj().T))) / float(np.max(np.abs(rho)))
+
+
+def density_conditioned(stepper: DensityStepper, rho: np.ndarray, t: float, dw: float):
     """The density twin of PureStepper.conditioned, built from the density
-    stepper's pieces: one conditioned step of rho; returns (state', dy)."""
-    dens = state.rho.diagonal().real
+    stepper's pieces: one conditioned step of rho; returns (rho', dy)."""
+    dens = rho.diagonal().real
     x_mean = float(np.sum(stepper.x * dens) / np.sum(dens))
     dy = stepper.meas.record(x_mean, dw, stepper.dt)
     m = stepper.meas.multiplier(stepper.x - x_mean, dw, stepper.dt)
-    rho = stepper._renormalize(state.rho * np.outer(m, m))
+    rho = stepper._renormalize(rho * np.outer(m, m))
     rho = stepper._unitary(rho, t)
     _check_support(stepper._outer_mass(rho), t)
-    return QuantumState(stepper.grid, rho, state.hbar), dy
+    return rho, dy
 
 
 def test_record_arithmetic_unit_gain(grid, free):
     # <x>=0, k=1/8 makes sqrt(8k)=1, so dy = dW exactly
     meas = MeasurementSpec(0.125)
-    state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
-    _, dy = density_conditioned(DensityStepper(grid, free, meas, 1e-3), state, 0.0, 0.01)
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
+    _, dy = density_conditioned(DensityStepper(grid, free, meas, 1e-3), rho, 0.0, 0.01)
     assert dy == pytest.approx(0.01, abs=1e-12)
     # innovation inverts record: dW = dy - <x> dt at unit gain
     assert meas.innovation(dy, 0.0, 1e-3) == pytest.approx(0.01, abs=1e-12)
@@ -211,23 +223,23 @@ def test_conditioned_preserves_purity(grid, harmonic):
     dt = 1e-3
     meas = MeasurementSpec(1.0)
     stepper = DensityStepper(grid, harmonic, meas, dt)
-    state = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
+    rho = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     noise = generate(21, [0], 1000, dt)[:, 0]
     t = 0.0
     for i in range(1000):
-        state, _ = density_conditioned(stepper, state, t, noise[i])
+        rho, _ = density_conditioned(stepper, rho, t, noise[i])
         t += dt
-    assert state.purity() == pytest.approx(1.0, abs=1e-6)
-    assert state.trace() == pytest.approx(1.0, abs=1e-9)
-    m = quantum_moments(state, harmonic, t)
+    assert purity(grid, rho) == pytest.approx(1.0, abs=1e-6)
+    assert trace(grid, rho) == pytest.approx(1.0, abs=1e-9)
+    m = quantum_moments(grid, rho, HBAR, harmonic, t)
     assert m.c_xx * m.c_pp - m.c_xp**2 >= 0.25 * (1 - 1e-6)
 
 
 def test_conditioned_rejects_zero_strength(grid, harmonic):
     stepper = DensityStepper(grid, harmonic, MeasurementSpec(0.0), 1e-3)
-    state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
     with pytest.raises(MeasurementError):
-        density_conditioned(stepper, state, 0.0, 0.01)
+        density_conditioned(stepper, rho, 0.0, 0.01)
     with pytest.raises(MeasurementError):
         MeasurementSpec(0.0).innovation(0.01, 0.0, 1e-3)
 
@@ -237,16 +249,16 @@ def test_pure_and_density_paths_agree(grid, harmonic):
     meas = MeasurementSpec(1.0)
     dstep = DensityStepper(grid, harmonic, meas, dt)
     pstep = PureStepper(grid, harmonic, meas, dt)
-    state = gaussian_state(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
+    rho = gaussian_state(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
     psi = gaussian_wavefunction(grid, 1.0, 0.5, 1 / np.sqrt(2), HBAR)
     noise = generate(4, [2], 1500, dt)[:, 0]
     t = 0.0
     for i in range(1500):
-        state, dy_d = density_conditioned(dstep, state, t, noise[i])
+        rho, dy_d = density_conditioned(dstep, rho, t, noise[i])
         psi, dy_p = pstep.conditioned(psi, t, noise[i])
         t += dt
         assert dy_d == pytest.approx(dy_p, abs=1e-12)
-    md = quantum_moments(state, harmonic, t)
+    md = quantum_moments(grid, rho, HBAR, harmonic, t)
     mp = wavefunction_moments(grid, psi, HBAR, harmonic, t)
     np.testing.assert_allclose(astuple(md)[:5], astuple(mp)[:5], atol=1e-9)
 
@@ -446,8 +458,8 @@ def test_trajectory_loop_density_twin(harmonic):
     def pure_sample(psi, t):
         return astuple(wavefunction_moments(g64, psi, HBAR, harmonic, t))
 
-    def dens_sample(state, t):
-        return astuple(quantum_moments(state, harmonic, t))
+    def dens_sample(rho, t):
+        return astuple(quantum_moments(g64, rho, HBAR, harmonic, t))
 
     dys = {"pure": [], "dens": []}
 
@@ -477,10 +489,10 @@ def test_trajectory_loop_density_twin(harmonic):
 
     _, i_pure, _ = drive(psi0, n_steps, dt, stride, lambda psi, i, t: pstep.isolated(psi, t),
                          pure_sample)
-    _, i_dens, _ = drive(rho0, n_steps, dt, stride, lambda st, i, t: dstep.isolated(st, t),
+    _, i_dens, _ = drive(rho0, n_steps, dt, stride, lambda rho, i, t: dstep.isolated(rho, t),
                          dens_sample)
     np.testing.assert_allclose(i_dens[:, :5], i_pure[:, :5], rtol=0, atol=1e-10)
-    i_run = run_isolated(rho0, harmonic, dt, n_steps, sample_every=stride)
+    i_run = run_isolated(g64, rho0, harmonic, dt, n_steps, sample_every=stride)
     np.testing.assert_array_equal(i_run.moments[0], i_dens)
 
 
@@ -519,54 +531,53 @@ def test_conditioned_density_stays_positive(dt, k, seed):
     """
     g64 = PositionGrid(-4.0, 4.0, 64)
     trap = SystemSpec(mass=4.0, hbar=HBAR, potential_coeffs=(0, 0, 8.0))
-    rho0 = 0.5 * (gaussian_state(g64, 0.8, 0.0, 0.4, HBAR).rho
-                  + gaussian_state(g64, -0.8, 0.0, 0.4, HBAR).rho)
-    state = QuantumState(g64, rho0, HBAR)
+    rho = 0.5 * (gaussian_state(g64, 0.8, 0.0, 0.4, HBAR)
+                 + gaussian_state(g64, -0.8, 0.0, 0.4, HBAR))
     stepper = DensityStepper(g64, trap, MeasurementSpec(k), dt)
     noise = generate(seed, [0], 300, dt)[:, 0]
     try:
         for i in range(300):
-            state, _ = density_conditioned(stepper, state, i * dt, noise[i])
+            rho, _ = density_conditioned(stepper, rho, i * dt, noise[i])
     except SupportEscapeError:
         pass
-    assert abs(state.trace() - 1.0) <= 1e-9
-    assert state.hermiticity_defect() <= 1e-12
-    assert np.linalg.eigvalsh(state.rho * g64.dx)[0] >= -1e-8
+    assert abs(trace(g64, rho) - 1.0) <= 1e-9
+    assert hermiticity_defect(rho) <= 1e-12
+    assert np.linalg.eigvalsh(rho * g64.dx)[0] >= -1e-8
 
 
 def test_unconditional_free_particle_momentum_heating(grid, free):
     # d<p^2>/dt = 2 hbar^2 k exactly for the backaction channel
     dt = 1e-3
     meas = MeasurementSpec(1.0)
-    state = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
-    c0 = quantum_moments(state, free, 0.0).c_pp
+    rho = gaussian_state(grid, 0.0, 0.0, 1.0, HBAR)
+    c0 = quantum_moments(grid, rho, HBAR, free, 0.0).c_pp
     stepper = DensityStepper(grid, free, meas, dt)
     t = 0.0
     for _ in range(1000):
-        state = stepper.unconditional(state, t)
+        rho = stepper.unconditional(rho, t)
         t += dt
-    c1 = quantum_moments(state, free, t).c_pp
+    c1 = quantum_moments(grid, rho, HBAR, free, t).c_pp
     assert (c1 - c0) / t == pytest.approx(2.0 * HBAR**2 * 1.0, rel=1e-2)
 
 
 def test_unconditional_k0_equals_isolated(grid, harmonic):
-    state = gaussian_state(grid, 1.0, 0.0, 1.0, HBAR)
-    a = DensityStepper(grid, harmonic, MeasurementSpec(0.0), 1e-3).unconditional(state, 0.0)
-    b = DensityStepper(grid, harmonic, None, 1e-3).isolated(state, 0.0)
-    assert np.max(np.abs(a.rho - b.rho)) < 1e-12
+    rho = gaussian_state(grid, 1.0, 0.0, 1.0, HBAR)
+    a = DensityStepper(grid, harmonic, MeasurementSpec(0.0), 1e-3).unconditional(rho, 0.0)
+    b = DensityStepper(grid, harmonic, None, 1e-3).isolated(rho, 0.0)
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_unconditional_bitwise_matches_per_step_damping(grid, harmonic):
     dt, k = 1e-3, 0.7
     stepper = DensityStepper(grid, harmonic, MeasurementSpec(k), dt)
-    state = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR)
+    rho = gaussian_state(grid, 1.0, 0.5, 1.0, HBAR)
     x = grid.x
-    want = state.rho
+    want = rho
     for i in range(3):
-        state = stepper.unconditional(state, i * dt)
+        rho = stepper.unconditional(rho, i * dt)
         damp = np.exp(-k * (x[:, None] - x[None, :]) ** 2 * dt)
         want = stepper._renormalize(stepper._unitary(want * damp, i * dt))
-    assert np.array_equal(state.rho, want)
+    assert np.array_equal(rho, want)
 
 
 def _raw_moments(moment_row):
@@ -590,13 +601,13 @@ def test_noise_average_recovers_unconditional(grid, harmonic):
     noise = generate(31, range(n_real), n_steps, dt)
     traj = run_conditioned(grid, psi0, harmonic, meas, noise, dt, sample_every=n_steps)
     finals = np.array([_raw_moments(row[-1, :5]) for row in traj.moments])
-    state = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
+    rho = gaussian_state(grid, 1.0, 0.0, 1 / np.sqrt(2), HBAR)
     stepper = DensityStepper(grid, harmonic, meas, dt)
     t = 0.0
     for _ in range(n_steps):
-        state = stepper.unconditional(state, t)
+        rho = stepper.unconditional(rho, t)
         t += dt
-    ref = _raw_moments(astuple(quantum_moments(state, harmonic, t))[:5])
+    ref = _raw_moments(astuple(quantum_moments(grid, rho, HBAR, harmonic, t))[:5])
     mean = finals.mean(axis=0)
     se = finals.std(axis=0, ddof=1) / np.sqrt(n_real)
     z = np.abs(mean - ref) / np.maximum(se, 1e-12)
@@ -610,22 +621,21 @@ def test_mixed_state_mean_purity_nondecreasing(grid, harmonic):
     g64 = PositionGrid(-12.0, 12.0, 64)
     sa = gaussian_state(g64, 1.5, 0.0, 0.8, HBAR)
     sb = gaussian_state(g64, -1.5, 0.0, 0.8, HBAR)
-    rho0 = 0.5 * sa.rho + 0.5 * sb.rho
-    from qcond.core import QuantumState
+    rho0 = 0.5 * sa + 0.5 * sb
 
     n_real, n_steps, n_checks = 40, 500, 10
     purities = np.empty((n_real, n_checks))
     for r in range(n_real):
         noise = generate(8, [r], n_steps, dt)[:, 0]
-        state = QuantumState(g64, rho0.copy(), HBAR)
+        rho = rho0.copy()
         stepper = DensityStepper(g64, harmonic, meas, dt)
         t = 0.0
         c = 0
         for i in range(n_steps):
-            state, _ = density_conditioned(stepper, state, t, noise[i])
+            rho, _ = density_conditioned(stepper, rho, t, noise[i])
             t += dt
             if (i + 1) % (n_steps // n_checks) == 0:
-                purities[r, c] = state.purity()
+                purities[r, c] = purity(g64, rho)
                 c += 1
     mean_p = purities.mean(axis=0)
     se_p = purities.std(axis=0, ddof=1) / np.sqrt(n_real)
@@ -639,8 +649,8 @@ def test_mixed_state_mean_purity_nondecreasing(grid, harmonic):
 
 
 def test_moyal_quadratic_potential_is_classical_advection(grid, harmonic):
-    st_ = gaussian_state(grid, 1.0, 0.3, 0.8, HBAR)
-    w = wigner_transform(st_)
+    rho = gaussian_state(grid, 1.0, 0.3, 0.8, HBAR)
+    w = wigner_transform(grid, rho, HBAR)
     rhs = moyal_rhs(w, harmonic, 0.0)
     # quantum correction vanishes: rates of <x>, <p> purely classical
     dxdp = grid.dx * w.dp
@@ -655,8 +665,8 @@ def test_moyal_quartic_correction_term():
     grid = PositionGrid(-8.0, 8.0, 64)
     sys_q = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0, 0, 0.25))
     sys_c = SystemSpec(mass=1.0, hbar=0.0, potential_coeffs=(0, 0, 0, 0, 0.25))
-    st_ = gaussian_state(grid, 1.0, 0.0, 0.7, 1.0)
-    w = wigner_transform(st_)
+    rho = gaussian_state(grid, 1.0, 0.0, 0.7, 1.0)
+    w = wigner_transform(grid, rho, 1.0)
     quantum = moyal_rhs(w, sys_q, 0.0)
     classical = moyal_rhs(w, sys_c, 0.0)
     correction = quantum - classical
@@ -673,13 +683,12 @@ def test_cross_representation_oracle_quartic():
     """Moyal-evolved Wigner vs Wigner of density evolution, t = 0.1."""
     grid = PositionGrid(-8.0, 8.0, 64)
     sys_q = SystemSpec(mass=1.0, hbar=1.0, potential_coeffs=(0, 0, 0, 0, 0.25))
-    st_ = gaussian_state(grid, 1.0, 0.0, 0.7, 1.0)
-    w_moyal = evolve_moyal(wigner_transform(st_), sys_q, 0.0, 0.1, 5e-5)
+    rho = gaussian_state(grid, 1.0, 0.0, 0.7, 1.0)
+    w_moyal = evolve_moyal(wigner_transform(grid, rho, 1.0), sys_q, 0.0, 0.1, 5e-5)
     stepper = DensityStepper(grid, sys_q, None, 1e-4)
-    state = st_
     t = 0.0
     for _ in range(1000):
-        state = stepper.isolated(state, t)
+        rho = stepper.isolated(rho, t)
         t += 1e-4
-    w_rho = wigner_transform(state)
+    w_rho = wigner_transform(grid, rho, 1.0)
     assert np.max(np.abs(w_moyal.values - w_rho.values)) < 1e-4
